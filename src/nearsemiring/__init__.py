@@ -8,7 +8,7 @@ independent methods and decompose into directly indecomposable factors, and
 exhaustively enumerate small models up to isomorphism.
 """
 from .core import (
-    AlgebraError, CheckReport, ClauseResult, DocumentError, FiniteNearSemiring,
+    AlgebraError, CheckReport, Clause, ClauseResult, ClauseSet, DocumentError, FiniteNearSemiring,
     PartialOrderReport, PreconditionError, PROFILES, PropertyReport, Violation,
     WitnessTermReport, check_axioms, check_involution, core_property_suite,
     dual_algebra, dump_algebra, induced_order, load_algebra, product_algebra,
@@ -33,7 +33,7 @@ from .center import (
     center_algebra, check_church, church_q, decompose, interval_algebra,
 )
 from .search import (
-    IDENTITIES, Identity, SearchConstraint, SearchResult, are_isomorphic,
+    IDENTITIES, SearchConstraint, SearchResult, are_isomorphic,
     canonical_form, canonicalize, enumerate_models, find_model,
     identity_first_violation, identity_holds, parse_constraint,
 )

@@ -16,8 +16,9 @@ from itertools import product as iproduct
 import numpy as np
 
 from .core import (
-    AlgebraError, CheckReport, ClauseResult, FiniteNearSemiring,
-    PreconditionError, PropertyReport, Violation, check_axioms, require,
+    IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseSet, FiniteNearSemiring,
+    PreconditionError, PropertyReport, X, Y, Z, _add, _inv, _mul, check_axioms, clause,
+    clause_results, find_violations, require,
 )
 from .congruences import is_factor_pair, principal_congruence
 
@@ -30,24 +31,22 @@ def church_q(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> int:
     return int(add[mul[x, y], mul[inv[x], z]])
 
 
+def _q(x, y, z):
+    """The selector as a term."""
+    return _add(_mul(x, y), _mul(_inv(x), z))
+
+
+_SELECTOR = ClauseSet([
+    clause("selector-at-one", "ab", (_q(ONE, X, Y), X), render="q({one},{a},{b})={lhs}"),
+    clause("selector-at-zero", "ab", (_q(ZERO, X, Y), Y), render="q({zero},{a},{b})={lhs}"),
+])
+
+
 def check_church(algebra: FiniteNearSemiring) -> CheckReport:
     """q(1,a,b) = a and q(0,a,b) = b, exhaustively."""
     require(algebra, "involutive-integral", "selector term")
-    n, l = algebra.n, algebra.label
-    violations = []
-    for a, b in iproduct(range(n), repeat=2):
-        if church_q(algebra, algebra.one, a, b) != a:
-            violations.append(Violation(
-                "selector-at-one", (a, b),
-                f"q({l(algebra.one)},{l(a)},{l(b)})={l(church_q(algebra, algebra.one, a, b))}"))
-            break
-    for a, b in iproduct(range(n), repeat=2):
-        if church_q(algebra, algebra.zero, a, b) != b:
-            violations.append(Violation(
-                "selector-at-zero", (a, b),
-                f"q({l(algebra.zero)},{l(a)},{l(b)})={l(church_q(algebra, algebra.zero, a, b))}"))
-            break
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    violations = sorted(find_violations(algebra, _SELECTOR).values(),
+                        key=lambda v: (v.clause, v.witness))
     return CheckReport(algebra.name, "church-selector", not violations, tuple(violations))
 
 
@@ -55,6 +54,7 @@ def check_church(algebra: FiniteNearSemiring) -> CheckReport:
 # the three centrality methods
 
 CENTRALITY_METHODS = ("equational", "full-conditions", "congruence")
+_CENTRAL = {which: ClauseSet([IDENTITIES[f"central-{which}"]]) for which in "12"}
 
 
 def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
@@ -69,24 +69,10 @@ def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
         raise PreconditionError(f"{algebra.name} has no involution table")
     if not 0 <= e < algebra.n:
         raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
-    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
-    ie = int(inv[e])
-    if which == "1":
-        x, y = np.indices((n, n)).reshape(2, -1)
-        lhs = add[mul[e, inv[x]], mul[ie, inv[y]]]
-        rhs = inv[add[mul[e, x], mul[ie, y]]]
-        shape = (n, n)
-    elif which == "2":
-        x, z, y, u = np.indices((n, n, n, n)).reshape(4, -1)
-        lhs = add[mul[e, mul[x, z]], mul[ie, mul[y, u]]]
-        rhs = mul[add[mul[e, x], mul[ie, y]], add[mul[e, z], mul[ie, u]]]
-        shape = (n, n, n, n)
-    else:
+    if which not in _CENTRAL:
         raise AlgebraError(f"which must be '1' or '2', got {which!r}")
-    bad = np.flatnonzero(lhs != rhs)
-    if bad.size == 0:
-        return None
-    return tuple(int(v) for v in np.unravel_index(int(bad[0]), shape))
+    found = _CENTRAL[which].violations(algebra.ops(), algebra.n, pinned={"e": e})
+    return found[f"central-{which}"].witness if found else None
 
 
 def _central_equational_witness(algebra: FiniteNearSemiring, e: int):
@@ -235,6 +221,26 @@ def _atoms_of(algebra: FiniteNearSemiring, centrals) -> tuple:
                  if not any(c != e and add[c, e] == e for c in nonzero))
 
 
+# e = X is pinned to the element under study; x, y = Y, Z
+_CENTRAL_LEMMAS = ClauseSet([
+    clause("shift-absorption", "ex", (_add(_mul(X, Y), _inv(X)), _add(Y, _inv(X))),
+           render="(e·{x})+α(e)≠{x}+α(e)"),
+    clause("projection-idempotence", "ex",
+           (_mul(X, _mul(X, Y)), _mul(X, Y)), (_mul(_mul(X, Y), X), _mul(X, Y)),
+           render="e·(e·{x})≠e·{x} or (e·{x})·e≠e·{x}"),
+    clause("complement-annihilation", "e", (_mul(X, _inv(X)), ZERO), render="e·α(e)={lhs}"),
+    clause("central-commutation", "ex", (_mul(X, Y), _mul(Y, X)), render="e·{x}≠{x}·e"),
+    clause("left-distributivity-at-e", "exy",
+           (_mul(X, _add(Y, Z)), _add(_mul(X, Y), _mul(X, Z))),
+           render="e·({x}+{y})≠(e·{x})+(e·{y})"),
+    clause("left-monotonicity-at-e", "exy",
+           (_add(_mul(X, Y), _mul(X, Z)), _mul(X, Z), (_add(Y, Z), Z)),
+           render="{x}≤{y} but e·{x}≰e·{y}"),
+    clause("complement-chain-annihilation", "ex", (_mul(X, _mul(_inv(X), Y)), ZERO),
+           render="e·(α(e)·{x})={lhs}"),
+])
+
+
 def central_lemma_suite(algebra: FiniteNearSemiring, e: int) -> PropertyReport:
     """Derived facts about a single equationally central element."""
     require(algebra, "involutive-integral", "central-element facts")
@@ -245,40 +251,33 @@ def central_lemma_suite(algebra: FiniteNearSemiring, e: int) -> PropertyReport:
         raise PreconditionError(
             f"{algebra.label(e)} is not central in {algebra.name} "
             f"(fails {w[0]} at {w[1]})")
-    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
-    zero, l = algebra.zero, algebra.label
-    ie = inv[e]
-    clauses = []
+    found = find_violations(algebra, _CENTRAL_LEMMAS, pinned={"e": e})
+    return PropertyReport(algebra.name, f"central-element {algebra.label(e)}",
+                          tuple(clause_results(_CENTRAL_LEMMAS, found)))
 
-    def scan(clause, arity, pred, render):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                clauses.append(ClauseResult(clause, False, args, render(*args)))
-                return
-        clauses.append(ClauseResult(clause, True))
 
-    scan("shift-absorption", 1,
-         lambda x: add[mul[e, x], ie] == add[x, ie],
-         lambda x: f"(e·{l(x)})+α(e)≠{l(x)}+α(e)")
-    scan("projection-idempotence", 1,
-         lambda x: mul[e, mul[e, x]] == mul[e, x] and mul[mul[e, x], e] == mul[e, x],
-         lambda x: f"e·(e·{l(x)})≠e·{l(x)} or (e·{l(x)})·e≠e·{l(x)}")
-    scan("complement-annihilation", 0,
-         lambda: mul[e, ie] == zero,
-         lambda: f"e·α(e)={l(int(mul[e, ie]))}")
-    scan("central-commutation", 1,
-         lambda x: mul[e, x] == mul[x, e],
-         lambda x: f"e·{l(x)}≠{l(x)}·e")
-    scan("left-distributivity-at-e", 2,
-         lambda x, y: mul[e, add[x, y]] == add[mul[e, x], mul[e, y]],
-         lambda x, y: f"e·({l(x)}+{l(y)})≠(e·{l(x)})+(e·{l(y)})")
-    scan("left-monotonicity-at-e", 2,
-         lambda x, y: add[x, y] != y or add[mul[e, x], mul[e, y]] == mul[e, y],
-         lambda x, y: f"{l(x)}≤{l(y)} but e·{l(x)}≰e·{l(y)}")
-    scan("complement-chain-annihilation", 1,
-         lambda x: mul[e, mul[ie, x]] == zero,
-         lambda x: f"e·(α(e)·{l(x)})={l(int(mul[e, mul[ie, x]]))}")
-    return PropertyReport(algebra.name, f"central-element {l(e)}", tuple(clauses))
+# checked with every variable ranging over the center
+_CENTER_BOOLEAN = ClauseSet([
+    clause("add-commutativity", "xy", (_add(X, Y), _add(Y, X)), render="{x}+{y}≠{y}+{x}"),
+    clause("add-associativity", "xyz", (_add(_add(X, Y), Z), _add(X, _add(Y, Z))),
+           render="sum not associative at ({x},{y},{z})"),
+    clause("mul-commutativity", "xy", (_mul(X, Y), _mul(Y, X)), render="{x}·{y}≠{y}·{x}"),
+    clause("mul-associativity", "xyz", (_mul(_mul(X, Y), Z), _mul(X, _mul(Y, Z))),
+           render="product not associative at ({x},{y},{z})"),
+    clause("absorption", "xy", (_add(X, _mul(X, Y)), X), (_mul(X, _add(X, Y)), X),
+           render="absorption fails at ({x},{y})"),
+    clause("bounds", "x", (_add(ZERO, X), X), (_add(X, ONE), ONE),
+           (_mul(ONE, X), X), (_mul(ZERO, X), ZERO), render="bounds fail at {x}"),
+    clause("distributivity", "xyz", (_mul(X, _add(Y, Z)), _add(_mul(X, Y), _mul(X, Z))),
+           (_add(X, _mul(Y, Z)), _mul(_add(X, Y), _add(X, Z))),
+           render="distributivity fails at ({x},{y},{z})"),
+    clause("complementation", "x", (_add(X, _inv(X)), ONE), (_mul(X, _inv(X)), ZERO),
+           render="complement laws fail at {x}"),
+    clause("selector-join-match", "xy", (_add(X, Y), _q(X, ONE, Y)),
+           render="{x}+{y}≠q({x},{one},{y})"),
+    clause("selector-meet-match", "xy", (_mul(X, Y), _q(X, Y, ZERO)),
+           render="{x}·{y}≠q({x},{y},{zero})"),
+])
 
 
 def center_algebra(algebra: FiniteNearSemiring) -> CenterReport:
@@ -286,8 +285,7 @@ def center_algebra(algebra: FiniteNearSemiring) -> CenterReport:
     require(algebra, "involutive-integral", "center algebra")
     base = central_elements(algebra, "equational")
     cen = base.centrals
-    add, mul, inv = algebra.add, algebra.mul, algebra.inv
-    zero, one, l = algebra.zero, algebra.one, algebra.label
+    add, mul, inv, l = algebra.add, algebra.mul, algebra.inv, algebra.label
     cset = set(cen)
     for x, y in iproduct(cen, repeat=2):
         if int(add[x, y]) not in cset or int(mul[x, y]) not in cset:
@@ -297,46 +295,8 @@ def center_algebra(algebra: FiniteNearSemiring) -> CenterReport:
         if int(inv[x]) not in cset:
             raise AlgebraError(f"center of {algebra.name} is not closed under α at {l(x)}")
 
-    violations = []
-
-    def scan(clause, arity, pred, render):
-        for args in iproduct(cen, repeat=arity):
-            if not pred(*args):
-                violations.append(Violation(clause, args, render(*args)))
-                return
-
-    scan("add-commutativity", 2, lambda x, y: add[x, y] == add[y, x],
-         lambda x, y: f"{l(x)}+{l(y)}≠{l(y)}+{l(x)}")
-    scan("add-associativity", 3,
-         lambda x, y, z: add[add[x, y], z] == add[x, add[y, z]],
-         lambda x, y, z: f"sum not associative at ({l(x)},{l(y)},{l(z)})")
-    scan("mul-commutativity", 2, lambda x, y: mul[x, y] == mul[y, x],
-         lambda x, y: f"{l(x)}·{l(y)}≠{l(y)}·{l(x)}")
-    scan("mul-associativity", 3,
-         lambda x, y, z: mul[mul[x, y], z] == mul[x, mul[y, z]],
-         lambda x, y, z: f"product not associative at ({l(x)},{l(y)},{l(z)})")
-    scan("absorption", 2,
-         lambda x, y: add[x, mul[x, y]] == x and mul[x, add[x, y]] == x,
-         lambda x, y: f"absorption fails at ({l(x)},{l(y)})")
-    scan("bounds", 1,
-         lambda x: add[zero, x] == x and add[x, one] == one
-         and mul[one, x] == x and mul[zero, x] == zero,
-         lambda x: f"bounds fail at {l(x)}")
-    scan("distributivity", 3,
-         lambda x, y, z: mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]
-         and add[x, mul[y, z]] == mul[add[x, y], add[x, z]],
-         lambda x, y, z: f"distributivity fails at ({l(x)},{l(y)},{l(z)})")
-    scan("complementation", 1,
-         lambda x: add[x, inv[x]] == one and mul[x, inv[x]] == zero,
-         lambda x: f"complement laws fail at {l(x)}")
-    scan("selector-join-match", 2,
-         lambda x, y: add[x, y] == church_q(algebra, x, one, y),
-         lambda x, y: f"{l(x)}+{l(y)}≠q({l(x)},{l(one)},{l(y)})")
-    scan("selector-meet-match", 2,
-         lambda x, y: mul[x, y] == church_q(algebra, x, y, zero),
-         lambda x, y: f"{l(x)}·{l(y)}≠q({l(x)},{l(y)},{l(zero)})")
-
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    violations = sorted(find_violations(algebra, _CENTER_BOOLEAN, carrier=cen).values(),
+                        key=lambda v: (v.clause, v.witness))
     boolean_check = CheckReport(f"Ce({algebra.name})", "center-boolean-algebra",
                                 not violations, tuple(violations))
     return CenterReport(algebra.name, base.methods, cen, base.agreement,

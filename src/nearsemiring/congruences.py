@@ -13,8 +13,8 @@ from itertools import product as iproduct
 import numpy as np
 
 from .core import (
-    AlgebraError, ClauseResult, FiniteNearSemiring, PropertyReport,
-    WitnessTermReport,
+    AlgebraError, ClauseResult, ClauseSet, FiniteNearSemiring, PropertyReport, X, Y,
+    WitnessTermReport, _add, _inv, _mul, clause, clause_results, find_violations,
 )
 from .varieties import require_lukasiewicz
 
@@ -247,17 +247,24 @@ def regularity_terms(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> tup
     return int(add[d, z]), int(mul[inv[d], z])
 
 
-def malcev_term(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> int:
-    add, mul, inv = algebra.add, algebra.mul, algebra.inv
-    left = mul[inv[mul[x, inv[y]]], inv[z]]
-    right = mul[inv[mul[z, inv[y]]], inv[x]]
-    return int(inv[add[left, right]])
+def _malcev(x, y, z):
+    """The Mal'cev term α(α(x·α(y))·α(z) + α(z·α(y))·α(x))."""
+    return _inv(_add(_mul(_inv(_mul(x, _inv(y))), _inv(z)),
+                     _mul(_inv(_mul(z, _inv(y))), _inv(x))))
 
 
-def majority_term(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> int:
-    add, inv = algebra.add, algebra.inv
-    return int(add[add[inv[add[inv[x], inv[y]]], inv[add[inv[y], inv[z]]]],
-                   inv[add[inv[z], inv[x]]]])
+def _majority(x, y, z):
+    """The majority term α(α(x)+α(y)) + α(α(y)+α(z)) + α(α(z)+α(x))."""
+    return _add(_add(_inv(_add(_inv(x), _inv(y))), _inv(_add(_inv(y), _inv(z)))),
+                _inv(_add(_inv(z), _inv(x))))
+
+
+_WITNESS_TERMS = ClauseSet([
+    clause("malcev-right", "xy", (_malcev(X, Y, Y), X), render="p({x},{y},{y})={lhs}"),
+    clause("malcev-left", "xy", (_malcev(X, X, Y), Y), render="p({x},{x},{y})={lhs}"),
+    clause("majority", "xy", (_majority(X, X, Y), X), (_majority(X, Y, X), X),
+           (_majority(Y, X, X), X), render="M values {lhs0},{lhs1},{lhs2} instead of {x}"),
+])
 
 
 def witness_term_checks(algebra: FiniteNearSemiring) -> WitnessTermReport:
@@ -275,31 +282,7 @@ def witness_term_checks(algebra: FiniteNearSemiring) -> WitnessTermReport:
                 f"t1={l(t1)}, t2={l(t2)}, z={l(z)} with x={l(x)}, y={l(y)}")
     clauses.append(res or ClauseResult("regularity-biconditional", True))
 
-    res = None
-    for x, y in iproduct(range(n), repeat=2):
-        if malcev_term(algebra, x, y, y) != x:
-            res = ClauseResult("malcev-right", False, (x, y),
-                               f"p({l(x)},{l(y)},{l(y)})={l(malcev_term(algebra, x, y, y))}")
-            break
-    clauses.append(res or ClauseResult("malcev-right", True))
-    res = None
-    for x, y in iproduct(range(n), repeat=2):
-        if malcev_term(algebra, x, x, y) != y:
-            res = ClauseResult("malcev-left", False, (x, y),
-                               f"p({l(x)},{l(x)},{l(y)})={l(malcev_term(algebra, x, x, y))}")
-            break
-    clauses.append(res or ClauseResult("malcev-left", True))
-
-    res = None
-    for x, y in iproduct(range(n), repeat=2):
-        m1 = majority_term(algebra, x, x, y)
-        m2 = majority_term(algebra, x, y, x)
-        m3 = majority_term(algebra, y, x, x)
-        if not (m1 == m2 == m3 == x):
-            res = ClauseResult("majority", False, (x, y),
-                               f"M values {l(m1)},{l(m2)},{l(m3)} instead of {l(x)}")
-            break
-    clauses.append(res or ClauseResult("majority", True))
+    clauses += clause_results(_WITNESS_TERMS, find_violations(algebra, _WITNESS_TERMS))
     return PropertyReport(algebra.name, "witness-terms", tuple(clauses))
 
 

@@ -13,9 +13,9 @@ sorted by clause id and witness.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -36,8 +36,15 @@ class PreconditionError(AlgebraError):
 # data model
 
 
+def _as_array(obj, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj)
+    except ValueError as exc:          # ragged nesting
+        raise DocumentError(f"{what} table is ragged") from exc
+
+
 def _as_int_array(obj, what: str) -> np.ndarray:
-    arr = np.asarray(obj)
+    arr = _as_array(obj, what)
     if arr.dtype.kind not in "iu":
         raise DocumentError(f"{what} table entries must be integers")
     return arr.astype(int)
@@ -54,6 +61,54 @@ def _binary_table(obj, n: int, what: str) -> np.ndarray:
         )
     arr.setflags(write=False)
     return arr
+
+
+def _square_table(obj, what: str) -> np.ndarray:
+    """A nonempty square table; its side is the size of the universe."""
+    arr = _as_array(obj, what)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise DocumentError(f"{what} table must be square and nonempty, got shape {arr.shape}")
+    return _binary_table(arr, arr.shape[0], what)
+
+
+def _constant(value, n: int, what: str) -> int:
+    """An element given as an integer (numpy integers too, bools not) in range(n)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise DocumentError(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < n:
+        raise DocumentError(f"{what} must lie in [0, {n}), got {value}")
+    return int(value)
+
+
+def _labels(labels, n: int) -> tuple:
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    if (not isinstance(labels, (list, tuple)) or len(labels) != n
+            or not all(isinstance(s, str) for s in labels) or len(set(labels)) != n):
+        raise DocumentError(f"labels must be {n} distinct strings")
+    return tuple(labels)
+
+
+def _document_size(doc, kind: str, keys) -> int:
+    """The declared size of a document holding every key, a string name and an integer size."""
+    if not isinstance(doc, dict):
+        raise DocumentError(f"{kind} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise DocumentError(f"{kind} document lacks required field {key!r}")
+    if not isinstance(doc["name"], str):
+        raise DocumentError(f"name must be a string, got {doc['name']!r}")
+    n = doc["size"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DocumentError(f"size must be a positive integer, got {n!r}")
+    return n
+
+
+def _sized(structure, n: int):
+    """The structure, if its tables have the size its document declares."""
+    if structure.n != n:
+        raise DocumentError(f"size {n} does not match the {structure.n}x{structure.n} tables")
+    return structure
 
 
 def _unary_table(obj, n: int, what: str, permutation: bool = False) -> np.ndarray:
@@ -78,28 +133,16 @@ class FiniteNearSemiring:
     __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels")
 
     def __init__(self, add, mul, zero, one, inv=None, name="R", labels=None):
-        add = np.asarray(add)
-        if add.ndim != 2 or add.shape[0] != add.shape[1]:
-            raise DocumentError(f"sum table must be square, got shape {add.shape}")
-        n = add.shape[0]
-        if n == 0:
-            raise DocumentError("empty universe: size must be at least 1")
-        self.add = _binary_table(add, n, "sum")
+        self.add = _square_table(add, "sum")
+        n = self.add.shape[0]
         self.mul = _binary_table(mul, n, "product")
         self.inv = None if inv is None else _unary_table(inv, n, "involution", permutation=True)
-        if not (0 <= zero < n) or not (0 <= one < n):
-            raise DocumentError(f"constants must lie in [0, {n}): zero={zero}, one={one}")
-        if n >= 2 and zero == one:
+        self.zero = _constant(zero, n, "zero")
+        self.one = _constant(one, n, "one")
+        if n >= 2 and self.zero == self.one:
             raise DocumentError("zero and one must differ when the universe has >= 2 elements")
-        self.zero = int(zero)
-        self.one = int(one)
         self.name = str(name)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n or len(set(labels)) != n:
-            raise DocumentError(f"labels must be {n} distinct strings")
-        self.labels = labels
+        self.labels = _labels(labels, n)
 
     @property
     def n(self) -> int:
@@ -111,6 +154,13 @@ class FiniteNearSemiring:
 
     def label(self, x: int) -> str:
         return self.labels[x]
+
+    def ops(self) -> dict:
+        """Tables and constants by name, as the clause evaluator looks them up."""
+        ops = {"add": self.add, "mul": self.mul, "zero": self.zero, "one": self.one}
+        if self.inv is not None:
+            ops["inv"] = self.inv
+        return ops
 
     def __repr__(self):
         return f"FiniteNearSemiring({self.name!r}, n={self.n}, inv={self.has_inv})"
@@ -156,18 +206,11 @@ class FiniteNearSemiring:
 
     @classmethod
     def from_document(cls, doc: dict) -> "FiniteNearSemiring":
-        if not isinstance(doc, dict):
-            raise DocumentError("algebra document must be a JSON object")
-        for key in ("name", "size", "zero", "one", "add", "mul"):
-            if key not in doc:
-                raise DocumentError(f"algebra document lacks required field {key!r}")
-        n = doc["size"]
-        if not isinstance(n, int) or n < 1:
-            raise DocumentError(f"size must be a positive integer, got {n!r}")
-        return cls(
+        n = _document_size(doc, "algebra", ("name", "size", "zero", "one", "add", "mul"))
+        return _sized(cls(
             doc["add"], doc["mul"], doc["zero"], doc["one"],
             inv=doc.get("inv"), name=doc["name"], labels=doc.get("labels"),
-        )
+        ), n)
 
 
 def load_algebra(source) -> FiniteNearSemiring:
@@ -306,168 +349,264 @@ WitnessTermReport = PropertyReport
 
 
 # ---------------------------------------------------------------------------
-# axiom clauses
+# clauses as data
+#
+# A term is a tuple: ("var", i) is the clause's i-th variable, (name,) a named
+# constant and (name, a) or (name, a, b) an operation table applied to
+# subterms.  Constants and tables are looked up by name in an ops dict, so
+# the same evaluator serves near semirings (add, mul, inv, zero, one), basic
+# algebras (oplus, neg) and lattices (join, meet, ortho).
 
-def _first_where(mask: np.ndarray):
-    idx = np.argwhere(mask)
-    if idx.size == 0:
+
+def _op(name):
+    return lambda *args: (name, *args)
+
+
+def _var(i):
+    return ("var", i)
+
+
+X, Y, Z = _var(0), _var(1), _var(2)
+ZERO, ONE = ("zero",), ("one",)
+_add, _mul, _inv = _op("add"), _op("mul"), _op("inv")
+
+
+@dataclass(frozen=True)
+class Clause:
+    """An equational clause: each part lhs = rhs must hold wherever its guard holds.
+
+    parts holds (lhs, rhs, guard) triples, guard being None or an equation
+    (lhs, rhs), as in "x≤y ⇒ …".  render holds one str.format template per
+    part, filled with the labels of the variables ({x}), of the constants
+    ({zero}), of the failing part's sides ({lhs}, {rhs}) and of every
+    part's sides ({lhs0}, {rhs1}, …).
+    """
+    name: str
+    variables: tuple
+    parts: tuple
+    render: tuple
+
+
+def clause(name: str, variables, *parts, render) -> Clause:
+    """A Clause from (lhs, rhs) or (lhs, rhs, guard) parts; one str render serves all parts."""
+    parts = tuple(p if len(p) == 3 else (*p, None) for p in parts)
+    if isinstance(render, str):
+        render = (render,) * len(parts)
+    return Clause(name, tuple(variables), parts, tuple(render))
+
+
+@functools.lru_cache(maxsize=None)
+def _open_grid(n: int, k: int) -> tuple:
+    return tuple(np.arange(n).reshape((1,) * i + (n,) + (1,) * (k - i - 1)) for i in range(k))
+
+
+def _spread(k: int, *axes) -> tuple:
+    """Basic index placing a table's axes on the given grid axes (ascending)."""
+    return tuple(slice(None) if d in axes else None for d in range(k))
+
+
+def _view(args, k: int):
+    """A table applied straight to variables or constants, as a view of the table.
+
+    Returns a function of (table, ops), or None when an argument is compound.
+    """
+    if len(args) != 2 or any(a[0] != "var" and len(a) > 1 for a in args):
         return None
-    return tuple(int(v) for v in idx[0])
-
-
-def _clause_add_assoc(a: FiniteNearSemiring):
-    lhs = a.add[a.add, :]
-    rhs = a.add[:, a.add]
-    w = _first_where(lhs != rhs)
-    if w is None:
-        return None
-    x, y, z = w
-    l = a.label
-    return Violation("add-associativity", w,
-                     f"({l(x)}+{l(y)})+{l(z)}={l(int(lhs[w]))} but "
-                     f"{l(x)}+({l(y)}+{l(z)})={l(int(rhs[w]))}")
-
-
-def _clause_add_comm(a: FiniteNearSemiring):
-    w = _first_where(a.add != a.add.T)
-    if w is None:
-        return None
-    x, y = w
-    l = a.label
-    return Violation("add-commutativity", w,
-                     f"{l(x)}+{l(y)}={l(int(a.add[x, y]))} but {l(y)}+{l(x)}={l(int(a.add[y, x]))}")
-
-
-def _clause_add_neutral(a: FiniteNearSemiring):
-    l, z = a.label, a.zero
-    for x in range(a.n):
-        if a.add[z, x] != x:
-            return Violation("add-neutral", (x,), f"{l(z)}+{l(x)}={l(int(a.add[z, x]))}")
-        if a.add[x, z] != x:
-            return Violation("add-neutral", (x,), f"{l(x)}+{l(z)}={l(int(a.add[x, z]))}")
+    (a, b) = args
+    if a[0] == b[0] == "var":
+        i, j = a[1], b[1]
+        if i == j:
+            spread = _spread(k, i)
+            return lambda t, ops: t.diagonal()[spread]
+        spread = _spread(k, i, j)
+        if i < j:
+            return lambda t, ops: t[spread]
+        return lambda t, ops: t.T[spread]
+    if a[0] == "var":
+        spread = _spread(k, a[1])
+        return lambda t, ops: t[:, ops[b[0]]][spread]
+    if b[0] == "var":
+        spread = _spread(k, b[1])
+        return lambda t, ops: t[ops[a[0]]][spread]
     return None
 
 
-def _clause_add_idem(a: FiniteNearSemiring):
-    l = a.label
-    for x in range(a.n):
-        if a.add[x, x] != x:
-            return Violation("add-idempotence", (x,), f"{l(x)}+{l(x)}={l(int(a.add[x, x]))}")
-    return None
+def _at(value, point):
+    """Entry of an open-grid value at a grid point."""
+    shape = getattr(value, "shape", ())
+    return value[tuple(p if s > 1 else 0 for p, s in zip(point, shape))] if shape else value
 
 
-def _clause_mul_unit(a: FiniteNearSemiring):
-    l, e = a.label, a.one
-    for x in range(a.n):
-        if a.mul[x, e] != x:
-            return Violation("mul-unit", (x,), f"{l(x)}·{l(e)}={l(int(a.mul[x, e]))}")
-        if a.mul[e, x] != x:
-            return Violation("mul-unit", (x,), f"{l(e)}·{l(x)}={l(int(a.mul[e, x]))}")
-    return None
+class ClauseSet:
+    """Clauses compiled together: a subterm they share is evaluated once.
+
+    Each variable position gets one axis of an open (broadcasting) grid, so
+    a subterm's array is only as large as the variables it reads; a table
+    applied straight to variables is read as a view of the table.
+    """
+
+    def __init__(self, clauses):
+        self.clauses = tuple(clauses)
+        self._arity = k = max((len(c.variables) for c in self.clauses), default=0)
+        self._nodes, self._parts, slots = [], [], {}
+
+        def slot(term):
+            if term not in slots:
+                head, args = term[0], term[1:]
+                if head == "var":
+                    node = (head, args[0], None)
+                else:
+                    node = (head, tuple(slot(t) for t in args), _view(args, k))
+                slots[term] = len(self._nodes)
+                self._nodes.append(node)
+            return slots[term]
+
+        for c in self.clauses:
+            self._parts.append(tuple(
+                (slot(lhs), slot(rhs), guard and (slot(guard[0]), slot(guard[1])))
+                for lhs, rhs, guard in c.parts))
+        self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
+
+    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None,
+                   sentinel: bool = False) -> dict:
+        """Failing clauses by name, each as a Violation with its least witness.
+
+        Variables range over range(n), or over the ascending carrier.
+        pinned maps variable names to fixed elements; they are left out of
+        the witness.  With sentinel=True the tables are padded to n+1 and
+        the value n marks an unfilled cell: it is absorbing, and instances
+        that reach it are skipped.  The equation is rendered only when
+        labels are given.
+        """
+        k = self._arity
+        if carrier is None:
+            elems, grids = range(n), list(_open_grid(n, k))
+        else:
+            elems = np.asarray(carrier, dtype=int)
+            grids = [elems.reshape((1,) * i + (-1,) + (1,) * (k - i - 1)) for i in range(k)]
+        held = set()
+        for name, value in (pinned or {}).items():
+            where = {c.variables.index(name) if name in c.variables else None for c in self.clauses}
+            if len(where) != 1 or None in where:
+                raise AlgebraError(f"cannot pin {name!r}: not at one position in every clause")
+            pos = where.pop()
+            held.add(pos)
+            grids[pos] = value
+        # views read the tables over the grid itself, without padding
+        views = None if held or carrier is not None else ops if not sentinel else {
+            name: t[:n, :n] if np.ndim(t) == 2 else t for name, t in ops.items()}
+        vals = []
+        for head, args, view in self._nodes:
+            if head == "var":
+                vals.append(grids[args])
+            elif view is not None and views is not None:
+                vals.append(view(views[head], ops))
+            elif not args:
+                vals.append(ops[head])
+            elif len(args) == 1:
+                vals.append(ops[head][vals[args[0]]])
+            else:
+                vals.append(ops[head][vals[args[0]], vals[args[1]]])
+        found = {}
+        for c, parts in zip(self.clauses, self._parts):
+            bad = False
+            for lhs, rhs, guard in parts:
+                fails = vals[lhs] != vals[rhs]
+                if guard:
+                    fails = fails & (vals[guard[0]] == vals[guard[1]])
+                if sentinel:
+                    for side in (lhs, rhs) + (guard or ()):
+                        fails = fails & (vals[side] != n)
+                bad = bad | fails
+            if not np.count_nonzero(bad):
+                continue
+            # an axis the mask does not span stays at its least element
+            point = np.unravel_index(int(bad.argmax()), bad.shape) if bad.ndim else (0,) * k
+            values = [int(grids[i]) if i in held else int(elems[point[i]])
+                      for i in range(len(c.variables))]
+            witness = tuple(v for i, v in enumerate(values) if i not in held)
+            text = None
+            if labels is not None:
+                at = {s: int(_at(vals[s], point))
+                      for lhs, rhs, guard in parts for s in (lhs, rhs) + (guard or ())}
+                j = next(j for j, (lhs, rhs, guard) in enumerate(parts) if at[lhs] != at[rhs]
+                         and (not guard or at[guard[0]] == at[guard[1]]))
+                fields = {v: labels[x] for v, x in zip(c.variables, values)}
+                fields.update((name, labels[value]) for name, value in ops.items()
+                              if isinstance(value, (int, np.integer)))
+                for i, (lhs, rhs, _guard) in enumerate(parts):
+                    fields[f"lhs{i}"], fields[f"rhs{i}"] = labels[at[lhs]], labels[at[rhs]]
+                text = c.render[j].format(lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields)
+            found[c.name] = Violation(c.name, witness, text)
+        return found
 
 
-def _clause_annihilation(a: FiniteNearSemiring):
-    l, z = a.label, a.zero
-    for x in range(a.n):
-        if a.mul[x, z] != z:
-            return Violation("annihilation", (x,), f"{l(x)}·{l(z)}={l(int(a.mul[x, z]))}")
-        if a.mul[z, x] != z:
-            return Violation("annihilation", (x,), f"{l(z)}·{l(x)}={l(int(a.mul[z, x]))}")
-    return None
+def find_violations(structure, clauses: ClauseSet, **kwargs) -> dict:
+    """ClauseSet.violations over a structure's own tables, rendered with its labels."""
+    return clauses.violations(structure.ops(), structure.n, structure.labels, **kwargs)
 
 
-def _clause_right_distr(a: FiniteNearSemiring):
-    lhs = a.mul[a.add, :]
-    rhs = a.add[a.mul[:, None, :], a.mul[None, :, :]]
-    w = _first_where(lhs != rhs)
-    if w is None:
-        return None
-    x, y, z = w
-    l = a.label
-    return Violation("right-distributivity", w,
-                     f"({l(x)}+{l(y)})·{l(z)}={l(int(lhs[w]))} but "
-                     f"({l(x)}·{l(z)})+({l(y)}·{l(z)})={l(int(rhs[w]))}")
+def clause_results(clauses: ClauseSet, found: dict) -> list:
+    """One ClauseResult per clause of a property suite, from its violations."""
+    out = []
+    for c in clauses.clauses:
+        v = found.get(c.name)
+        out.append(ClauseResult(c.name, True) if v is None
+                   else ClauseResult(c.name, False, v.witness, v.equation))
+    return out
 
 
-def _clause_left_distr(a: FiniteNearSemiring):
-    lhs = a.mul[:, a.add]
-    rhs = a.add[a.mul[:, :, None], a.mul[:, None, :]]
-    w = _first_where(lhs != rhs)
-    if w is None:
-        return None
-    x, y, z = w
-    l = a.label
-    return Violation("left-distributivity", w,
-                     f"{l(x)}·({l(y)}+{l(z)})={l(int(lhs[w]))} but "
-                     f"({l(x)}·{l(y)})+({l(x)}·{l(z)})={l(int(rhs[w]))}")
+# ---------------------------------------------------------------------------
+# axiom profiles
 
-
-def _clause_mul_assoc(a: FiniteNearSemiring):
-    lhs = a.mul[a.mul, :]
-    rhs = a.mul[:, a.mul]
-    w = _first_where(lhs != rhs)
-    if w is None:
-        return None
-    x, y, z = w
-    l = a.label
-    return Violation("mul-associativity", w,
-                     f"({l(x)}·{l(y)})·{l(z)}={l(int(lhs[w]))} but "
-                     f"{l(x)}·({l(y)}·{l(z)})={l(int(rhs[w]))}")
-
-
-def _clause_mul_comm(a: FiniteNearSemiring):
-    w = _first_where(a.mul != a.mul.T)
-    if w is None:
-        return None
-    x, y = w
-    l = a.label
-    return Violation("mul-commutativity", w,
-                     f"{l(x)}·{l(y)}={l(int(a.mul[x, y]))} but {l(y)}·{l(x)}={l(int(a.mul[y, x]))}")
-
-
-def _clause_integrality(a: FiniteNearSemiring):
-    l, e = a.label, a.one
-    for x in range(a.n):
-        if a.add[x, e] != e:
-            return Violation("integrality", (x,), f"{l(x)}+{l(e)}={l(int(a.add[x, e]))}")
-    return None
-
-
-def _clause_inv_period_two(a: FiniteNearSemiring):
-    l = a.label
-    for x in range(a.n):
-        if a.inv[a.inv[x]] != x:
-            return Violation("involution-period-two", (x,),
-                             f"α(α({l(x)}))={l(int(a.inv[a.inv[x]]))}")
-    return None
-
-
-def _clause_inv_antitone(a: FiniteNearSemiring):
+_AXIOMS = {c.name: c for c in (
+    clause("add-associativity", "xyz", (_add(_add(X, Y), Z), _add(X, _add(Y, Z))),
+           render="({x}+{y})+{z}={lhs} but {x}+({y}+{z})={rhs}"),
+    clause("add-commutativity", "xy", (_add(X, Y), _add(Y, X)),
+           render="{x}+{y}={lhs} but {y}+{x}={rhs}"),
+    clause("add-neutral", "x", (_add(ZERO, X), X), (_add(X, ZERO), X),
+           render=("{zero}+{x}={lhs}", "{x}+{zero}={lhs}")),
+    clause("add-idempotence", "x", (_add(X, X), X), render="{x}+{x}={lhs}"),
+    clause("mul-unit", "x", (_mul(X, ONE), X), (_mul(ONE, X), X),
+           render=("{x}·{one}={lhs}", "{one}·{x}={lhs}")),
+    clause("annihilation", "x", (_mul(X, ZERO), ZERO), (_mul(ZERO, X), ZERO),
+           render=("{x}·{zero}={lhs}", "{zero}·{x}={lhs}")),
+    clause("right-distributivity", "xyz", (_mul(_add(X, Y), Z), _add(_mul(X, Z), _mul(Y, Z))),
+           render="({x}+{y})·{z}={lhs} but ({x}·{z})+({y}·{z})={rhs}"),
+    clause("left-distributivity", "xyz", (_mul(X, _add(Y, Z)), _add(_mul(X, Y), _mul(X, Z))),
+           render="{x}·({y}+{z})={lhs} but ({x}·{y})+({x}·{z})={rhs}"),
+    clause("mul-associativity", "xyz", (_mul(_mul(X, Y), Z), _mul(X, _mul(Y, Z))),
+           render="({x}·{y})·{z}={lhs} but {x}·({y}·{z})={rhs}"),
+    clause("mul-commutativity", "xy", (_mul(X, Y), _mul(Y, X)),
+           render="{x}·{y}={lhs} but {y}·{x}={rhs}"),
+    clause("integrality", "x", (_add(X, ONE), ONE), render="{x}+{one}={lhs}"),
+    clause("involution-period-two", "x", (_inv(_inv(X)), X), render="α(α({x}))={lhs}"),
     # x <= y (sum relation) must force α(y) <= α(x)
-    l, inv = a.label, a.inv
-    for x in range(a.n):
-        for y in range(a.n):
-            if a.add[x, y] == y and a.add[inv[y], inv[x]] != inv[x]:
-                return Violation("involution-antitone", (x, y),
-                                 f"{l(x)}≤{l(y)} but α({l(y)})≰α({l(x)})")
-    return None
+    clause("involution-antitone", "xy", (_add(_inv(Y), _inv(X)), _inv(X), (_add(X, Y), Y)),
+           render="{x}≤{y} but α({y})≰α({x})"),
+)}
 
-
-_CLAUSES = {
-    "add-associativity": _clause_add_assoc,
-    "add-commutativity": _clause_add_comm,
-    "add-neutral": _clause_add_neutral,
-    "add-idempotence": _clause_add_idem,
-    "mul-unit": _clause_mul_unit,
-    "annihilation": _clause_annihilation,
-    "right-distributivity": _clause_right_distr,
-    "left-distributivity": _clause_left_distr,
-    "mul-associativity": _clause_mul_assoc,
-    "mul-commutativity": _clause_mul_comm,
-    "integrality": _clause_integrality,
-    "involution-period-two": _clause_inv_period_two,
-    "involution-antitone": _clause_inv_antitone,
-}
+# closed identities over {+, ·, α, 0, 1}: the search catalog, also used by the checkers
+U, W = _var(3), _var(4)
+IDENTITIES = {c.name: c for c in (
+    clause("lukasiewicz", "xy",
+           (_mul(_inv(_mul(X, _inv(Y))), _inv(Y)), _mul(_inv(_mul(Y, _inv(X))), _inv(X))),
+           render="α({x}·α({y}))·α({y})={lhs} but α({y}·α({x}))·α({x})={rhs}"),
+    clause("orthomodular", "xy", (X, _mul(X, _add(X, Y))), render="{x}·({x}+{y})={rhs}"),
+    clause("mv-semiring", "xy", (_add(X, Y), _inv(_mul(_inv(X), _inv(_mul(_inv(X), Y))))),
+           render="{x}+{y}≠α(α({x})·α(α({x})·{y}))"),
+    # e = X, then x, y = Y, Z: (e·α(x))+(α(e)·α(y)) = α((e·x)+(α(e)·y))
+    clause("central-1", "exy",
+           (_add(_mul(X, _inv(Y)), _mul(_inv(X), _inv(Z))),
+            _inv(_add(_mul(X, Y), _mul(_inv(X), Z)))),
+           render="({e}·α({x}))+(α({e})·α({y}))={lhs} but α(({e}·{x})+(α({e})·{y}))={rhs}"),
+    # e = X, then x, z, y, u = Y, Z, U, W: (e·(x·z))+(α(e)·(y·u)) = ((e·x)+(α(e)·y))·((e·z)+(α(e)·u))
+    clause("central-2", "exzyu",
+           (_add(_mul(X, _mul(Y, Z)), _mul(_inv(X), _mul(U, W))),
+            _mul(_add(_mul(X, Y), _mul(_inv(X), U)), _add(_mul(X, Z), _mul(_inv(X), W)))),
+           render="({e}·({x}·{z}))+(α({e})·({y}·{u}))={lhs} but "
+                  "(({e}·{x})+(α({e})·{y}))·(({e}·{z})+(α({e})·{u}))={rhs}"),
+)}
 
 _NEAR_SEMIRING = (
     "add-associativity", "add-commutativity", "add-neutral",
@@ -486,6 +625,8 @@ PROFILES = {
     "involutive-integral": _NEAR_SEMIRING + (
         "add-idempotence", "involution-period-two", "involution-antitone", "integrality"),
 }
+_PROFILE_CLAUSES = {p: ClauseSet(_AXIOMS[c] for c in cs) for p, cs in PROFILES.items()}
+_INVOLUTION = ClauseSet(_AXIOMS[c] for c in ("involution-period-two", "involution-antitone"))
 
 
 def check_axioms(algebra: FiniteNearSemiring, profile: str) -> CheckReport:
@@ -497,16 +638,12 @@ def check_axioms(algebra: FiniteNearSemiring, profile: str) -> CheckReport:
     """
     if profile not in PROFILES:
         raise AlgebraError(f"unknown profile {profile!r}; known: {', '.join(sorted(PROFILES))}")
-    clauses = PROFILES[profile]
-    if any(c.startswith("involution") for c in clauses) and algebra.inv is None:
+    clauses = _PROFILE_CLAUSES[profile]
+    if clauses.needs_inv and algebra.inv is None:
         raise PreconditionError(
             f"profile {profile!r} requires an involution table, but {algebra.name} has none")
-    violations = []
-    for cid in clauses:
-        v = _CLAUSES[cid](algebra)
-        if v is not None:
-            violations.append(v)
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    violations = sorted(find_violations(algebra, clauses).values(),
+                        key=lambda v: (v.clause, v.witness))
     return CheckReport(algebra.name, profile, not violations, tuple(violations))
 
 
@@ -575,9 +712,9 @@ def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrd
             raise PreconditionError(
                 f"{rel} order undefined for {algebra.name}: {rel} is not idempotent "
                 f"({l(x)}{sym}{l(x)}={l(int(table[x, x]))})")
-    w = _first_where(table != table.T)
-    if w is not None:
-        x, y = w
+    asym = np.argwhere(table != table.T)
+    if asym.size:
+        x, y = (int(v) for v in asym[0])
         raise PreconditionError(
             f"{rel} order undefined for {algebra.name}: {rel} is not commutative "
             f"({l(x)}{sym}{l(y)}={l(int(table[x, y]))} but {l(y)}{sym}{l(x)}={l(int(table[y, x]))})")
@@ -631,9 +768,8 @@ def check_involution(algebra: FiniteNearSemiring) -> CheckReport:
     if not order.is_partial_order:
         raise PreconditionError(
             f"sum relation of {algebra.name} is not a partial order; involution undefined")
-    violations = [v for v in (_clause_inv_period_two(algebra), _clause_inv_antitone(algebra))
-                  if v is not None]
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    violations = sorted(find_violations(algebra, _INVOLUTION).values(),
+                        key=lambda v: (v.clause, v.witness))
     return CheckReport(algebra.name, "involution", not violations, tuple(violations))
 
 
@@ -661,6 +797,14 @@ def dual_algebra(algebra: FiniteNearSemiring) -> FiniteNearSemiring:
     return dual
 
 
+_MONOTONE = ClauseSet([clause(
+    "mul-right-monotone", "xyz", (_add(_mul(X, Z), _mul(Y, Z)), _mul(Y, Z), (_add(X, Y), Y)),
+    render="{x}≤{y} but {x}·{z}≰{y}·{z}")])
+_CORE_SUITE = ClauseSet(_MONOTONE.clauses + (clause(
+    "inv-sum-absorption", "xy", (_add(_inv(_add(X, Y)), _inv(X)), _inv(X)),
+    render="α({x}+{y})+α({x})≠α({x})"),))
+
+
 def core_property_suite(algebra: FiniteNearSemiring) -> PropertyReport:
     """Arithmetical facts every near semiring (with involution) must satisfy.
 
@@ -669,31 +813,15 @@ def core_property_suite(algebra: FiniteNearSemiring) -> PropertyReport:
     when α(0)=1 (a biconditional of the two verdicts).
     """
     require(algebra, "near-semiring")
-    clauses = []
-    add, mul, n, l = algebra.add, algebra.mul, algebra.n, algebra.label
-
-    res = None
-    for x, y, z in iproduct(range(n), repeat=3):
-        if add[x, y] == y and add[mul[x, z], mul[y, z]] != mul[y, z]:
-            res = ClauseResult("mul-right-monotone", False, (x, y, z),
-                               f"{l(x)}≤{l(y)} but {l(x)}·{l(z)}≰{l(y)}·{l(z)}")
-            break
-    clauses.append(res or ClauseResult("mul-right-monotone", True))
-
+    add, n, l = algebra.add, algebra.n, algebra.label
     if algebra.inv is None:
+        clauses = clause_results(_MONOTONE, find_violations(algebra, _MONOTONE))
         clauses.append(ClauseResult("inv-sum-absorption", True, detail="skipped: no involution"))
         clauses.append(ClauseResult("integral-iff-inv-zero-is-one", True,
                                     detail="skipped: no involution"))
     else:
+        clauses = clause_results(_CORE_SUITE, find_violations(algebra, _CORE_SUITE))
         inv = algebra.inv
-        res = None
-        for x, y in iproduct(range(n), repeat=2):
-            if add[inv[add[x, y]], inv[x]] != inv[x]:
-                res = ClauseResult("inv-sum-absorption", False, (x, y),
-                                   f"α({l(x)}+{l(y)})+α({l(x)})≠α({l(x)})")
-                break
-        clauses.append(res or ClauseResult("inv-sum-absorption", True))
-
         integral = check_axioms(algebra, "integral").passed
         inv_zero_is_one = bool(inv[algebra.zero] == algebra.one)
         if integral == inv_zero_is_one:

@@ -19,118 +19,40 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product as iproduct
+from itertools import permutations, product as iproduct
 
 import numpy as np
 
 from .core import (
-    AlgebraError, FiniteNearSemiring, PROFILES, check_axioms,
+    _AXIOMS, IDENTITIES, AlgebraError, Clause, ClauseSet, FiniteNearSemiring, PROFILES,
+    check_axioms,
 )
 
 DEFAULT_SIZE_CAP = 6
 
 
 # ---------------------------------------------------------------------------
-# identity catalog: closed equations over {+, ., alpha, 0, 1}
-
-def _v(i):
-    return ("var", i)
-
-
-def _add(a, b):
-    return ("add", a, b)
-
-
-def _mul(a, b):
-    return ("mul", a, b)
-
-
-def _inv(a):
-    return ("inv", a)
-
-
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    variables: tuple
-    lhs: tuple
-    rhs: tuple
-
-    @property
-    def needs_inv(self) -> bool:
-        def walk(t):
-            if t[0] == "inv":
-                return True
-            return any(walk(s) for s in t[1:] if isinstance(s, tuple))
-        return walk(self.lhs) or walk(self.rhs)
-
-
-IDENTITIES = {
-    "lukasiewicz": Identity(
-        "lukasiewicz", ("x", "y"),
-        _mul(_inv(_mul(_v(0), _inv(_v(1)))), _inv(_v(1))),
-        _mul(_inv(_mul(_v(1), _inv(_v(0)))), _inv(_v(0)))),
-    "orthomodular": Identity(
-        "orthomodular", ("x", "y"),
-        _v(0),
-        _mul(_v(0), _add(_v(0), _v(1)))),
-    "mv-semiring": Identity(
-        "mv-semiring", ("x", "y"),
-        _add(_v(0), _v(1)),
-        _inv(_mul(_inv(_v(0)), _inv(_mul(_inv(_v(0)), _v(1)))))),
-    "central-1": Identity(
-        "central-1", ("e", "x", "y"),
-        _add(_mul(_v(0), _inv(_v(1))), _mul(_inv(_v(0)), _inv(_v(2)))),
-        _inv(_add(_mul(_v(0), _v(1)), _mul(_inv(_v(0)), _v(2))))),
-    "central-2": Identity(
-        "central-2", ("e", "x", "z", "y", "u"),
-        _add(_mul(_v(0), _mul(_v(1), _v(2))), _mul(_inv(_v(0)), _mul(_v(3), _v(4)))),
-        _mul(_add(_mul(_v(0), _v(1)), _mul(_inv(_v(0)), _v(3))),
-             _add(_mul(_v(0), _v(2)), _mul(_inv(_v(0)), _v(4))))),
-}
+# identities: the catalog lives in core, next to the axioms
 
 
 @functools.lru_cache(maxsize=None)
-def _grids(n: int, k: int):
-    g = np.indices((n,) * k).reshape(k, -1)
-    g.setflags(write=False)
-    return g
+def _compiled(identity: Clause) -> ClauseSet:
+    return ClauseSet([identity])
 
 
-def _eval_term(term, add, mul, inv, grids, m):
-    """Masked evaluation: -1 marks an entry not yet filled in."""
-    kind = term[0]
-    if kind == "var":
-        return grids[term[1]]
-    if kind == "zero":
-        return np.zeros(m, dtype=int)
-    if kind == "one":
-        return np.ones(m, dtype=int)
-    if kind == "inv":
-        a = _eval_term(term[1], add, mul, inv, grids, m)
-        return np.where(a >= 0, inv[np.clip(a, 0, None)], -1)
-    a = _eval_term(term[1], add, mul, inv, grids, m)
-    b = _eval_term(term[2], add, mul, inv, grids, m)
-    table = add if kind == "add" else mul
-    out = table[np.clip(a, 0, None), np.clip(b, 0, None)]
-    return np.where((a >= 0) & (b >= 0), out, -1)
+def identity_first_violation(identity: Clause, add, mul, inv, n: int):
+    """Lexicographically first instantiation where both sides differ.
+
+    Tables padded to n+1, as the search's partial product tables are, mark
+    an unfilled cell with the sentinel n; instances reaching one are skipped.
+    """
+    ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
+    found = _compiled(identity).violations(ops, n, sentinel=mul.shape[0] > n)
+    return found[identity.name].witness if found else None
 
 
-def identity_first_violation(identity: Identity, add, mul, inv, n: int):
-    """Lexicographically first instantiation where both sides evaluate and differ."""
-    k = len(identity.variables)
-    grids = _grids(n, k)
-    m = grids.shape[1]
-    lhs = _eval_term(identity.lhs, add, mul, inv, grids, m)
-    rhs = _eval_term(identity.rhs, add, mul, inv, grids, m)
-    bad = np.flatnonzero((lhs >= 0) & (rhs >= 0) & (lhs != rhs))
-    if bad.size == 0:
-        return None
-    return tuple(int(v) for v in np.unravel_index(int(bad[0]), (n,) * k))
-
-
-def identity_holds(identity: Identity, algebra: FiniteNearSemiring) -> bool:
-    if identity.needs_inv and algebra.inv is None:
+def identity_holds(identity: Clause, algebra: FiniteNearSemiring) -> bool:
+    if _compiled(identity).needs_inv and algebra.inv is None:
         raise AlgebraError(f"identity {identity.name!r} needs an involution")
     return identity_first_violation(
         identity, algebra.add, algebra.mul, algebra.inv, algebra.n) is None
@@ -159,7 +81,7 @@ class SearchConstraint:
     def needs_inv(self) -> bool:
         if any(p.startswith("involutive") for p in self.profiles):
             return True
-        return any(IDENTITIES[i].needs_inv for i in self.require + self.forbid)
+        return any(_compiled(IDENTITIES[i]).needs_inv for i in self.require + self.forbid)
 
     @property
     def idempotent_add(self) -> bool:
@@ -324,95 +246,33 @@ def _is_full_isomorphism(a, b, img) -> bool:
 # sum-table generation
 
 
-def _lattice_add_tables(n: int):
-    """All bounded join-semilattice tables on range(n) with bottom 0 and top 1.
-
-    Enumerates the middle order three-ways per unordered pair, keeps
-    transitive relations in which every pair has a least upper bound.
-    """
-    middle = list(range(2, n))
-    k = len(middle)
-    pairs = list(combinations(range(k), 2))
-    tables = []
-    for choice in iproduct((0, 1, 2), repeat=len(pairs)):
-        rel = np.eye(k, dtype=bool)
-        for (i, j), c in zip(pairs, choice):
-            if c == 1:
-                rel[i, j] = True
-            elif c == 2:
-                rel[j, i] = True
-        if k and np.any((rel @ rel) & ~rel):
-            continue
-        leq = np.zeros((n, n), dtype=bool)
-        leq[0, :] = True
-        leq[:, 1] = True
-        leq[0, 0] = leq[1, 1] = True
-        for i, x in enumerate(middle):
-            leq[x, x] = True
-            for j, y in enumerate(middle):
-                if rel[i, j]:
-                    leq[x, y] = True
-        add = _joins_from_order(leq)
-        if add is not None:
-            tables.append(add)
-    return tables
-
-
-def _joins_from_order(leq: np.ndarray):
-    n = leq.shape[0]
-    add = np.zeros((n, n), dtype=int)
-    for x in range(n):
-        for y in range(x, n):
-            ub = [z for z in range(n) if leq[x, z] and leq[y, z]]
-            least = [z for z in ub if all(leq[z, w] for w in ub)]
-            if len(least) != 1:
-                return None
-            add[x, y] = add[y, x] = least[0]
-    return add
-
-
 def _generic_add_tables(n: int, idempotent: bool, integral: bool):
     """DFS over commutative-monoid tables (zero=0 neutral, optional extras)."""
-    add = -np.ones((n, n), dtype=int)
-    add[0, :] = np.arange(n)
-    add[:, 0] = np.arange(n)
+    add = np.full((n + 1, n + 1), n)        # n marks an unfilled cell
+    add[0, :n] = np.arange(n)
+    add[:n, 0] = np.arange(n)
     if idempotent:
         for x in range(n):
             add[x, x] = x
     if integral and n >= 2:
-        add[:, 1] = 1
-        add[1, :] = 1
-        add[0, 1] = add[1, 0] = 1
-    cells = [(i, j) for i in range(1, n) for j in range(i, n) if add[i, j] < 0]
+        add[:n, 1] = 1
+        add[1, :n] = 1
+    cells = [(i, j) for i in range(1, n) for j in range(i, n) if add[i, j] == n]
+    assoc = _compiled(_AXIOMS["add-associativity"])
     out = []
-
-    def assoc_ok() -> bool:
-        for x in range(n):
-            for y in range(n):
-                s = add[x, y]
-                if s < 0:
-                    continue
-                for z in range(n):
-                    t = add[y, z]
-                    if t < 0:
-                        continue
-                    l, r = add[s, z], add[x, t]
-                    if l >= 0 and r >= 0 and l != r:
-                        return False
-        return True
 
     def dfs(i):
         if i == len(cells):
-            out.append(add.copy())
+            out.append(add[:n, :n].copy())
             return
         x, y = cells[i]
         for v in range(n):
             add[x, y] = v
             add[y, x] = v
-            if assoc_ok():
+            if not assoc.violations({"add": add}, n, sentinel=True):
                 dfs(i + 1)
-        add[x, y] = -1
-        add[y, x] = -1
+        add[x, y] = n
+        add[y, x] = n
 
     dfs(0)
     return out
@@ -422,10 +282,7 @@ def _canonical_add_tables(n: int, constraint: SearchConstraint):
     """Sum tables for the constraint, one per orbit of middle-permutations."""
     if n == 1:
         return [np.zeros((1, 1), dtype=int)]
-    if constraint.idempotent_add and constraint.integral:
-        raw = _lattice_add_tables(n)
-    else:
-        raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
+    raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
     seen = {}
     for add in raw:
         key = min(tuple(perm[add[np.ix_(q, q)]].ravel())
@@ -458,23 +315,13 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     n = add.shape[0]
     autos = [(p, q) for p, q in _middle_perms(n)
              if np.array_equal(p[add[np.ix_(q, q)]], add)]
+    antitone = _compiled(_AXIOMS["involution-antitone"])
     cands = []
     for perm in permutations(range(n)):
         p = np.asarray(perm)
-        if not np.array_equal(p[p], np.arange(n)):
-            continue
-        if constraint.antitone_inv:
-            ok = True
-            for x in range(n):
-                for y in range(n):
-                    if add[x, y] == y and add[p[y], p[x]] != p[x]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-        cands.append(p)
+        if np.array_equal(p[p], np.arange(n)) and not (
+                constraint.antitone_inv and antitone.violations({"add": add, "inv": p}, n)):
+            cands.append(p)
     seen = set()
     out = []
     for p in cands:
@@ -556,36 +403,36 @@ def _iter_raw_models(n: int, constraint: SearchConstraint, add: np.ndarray, coun
     required = [IDENTITIES[name] for name in constraint.require]
     invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
     columns = {z: _column_candidates(add, z) for z in range(2, n)}
+    # tables padded with the absorbing sentinel n, which marks an unfilled product cell
+    padded_add = np.full((n + 1, n + 1), n)
+    padded_add[:n, :n] = add
 
     for inv in invs:
         counter.nodes += 1
         order = _column_order(n, inv)
-        mul = -np.ones((n, n), dtype=int)
-        mul[:, 0] = 0
-        mul[0, :] = 0
+        padded_inv = None if inv is None else np.append(inv, n)
+        mul = np.full((n + 1, n + 1), n)
+        mul[:n, 0] = 0
+        mul[0, :n] = 0
         if n >= 2:
-            mul[:, 1] = np.arange(n)
-            mul[1, :] = np.arange(n)
+            mul[:n, 1] = np.arange(n)
+            mul[1, :n] = np.arange(n)
 
         def dfs(i):
             if i == len(order):
-                yield mul.copy()
+                yield mul[:n, :n].copy()
                 return
             z = order[i]
-            saved = mul[:, z].copy()
+            saved = mul[:n, z].copy()
             for col in columns[z]:
                 counter.nodes += 1
-                mul[:, z] = col
+                mul[:n, z] = col
                 # identities cannot reject what a completed table would accept:
-                # instances with any unfilled lookup are skipped
-                ok = True
-                for ident in required:
-                    if identity_first_violation(ident, add, mul, inv, n) is not None:
-                        ok = False
-                        break
-                if ok:
+                # instances that read an unfilled cell are skipped
+                if all(identity_first_violation(ident, padded_add, mul, padded_inv, n) is None
+                       for ident in required):
                     yield from dfs(i + 1)
-            mul[:, z] = saved
+            mul[:n, z] = saved
 
         for m in dfs(0):
             yield add, inv, m
@@ -695,6 +542,8 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
                                       else (violate,))
     else:
         constraint = parse_constraint(satisfy, violate)
+    if n_max < 1:
+        raise AlgebraError(f"the largest size must be at least 1, got {n_max}")
     if n_max > DEFAULT_SIZE_CAP and not allow_large:
         raise AlgebraError(
             f"size {n_max} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")

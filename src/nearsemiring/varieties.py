@@ -7,15 +7,16 @@ property suites for their standard arithmetical consequences.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 
 import numpy as np
 
 from .core import (
-    AlgebraError, CheckReport, ClauseResult, DocumentError, FiniteNearSemiring,
-    PreconditionError, PropertyReport, Violation, _binary_table, _first_where,
-    _unary_table, check_axioms, require,
+    _AXIOMS, IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseResult, ClauseSet,
+    DocumentError, FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z,
+    _add, _constant, _document_size, _inv, _labels, _mul, _op, _sized, _square_table,
+    _unary_table, check_axioms, clause, clause_results, find_violations, require,
 )
 
 
@@ -29,21 +30,12 @@ class BasicAlgebra:
     __slots__ = ("oplus", "neg", "zero", "name", "labels")
 
     def __init__(self, oplus, neg, zero, name="B", labels=None):
-        oplus = np.asarray(oplus)
-        if oplus.ndim != 2 or oplus.shape[0] != oplus.shape[1] or oplus.shape[0] == 0:
-            raise DocumentError(f"oplus table must be square and nonempty, got {oplus.shape}")
-        n = oplus.shape[0]
-        self.oplus = _binary_table(oplus, n, "oplus")
+        self.oplus = _square_table(oplus, "oplus")
+        n = self.oplus.shape[0]
         self.neg = _unary_table(neg, n, "negation", permutation=True)
-        if not 0 <= zero < n:
-            raise DocumentError(f"zero must lie in [0, {n})")
-        self.zero = int(zero)
+        self.zero = _constant(zero, n, "zero")
         self.name = str(name)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        self.labels = tuple(str(s) for s in labels)
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise DocumentError(f"labels must be {n} distinct strings")
+        self.labels = _labels(labels, n)
 
     @property
     def n(self) -> int:
@@ -55,6 +47,9 @@ class BasicAlgebra:
 
     def label(self, x: int) -> str:
         return self.labels[x]
+
+    def ops(self) -> dict:
+        return {"oplus": self.oplus, "neg": self.neg, "zero": self.zero, "one": self.one}
 
     def __repr__(self):
         return f"BasicAlgebra({self.name!r}, n={self.n})"
@@ -75,11 +70,9 @@ class BasicAlgebra:
 
     @classmethod
     def from_document(cls, doc: dict) -> "BasicAlgebra":
-        for key in ("name", "size", "zero", "oplus", "neg"):
-            if key not in doc:
-                raise DocumentError(f"basic-algebra document lacks required field {key!r}")
-        return cls(doc["oplus"], doc["neg"], doc["zero"],
-                   name=doc["name"], labels=doc.get("labels"))
+        n = _document_size(doc, "basic-algebra", ("name", "size", "zero", "oplus", "neg"))
+        return _sized(cls(doc["oplus"], doc["neg"], doc["zero"],
+                          name=doc["name"], labels=doc.get("labels")), n)
 
 
 class OrthoLattice:
@@ -93,27 +86,18 @@ class OrthoLattice:
     __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels")
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):
-        join = np.asarray(join)
-        if join.ndim != 2 or join.shape[0] != join.shape[1] or join.shape[0] == 0:
-            raise DocumentError(f"join table must be square and nonempty, got {join.shape}")
-        n = join.shape[0]
-        self.join = _binary_table(join, n, "join")
+        self.join = _square_table(join, "join")
+        n = self.join.shape[0]
         self.ortho = _unary_table(ortho, n, "orthocomplement", permutation=True)
-        if not (0 <= zero < n) or not (0 <= one < n):
-            raise DocumentError(f"constants must lie in [0, {n})")
-        if n >= 2 and zero == one:
+        self.zero = _constant(zero, n, "zero")
+        self.one = _constant(one, n, "one")
+        if n >= 2 and self.zero == self.one:
             raise DocumentError("zero and one must differ when the universe has >= 2 elements")
-        self.zero = int(zero)
-        self.one = int(one)
         meet = self.ortho[self.join[np.ix_(self.ortho, self.ortho)]]
         meet.setflags(write=False)
         self.meet = meet
         self.name = str(name)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        self.labels = tuple(str(s) for s in labels)
-        if len(self.labels) != n or len(set(self.labels)) != n:
-            raise DocumentError(f"labels must be {n} distinct strings")
+        self.labels = _labels(labels, n)
 
     @property
     def n(self) -> int:
@@ -121,6 +105,10 @@ class OrthoLattice:
 
     def label(self, x: int) -> str:
         return self.labels[x]
+
+    def ops(self) -> dict:
+        return {"join": self.join, "meet": self.meet, "ortho": self.ortho,
+                "zero": self.zero, "one": self.one}
 
     def __repr__(self):
         return f"OrthoLattice({self.name!r}, n={self.n})"
@@ -141,22 +129,25 @@ class OrthoLattice:
 
     @classmethod
     def from_document(cls, doc: dict) -> "OrthoLattice":
-        for key in ("name", "size", "zero", "one", "join", "ortho"):
-            if key not in doc:
-                raise DocumentError(f"lattice document lacks required field {key!r}")
-        return cls(doc["join"], doc["ortho"], doc["zero"], doc["one"],
-                   name=doc["name"], labels=doc.get("labels"))
+        n = _document_size(doc, "lattice", ("name", "size", "zero", "one", "join", "ortho"))
+        return _sized(cls(doc["join"], doc["ortho"], doc["zero"], doc["one"],
+                          name=doc["name"], labels=doc.get("labels")), n)
+
+
+def _required(report: CheckReport, what: str, context: str) -> CheckReport:
+    """The report, unless it failed: then a PreconditionError naming its first violation."""
+    if not report.passed:
+        where = f" ({context})" if context else ""
+        raise PreconditionError(
+            f"{report.subject} is not {what}{where}: {report.violations[0].equation}")
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Łukasiewicz near semirings
 
 
-def _exchange_table(algebra: FiniteNearSemiring) -> np.ndarray:
-    """Table of α(x·α(y))·α(y), indexed [x, y]."""
-    inv, mul = algebra.inv, algebra.mul
-    t = inv[mul[:, inv]]                     # t[x, y] = α(x·α(y))
-    return mul[t, np.broadcast_to(inv, t.shape)]
+_EXCHANGE = ClauseSet([IDENTITIES["lukasiewicz"]])
 
 
 def check_lukasiewicz(algebra: FiniteNearSemiring) -> CheckReport:
@@ -169,87 +160,51 @@ def check_lukasiewicz(algebra: FiniteNearSemiring) -> CheckReport:
     if algebra.inv is None:
         raise PreconditionError(f"{algebra.name} has no involution table")
     require(algebra, "involutive", "Łukasiewicz check")
-    lhs = _exchange_table(algebra)
-    w = _first_where(lhs != lhs.T)
-    violations = ()
-    if w is not None:
-        x, y = w
-        l = algebra.label
-        violations = (Violation(
-            "lukasiewicz", (x, y),
-            f"α({l(x)}·α({l(y)}))·α({l(y)})={l(int(lhs[x, y]))} but "
-            f"α({l(y)}·α({l(x)}))·α({l(x)})={l(int(lhs[y, x]))}"),)
+    violations = tuple(find_violations(algebra, _EXCHANGE).values())
     semiring = check_axioms(algebra, "semiring").passed
     return CheckReport(algebra.name, "lukasiewicz", not violations, violations,
                        tags=(("semiring", semiring),))
 
 
 def require_lukasiewicz(algebra: FiniteNearSemiring, context: str = "") -> CheckReport:
-    report = check_lukasiewicz(algebra)
-    if not report.passed:
-        v = report.violations[0]
-        where = f" ({context})" if context else ""
-        raise PreconditionError(
-            f"{algebra.name} is not a Łukasiewicz near semiring{where}: {v.equation}")
-    return report
+    return _required(check_lukasiewicz(algebra), "a Łukasiewicz near semiring", context)
+
+
+_LUKASIEWICZ_SUITE = ClauseSet([
+    clause("self-annihilation", "x", (_mul(X, _inv(X)), ZERO), (_mul(_inv(X), X), ZERO),
+           render="{x}·α({x})={lhs0}, α({x})·{x}={lhs1}"),
+    _AXIOMS["integrality"],
+    clause("annihilates-sum-complement", "xy", (_mul(X, _inv(_add(X, Y))), ZERO),
+           render="{x}·α({x}+{y})={lhs}"),
+    clause("sum-cancellation", "xy", (_mul(_add(X, Y), _inv(X)), _mul(Y, _inv(X))),
+           render="({x}+{y})·α({x})≠{y}·α({x})"),
+    clause("sum-recovery", "xy", (_add(X, Y), _inv(_mul(_inv(_mul(X, _inv(Y))), _inv(Y)))),
+           render="{x}+{y}≠α(α({x}·α({y}))·α({y}))"),
+    # x≤y exactly when x·α(y)=0, one direction per part
+    clause("order-via-product", "xy",
+           (_mul(X, _inv(Y)), ZERO, (_add(X, Y), Y)), (_add(X, Y), Y, (_mul(X, _inv(Y)), ZERO)),
+           render=("({x}≤{y}) is True but {x}·α({y})={lhs}",
+                   "({x}≤{y}) is False but {x}·α({y})={zero}")),
+    clause("assoc-implies-comm", "xy", (_mul(X, Y), _mul(Y, X)), render="{x}·{y}≠{y}·{x}"),
+    clause("assoc-implies-left-distributivity", "xyz",
+           (_mul(X, _add(Y, Z)), _add(_mul(X, Y), _mul(X, Z))),
+           render="{x}·({y}+{z})≠({x}·{y})+({x}·{z})"),
+    replace(IDENTITIES["mv-semiring"], name="mv-sum-recovery"),
+])
 
 
 def lukasiewicz_suite(algebra: FiniteNearSemiring) -> PropertyReport:
     """Arithmetical consequences of the exchange identity, checked exhaustively."""
     luk = require_lukasiewicz(algebra, "property suite")
-    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
-    zero, one, l = algebra.zero, algebra.one, algebra.label
-    clauses = []
-
-    def scan(clause, arity, pred, render):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                clauses.append(ClauseResult(clause, False, args, render(*args)))
-                return
-        clauses.append(ClauseResult(clause, True))
-
-    scan("self-annihilation", 1,
-         lambda x: mul[x, inv[x]] == zero and mul[inv[x], x] == zero,
-         lambda x: f"{l(x)}·α({l(x)})={l(int(mul[x, inv[x]]))}, "
-                   f"α({l(x)})·{l(x)}={l(int(mul[inv[x], x]))}")
-    scan("integrality", 1,
-         lambda x: add[x, one] == one,
-         lambda x: f"{l(x)}+{l(one)}={l(int(add[x, one]))}")
-    scan("annihilates-sum-complement", 2,
-         lambda x, y: mul[x, inv[add[x, y]]] == zero,
-         lambda x, y: f"{l(x)}·α({l(x)}+{l(y)})={l(int(mul[x, inv[add[x, y]]]))}")
-    scan("sum-cancellation", 2,
-         lambda x, y: mul[add[x, y], inv[x]] == mul[y, inv[x]],
-         lambda x, y: f"({l(x)}+{l(y)})·α({l(x)})≠{l(y)}·α({l(x)})")
-    scan("sum-recovery", 2,
-         lambda x, y: add[x, y] == inv[mul[inv[mul[x, inv[y]]], inv[y]]],
-         lambda x, y: f"{l(x)}+{l(y)}≠α(α({l(x)}·α({l(y)}))·α({l(y)}))")
-    scan("order-via-product", 2,
-         lambda x, y: (add[x, y] == y) == (mul[x, inv[y]] == zero),
-         lambda x, y: f"({l(x)}≤{l(y)}) is {add[x, y] == y} but "
-                      f"{l(x)}·α({l(y)})={l(int(mul[x, inv[y]]))}")
-
-    associative = check_axioms(algebra, "associative-mul").passed
-    if not associative:
-        clauses.append(ClauseResult("assoc-implies-comm", True,
-                                    detail="vacuous: product not associative"))
-        clauses.append(ClauseResult("assoc-implies-left-distributivity", True,
-                                    detail="vacuous: product not associative"))
-    else:
-        scan("assoc-implies-comm", 2,
-             lambda x, y: mul[x, y] == mul[y, x],
-             lambda x, y: f"{l(x)}·{l(y)}≠{l(y)}·{l(x)}")
-        scan("assoc-implies-left-distributivity", 3,
-             lambda x, y, z: mul[x, add[y, z]] == add[mul[x, y], mul[x, z]],
-             lambda x, y, z: f"{l(x)}·({l(y)}+{l(z)})≠({l(x)}·{l(y)})+({l(x)}·{l(z)})")
-
-    if luk.tag("semiring"):
-        scan("mv-sum-recovery", 2,
-             lambda x, y: add[x, y] == inv[mul[inv[x], inv[mul[inv[x], y]]]],
-             lambda x, y: f"{l(x)}+{l(y)}≠α(α({l(x)})·α(α({l(x)})·{l(y)}))")
-    else:
-        clauses.append(ClauseResult("mv-sum-recovery", True,
-                                    detail="skipped: not a semiring"))
+    skipped = {}
+    if not check_axioms(algebra, "associative-mul").passed:
+        skipped["assoc-implies-comm"] = "vacuous: product not associative"
+        skipped["assoc-implies-left-distributivity"] = "vacuous: product not associative"
+    if not luk.tag("semiring"):
+        skipped["mv-sum-recovery"] = "skipped: not a semiring"
+    clauses = [ClauseResult(c.clause, True, detail=skipped[c.clause]) if c.clause in skipped
+               else c for c in clause_results(_LUKASIEWICZ_SUITE,
+                                              find_violations(algebra, _LUKASIEWICZ_SUITE))]
     return PropertyReport(algebra.name, "lukasiewicz", tuple(clauses))
 
 
@@ -291,6 +246,19 @@ def sectional_involution(algebra: FiniteNearSemiring, a: int) -> SectionalInvolu
     return SectionalInvolution(algebra.name, a, carrier, images)
 
 
+_ORTHOMODULAR = ClauseSet([
+    replace(IDENTITIES["orthomodular"], name="mul-absorbs-sum"),
+    clause("mul-idempotence", "x", (_mul(X, X), X), render="{x}·{x}={lhs}"),
+    clause("sandwich-recovery", "xy", (_mul(X, _inv(_mul(_inv(_mul(Y, _inv(X))), _inv(X)))), X),
+           render="{x}·α(α({y}·α({x}))·α({x}))≠{x}"),
+    clause("complement-join", "x", (_add(X, _inv(X)), ONE), render="{x}+α({x})={lhs}"),
+    clause("interval-multiplication", "xy", (_mul(X, Y), X, (_add(X, Y), Y)),
+           render="{x}≤{y} but {x}·{y}={lhs}≠{x}"),
+    clause("interval-multiplication-prose-variant", "xy", (_mul(X, Y), Y, (_add(X, Y), Y)),
+           render="{x}≤{y} but {x}·{y}={lhs}≠{y}"),
+])
+
+
 def check_orthomodular_ns(algebra: FiniteNearSemiring) -> CheckReport:
     """Check x = x·(x+y) plus its standard consequences on a Łukasiewicz near semiring.
 
@@ -299,35 +267,9 @@ def check_orthomodular_ns(algebra: FiniteNearSemiring) -> CheckReport:
     evaluated separately and reported as a tag, never as a violation.
     """
     require_lukasiewicz(algebra, "orthomodular check")
-    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
-    zero, one, l = algebra.zero, algebra.one, algebra.label
-    violations = []
-
-    def scan(clause, arity, pred, render):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                violations.append(Violation(clause, args, render(*args)))
-                return
-
-    scan("mul-absorbs-sum", 2,
-         lambda x, y: mul[x, add[x, y]] == x,
-         lambda x, y: f"{l(x)}·({l(x)}+{l(y)})={l(int(mul[x, add[x, y]]))}")
-    scan("mul-idempotence", 1,
-         lambda x: mul[x, x] == x,
-         lambda x: f"{l(x)}·{l(x)}={l(int(mul[x, x]))}")
-    scan("sandwich-recovery", 2,
-         lambda x, y: mul[x, inv[mul[inv[mul[y, inv[x]]], inv[x]]]] == x,
-         lambda x, y: f"{l(x)}·α(α({l(y)}·α({l(x)}))·α({l(x)}))≠{l(x)}")
-    scan("complement-join", 1,
-         lambda x: add[x, inv[x]] == one,
-         lambda x: f"{l(x)}+α({l(x)})={l(int(add[x, inv[x]]))}")
-    scan("interval-multiplication", 2,
-         lambda x, y: add[x, y] != y or mul[x, y] == x,
-         lambda x, y: f"{l(x)}≤{l(y)} but {l(x)}·{l(y)}={l(int(mul[x, y]))}≠{l(x)}")
-
-    prose_variant = all(add[x, y] != y or mul[x, y] == y
-                        for x in range(n) for y in range(n))
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    found = find_violations(algebra, _ORTHOMODULAR)
+    prose_variant = found.pop("interval-multiplication-prose-variant", None) is None
+    violations = sorted(found.values(), key=lambda v: (v.clause, v.witness))
     return CheckReport(
         algebra.name, "orthomodular", not violations, tuple(violations),
         tags=(("interval-multiplication-prose-variant", prose_variant),),
@@ -337,17 +279,23 @@ def check_orthomodular_ns(algebra: FiniteNearSemiring) -> CheckReport:
 
 
 def require_orthomodular(algebra: FiniteNearSemiring, context: str = "") -> CheckReport:
-    report = check_orthomodular_ns(algebra)
-    if not report.passed:
-        v = report.violations[0]
-        where = f" ({context})" if context else ""
-        raise PreconditionError(
-            f"{algebra.name} is not an orthomodular near semiring{where}: {v.equation}")
-    return report
+    return _required(check_orthomodular_ns(algebra), "an orthomodular near semiring", context)
 
 
 # ---------------------------------------------------------------------------
 # basic algebras
+
+
+_oplus, _neg = _op("oplus"), _op("neg")
+_BASIC = ClauseSet([
+    clause("BA1", "x", (_oplus(X, ZERO), X), render="{x}⊕{zero}={lhs}"),
+    clause("BA2", "x", (_neg(_neg(X)), X), render="{x}''={lhs}"),
+    clause("BA3", "xy", (_oplus(_neg(_oplus(_neg(X), Y)), Y), _oplus(_neg(_oplus(_neg(Y), X)), X)),
+           render="({x}'⊕{y})'⊕{y}≠({y}'⊕{x})'⊕{x}"),
+    clause("BA4", "xyz",
+           (_oplus(_neg(_oplus(_neg(_oplus(_neg(_oplus(X, Y)), Y)), Z)), _oplus(X, Z)), ONE),
+           render="((({x}⊕{y})'⊕{y})'⊕{z})'⊕({x}⊕{z})≠{one}"),
+])
 
 
 def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
@@ -359,27 +307,7 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
     """
     op, neg, n = basic.oplus, basic.neg, basic.n
     zero, one, l = basic.zero, basic.one, basic.label
-    violations = []
-
-    def scan(clause, arity, pred, render):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                violations.append(Violation(clause, args, render(*args)))
-                return
-
-    scan("BA1", 1, lambda x: op[x, zero] == x,
-         lambda x: f"{l(x)}⊕{l(zero)}={l(int(op[x, zero]))}")
-    scan("BA2", 1, lambda x: neg[neg[x]] == x,
-         lambda x: f"{l(x)}''={l(int(neg[neg[x]]))}")
-    scan("BA3", 2,
-         lambda x, y: op[neg[op[neg[x], y]], y] == op[neg[op[neg[y], x]], x],
-         lambda x, y: f"({l(x)}'⊕{l(y)})'⊕{l(y)}≠({l(y)}'⊕{l(x)})'⊕{l(x)}")
-
-    def ba4(x, y, z):
-        t = op[neg[op[neg[op[x, y]], y]], z]
-        return op[neg[t], op[x, z]] == one
-    scan("BA4", 3, ba4,
-         lambda x, y, z: f"((({l(x)}⊕{l(y)})'⊕{l(y)})'⊕{l(z)})'⊕({l(x)}⊕{l(z)})≠{l(one)}")
+    violations = list(find_violations(basic, _BASIC).values())
 
     # induced order: x <= y iff x'⊕y = 1; join term (x'⊕y)'⊕y
     rel = op[neg, :] == one                      # rel[x, y] = (x'⊕y == 1)
@@ -392,22 +320,22 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
         violations.append(Violation("order-partial-order", (x, x),
                                     f"relation x'⊕y=1 is not reflexive at {l(x)}"))
     elif not antisym:
-        w = _first_where(rel & rel.T & ~np.eye(n, dtype=bool))
-        violations.append(Violation("order-partial-order", w,
+        w = np.argwhere(rel & rel.T & ~np.eye(n, dtype=bool))[0]
+        violations.append(Violation("order-partial-order", tuple(int(v) for v in w),
                                     "relation x'⊕y=1 is not antisymmetric"))
     elif not trans:
-        w = _first_where((rel @ rel) & ~rel)
-        violations.append(Violation("order-partial-order", w,
+        w = np.argwhere((rel @ rel) & ~rel)[0]
+        violations.append(Violation("order-partial-order", tuple(int(v) for v in w),
                                     "relation x'⊕y=1 is not transitive"))
     if not (rel[zero].all() and rel[:, one].all()):
         x = next(x for x in range(n) if not rel[zero, x] or not rel[x, one])
         violations.append(Violation("order-bounds", (x,),
                                     f"{l(zero)},{l(one)} are not bottom/top at {l(x)}"))
-    w = _first_where((jt == np.arange(n)[None, :]) != rel)
-    if w is not None:
-        x, y = w
+    w = np.argwhere((jt == np.arange(n)[None, :]) != rel)
+    if w.size:
+        x, y = (int(v) for v in w[0])
         violations.append(Violation(
-            "order-join-consistent", w,
+            "order-join-consistent", (x, y),
             f"join term and relation disagree at ({l(x)},{l(y)})"))
     bad = None
     for x, y in iproduct(range(n), repeat=2):
@@ -437,78 +365,50 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
 
 
 def require_basic(basic: BasicAlgebra, context: str = "") -> CheckReport:
-    report = check_basic_algebra(basic)
-    if not report.passed:
-        v = report.violations[0]
-        where = f" ({context})" if context else ""
-        raise PreconditionError(f"{basic.name} is not a basic algebra{where}: {v.equation}")
-    return report
+    return _required(check_basic_algebra(basic), "a basic algebra", context)
 
 
 # ---------------------------------------------------------------------------
 # orthomodular lattices
 
 
+_join, _meet, _ortho = _op("join"), _op("meet"), _op("ortho")
+_OML = ClauseSet([
+    clause("join-idempotence", "x", (_join(X, X), X), render="{x}∨{x}={lhs}"),
+    clause("join-commutativity", "xy", (_join(X, Y), _join(Y, X)), render="{x}∨{y}≠{y}∨{x}"),
+    clause("join-associativity", "xyz", (_join(_join(X, Y), Z), _join(X, _join(Y, Z))),
+           render="({x}∨{y})∨{z}≠{x}∨({y}∨{z})"),
+    clause("meet-idempotence", "x", (_meet(X, X), X), render="{x}∧{x}={lhs}"),
+    clause("meet-commutativity", "xy", (_meet(X, Y), _meet(Y, X)), render="{x}∧{y}≠{y}∧{x}"),
+    clause("meet-associativity", "xyz", (_meet(_meet(X, Y), Z), _meet(X, _meet(Y, Z))),
+           render="({x}∧{y})∧{z}≠{x}∧({y}∧{z})"),
+    clause("absorption", "xy", (_join(X, _meet(X, Y)), X), (_meet(X, _join(X, Y)), X),
+           render="absorption fails at ({x},{y})"),
+    clause("bounds", "x", (_join(X, ZERO), X), (_join(X, ONE), ONE),
+           (_meet(X, ONE), X), (_meet(X, ZERO), ZERO),
+           render="{zero}/{one} are not bottom/top at {x}"),
+    clause("ortho-period-two", "x", (_ortho(_ortho(X)), X), render="{x}''={lhs}"),
+    clause("ortho-antitone", "xy", (_join(_ortho(Y), _ortho(X)), _ortho(X), (_join(X, Y), Y)),
+           render="{x}≤{y} but {y}'≰{x}'"),
+    clause("complement-laws", "x", (_meet(X, _ortho(X)), ZERO), (_join(X, _ortho(X)), ONE),
+           render="{x}∧{x}'={lhs0}, {x}∨{x}'={lhs1}"),
+    clause("orthomodular-identity", "xy",
+           (_meet(_join(X, Y), _join(X, _ortho(_join(X, Y)))), X),
+           render="({x}∨{y})∧({x}∨({x}∨{y})')={lhs}"),
+    clause("orthomodular-dual", "xy", (_join(_meet(X, Y), _meet(Y, _ortho(_meet(X, Y)))), Y),
+           render="({x}∧{y})∨({y}∧({x}∧{y})')≠{y}"),
+])
+
+
 def check_oml(lattice: OrthoLattice) -> CheckReport:
     """Check bounded-lattice axioms, orthocomplementation, and the orthomodular law."""
-    jn, mt, oc, n = lattice.join, lattice.meet, lattice.ortho, lattice.n
-    zero, one, l = lattice.zero, lattice.one, lattice.label
-    violations = []
-
-    def scan(clause, arity, pred, render):
-        for args in iproduct(range(n), repeat=arity):
-            if not pred(*args):
-                violations.append(Violation(clause, args, render(*args)))
-                return
-
-    scan("join-idempotence", 1, lambda x: jn[x, x] == x,
-         lambda x: f"{l(x)}∨{l(x)}={l(int(jn[x, x]))}")
-    scan("join-commutativity", 2, lambda x, y: jn[x, y] == jn[y, x],
-         lambda x, y: f"{l(x)}∨{l(y)}≠{l(y)}∨{l(x)}")
-    scan("join-associativity", 3, lambda x, y, z: jn[jn[x, y], z] == jn[x, jn[y, z]],
-         lambda x, y, z: f"({l(x)}∨{l(y)})∨{l(z)}≠{l(x)}∨({l(y)}∨{l(z)})")
-    scan("meet-idempotence", 1, lambda x: mt[x, x] == x,
-         lambda x: f"{l(x)}∧{l(x)}={l(int(mt[x, x]))}")
-    scan("meet-commutativity", 2, lambda x, y: mt[x, y] == mt[y, x],
-         lambda x, y: f"{l(x)}∧{l(y)}≠{l(y)}∧{l(x)}")
-    scan("meet-associativity", 3, lambda x, y, z: mt[mt[x, y], z] == mt[x, mt[y, z]],
-         lambda x, y, z: f"({l(x)}∧{l(y)})∧{l(z)}≠{l(x)}∧({l(y)}∧{l(z)})")
-    scan("absorption", 2,
-         lambda x, y: jn[x, mt[x, y]] == x and mt[x, jn[x, y]] == x,
-         lambda x, y: f"absorption fails at ({l(x)},{l(y)})")
-    scan("bounds", 1,
-         lambda x: jn[x, zero] == x and jn[x, one] == one
-         and mt[x, one] == x and mt[x, zero] == zero,
-         lambda x: f"{l(zero)}/{l(one)} are not bottom/top at {l(x)}")
-    scan("ortho-period-two", 1, lambda x: oc[oc[x]] == x,
-         lambda x: f"{l(x)}''={l(int(oc[oc[x]]))}")
-    scan("ortho-antitone", 2,
-         lambda x, y: jn[x, y] != y or jn[oc[y], oc[x]] == oc[x],
-         lambda x, y: f"{l(x)}≤{l(y)} but {l(y)}'≰{l(x)}'")
-    scan("complement-laws", 1,
-         lambda x: mt[x, oc[x]] == zero and jn[x, oc[x]] == one,
-         lambda x: f"{l(x)}∧{l(x)}'={l(int(mt[x, oc[x]]))}, "
-                   f"{l(x)}∨{l(x)}'={l(int(jn[x, oc[x]]))}")
-    scan("orthomodular-identity", 2,
-         lambda x, y: mt[jn[x, y], jn[x, oc[jn[x, y]]]] == x,
-         lambda x, y: f"({l(x)}∨{l(y)})∧({l(x)}∨({l(x)}∨{l(y)})')="
-                      f"{l(int(mt[jn[x, y], jn[x, oc[jn[x, y]]]]))}")
-    scan("orthomodular-dual", 2,
-         lambda x, y: jn[mt[x, y], mt[y, oc[mt[x, y]]]] == y,
-         lambda x, y: f"({l(x)}∧{l(y)})∨({l(y)}∧({l(x)}∧{l(y)})')≠{l(y)}")
-
-    violations.sort(key=lambda v: (v.clause, v.witness))
+    violations = sorted(find_violations(lattice, _OML).values(),
+                        key=lambda v: (v.clause, v.witness))
     return CheckReport(lattice.name, "orthomodular-lattice", not violations, tuple(violations))
 
 
 def require_oml(lattice: OrthoLattice, context: str = "") -> CheckReport:
-    report = check_oml(lattice)
-    if not report.passed:
-        v = report.violations[0]
-        where = f" ({context})" if context else ""
-        raise PreconditionError(
-            f"{lattice.name} is not an orthomodular lattice{where}: {v.equation}")
-    return report
+    return _required(check_oml(lattice), "an orthomodular lattice", context)
 
 
 def oml_commutes_suite(lattice: OrthoLattice) -> PropertyReport:

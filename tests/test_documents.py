@@ -1,0 +1,105 @@
+"""Malformed documents are DocumentErrors (exit 2), never tracebacks or silent coercions."""
+import copy
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import nearsemiring as nsr
+from nearsemiring import fixtures
+from nearsemiring.cli import main
+from nearsemiring.core import DocumentError
+
+DOCS = [fixtures.fixture(name).to_document() for name in ("EX24", "EX28", "MV3", "MO2")]
+DOCS += [fixtures.mv3_basic().to_document(), fixtures.mo2_ortholattice().to_document()]
+CONSTANTS = {"oplus": ("zero",), "join": ("zero", "one")}
+
+
+def _constants(doc):
+    for table, names in CONSTANTS.items():
+        if table in doc:
+            return names
+    return ("zero", "one")
+
+
+def _run(tmp_path, doc, *argv):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return main(["check", str(path), *argv])
+
+
+@pytest.mark.parametrize("doc", DOCS, ids=lambda d: d["name"])
+def test_malformed_documents_exit_two(doc, tmp_path, capsys):
+    table = next(k for k in ("add", "oplus", "join") if k in doc)
+    cases = []
+    ragged = copy.deepcopy(doc)
+    ragged[table][1].pop()
+    cases.append(ragged)
+    for bad in ("0", 0.5, False, None, [0]):
+        for name in _constants(doc):
+            case = copy.deepcopy(doc)
+            case[name] = bad
+            cases.append(case)
+    for size in (doc["size"] + 1, doc["size"] - 1, True, 2.0):
+        case = copy.deepcopy(doc)
+        case["size"] = size
+        cases.append(case)
+    for labels in ("abc"[:doc["size"]], list(range(doc["size"])), 7):
+        case = copy.deepcopy(doc)
+        case["labels"] = labels
+        cases.append(case)
+    for case in cases:
+        assert _run(tmp_path, case) == 2, case
+        assert "input error" in capsys.readouterr().err
+
+
+def test_numpy_integer_constants_stay_valid():
+    a = fixtures.mv3()
+    b = nsr.FiniteNearSemiring(a.add, a.mul, np.int64(a.zero), np.int32(a.one), inv=a.inv)
+    assert b.same_tables(a)
+    with pytest.raises(DocumentError):
+        nsr.FiniteNearSemiring(a.add, a.mul, np.bool_(False), a.one, inv=a.inv)
+
+
+def test_find_max_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-2"):
+        assert main(["find", "--max", value, "--satisfy", "involutive"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-2, 12) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(sorted(doc) + ["labels", "inv"]))
+        action = draw(st.sampled_from(("set", "delete", "cell", "row")))
+        value = doc.get(key)
+        if action == "delete":
+            doc.pop(key, None)
+        elif action in ("cell", "row") and isinstance(value, list) and value:
+            i = draw(st.integers(0, len(value) - 1))
+            if action == "row" or not isinstance(value[i], list) or not value[i]:
+                value[i] = draw(json_values)
+            else:
+                value[i][draw(st.integers(0, len(value[i]) - 1))] = draw(json_values)
+        else:
+            doc[key] = draw(json_values)
+    return doc
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=mutated_documents(), profile=st.sampled_from(sorted(nsr.PROFILES)))
+def test_mutated_documents_never_raise(doc, profile, tmp_path, capsys):
+    argv = () if ("oplus" in doc or "join" in doc) else ("--profile", profile)
+    assert _run(tmp_path, doc, *argv) in (0, 1, 2)
+    capsys.readouterr()
