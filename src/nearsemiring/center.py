@@ -45,9 +45,8 @@ _SELECTOR = ClauseSet([
 def check_church(algebra: FiniteNearSemiring) -> CheckReport:
     """q(1,a,b) = a and q(0,a,b) = b, exhaustively."""
     require(algebra, "involutive-integral", "selector term")
-    violations = sorted(find_violations(algebra, _SELECTOR).values(),
-                        key=lambda v: (v.clause, v.witness))
-    return CheckReport(algebra.name, "church-selector", not violations, tuple(violations))
+    violations = find_violations(algebra, _SELECTOR).values()
+    return CheckReport.of(algebra.name, "church-selector", violations)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +85,15 @@ def _central_equational_witness(algebra: FiniteNearSemiring, e: int):
 
 def is_central_equational(algebra: FiniteNearSemiring, e: int) -> bool:
     return _central_equational_witness(algebra, e) is None
+
+
+def _require_central(algebra: FiniteNearSemiring, e: int) -> None:
+    if not 0 <= e < algebra.n:
+        raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
+    w = _central_equational_witness(algebra, e)
+    if w is not None:
+        raise PreconditionError(
+            f"{algebra.label(e)} is not central in {algebra.name} (fails {w[0]} at {w[1]})")
 
 
 def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
@@ -244,13 +252,7 @@ _CENTRAL_LEMMAS = ClauseSet([
 def central_lemma_suite(algebra: FiniteNearSemiring, e: int) -> PropertyReport:
     """Derived facts about a single equationally central element."""
     require(algebra, "involutive-integral", "central-element facts")
-    if not 0 <= e < algebra.n:
-        raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
-    w = _central_equational_witness(algebra, e)
-    if w is not None:
-        raise PreconditionError(
-            f"{algebra.label(e)} is not central in {algebra.name} "
-            f"(fails {w[0]} at {w[1]})")
+    _require_central(algebra, e)
     found = find_violations(algebra, _CENTRAL_LEMMAS, pinned={"e": e})
     return PropertyReport(algebra.name, f"central-element {algebra.label(e)}",
                           tuple(clause_results(_CENTRAL_LEMMAS, found)))
@@ -295,10 +297,8 @@ def center_algebra(algebra: FiniteNearSemiring) -> CenterReport:
         if int(inv[x]) not in cset:
             raise AlgebraError(f"center of {algebra.name} is not closed under α at {l(x)}")
 
-    violations = sorted(find_violations(algebra, _CENTER_BOOLEAN, carrier=cen).values(),
-                        key=lambda v: (v.clause, v.witness))
-    boolean_check = CheckReport(f"Ce({algebra.name})", "center-boolean-algebra",
-                                not violations, tuple(violations))
+    boolean_check = CheckReport.of(f"Ce({algebra.name})", "center-boolean-algebra",
+                                   find_violations(algebra, _CENTER_BOOLEAN, carrier=cen).values())
     return CenterReport(algebra.name, base.methods, cen, base.agreement,
                         base.per_method, base.atoms, boolean_check)
 
@@ -338,12 +338,7 @@ def interval_algebra(algebra: FiniteNearSemiring, e: int) -> IntervalAlgebra:
     and b -> e·b must be a surjective homomorphism onto the result.
     """
     require(algebra, "involutive-integral", "interval algebra")
-    if not 0 <= e < algebra.n:
-        raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
-    w = _central_equational_witness(algebra, e)
-    if w is not None:
-        raise PreconditionError(
-            f"{algebra.label(e)} is not central in {algebra.name} (fails {w[0]} at {w[1]})")
+    _require_central(algebra, e)
     add, mul, inv, n, l = algebra.add, algebra.mul, algebra.inv, algebra.n, algebra.label
     below = tuple(x for x in range(n) if add[x, e] == e)
     image = tuple(sorted({int(mul[e, b]) for b in range(n)}))

@@ -267,6 +267,12 @@ class CheckReport:
     tags: tuple = ()
     notes: tuple = ()
 
+    @classmethod
+    def of(cls, subject: str, profile: str, violations, **kwargs) -> "CheckReport":
+        """A report over violations in any order; they are sorted by clause and witness."""
+        violations = tuple(sorted(violations, key=lambda v: (v.clause, v.witness)))
+        return cls(subject, profile, not violations, violations, **kwargs)
+
     def tag(self, key: str):
         for k, v in self.tags:
             if k == key:
@@ -362,11 +368,7 @@ def _op(name):
     return lambda *args: (name, *args)
 
 
-def _var(i):
-    return ("var", i)
-
-
-X, Y, Z = _var(0), _var(1), _var(2)
+X, Y, Z, U, W = (("var", i) for i in range(5))
 ZERO, ONE = ("zero",), ("one",)
 _add, _mul, _inv = _op("add"), _op("mul"), _op("inv")
 
@@ -467,15 +469,14 @@ class ClauseSet:
                 for lhs, rhs, guard in c.parts))
         self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
 
-    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None,
-                   sentinel: bool = False) -> dict:
+    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None) -> dict:
         """Failing clauses by name, each as a Violation with its least witness.
 
         Variables range over range(n), or over the ascending carrier.
         pinned maps variable names to fixed elements; they are left out of
-        the witness.  With sentinel=True the tables are padded to n+1 and
-        the value n marks an unfilled cell: it is absorbing, and instances
-        that reach it are skipped.  The equation is rendered only when
+        the witness.  Tables padded to n+1 entries mark an unfilled cell
+        with the sentinel value n: it is absorbing, and instances that
+        reach it are skipped.  The equation is rendered only when
         labels are given.
         """
         k = self._arity
@@ -492,6 +493,7 @@ class ClauseSet:
             pos = where.pop()
             held.add(pos)
             grids[pos] = value
+        sentinel = any(len(t) > n for t in ops.values() if not isinstance(t, (int, np.integer)))
         # views read the tables over the grid itself, without padding
         views = None if held or carrier is not None else ops if not sentinel else {
             name: t[:n, :n] if np.ndim(t) == 2 else t for name, t in ops.items()}
@@ -587,7 +589,6 @@ _AXIOMS = {c.name: c for c in (
 )}
 
 # closed identities over {+, ·, α, 0, 1}: the search catalog, also used by the checkers
-U, W = _var(3), _var(4)
 IDENTITIES = {c.name: c for c in (
     clause("lukasiewicz", "xy",
            (_mul(_inv(_mul(X, _inv(Y))), _inv(Y)), _mul(_inv(_mul(Y, _inv(X))), _inv(X))),
@@ -600,7 +601,8 @@ IDENTITIES = {c.name: c for c in (
            (_add(_mul(X, _inv(Y)), _mul(_inv(X), _inv(Z))),
             _inv(_add(_mul(X, Y), _mul(_inv(X), Z)))),
            render="({e}·α({x}))+(α({e})·α({y}))={lhs} but α(({e}·{x})+(α({e})·{y}))={rhs}"),
-    # e = X, then x, z, y, u = Y, Z, U, W: (e·(x·z))+(α(e)·(y·u)) = ((e·x)+(α(e)·y))·((e·z)+(α(e)·u))
+    # e = X, then x, z, y, u = Y, Z, U, W:
+    # (e·(x·z))+(α(e)·(y·u)) = ((e·x)+(α(e)·y))·((e·z)+(α(e)·u))
     clause("central-2", "exzyu",
            (_add(_mul(X, _mul(Y, Z)), _mul(_inv(X), _mul(U, W))),
             _mul(_add(_mul(X, Y), _mul(_inv(X), U)), _add(_mul(X, Z), _mul(_inv(X), W)))),
@@ -642,9 +644,7 @@ def check_axioms(algebra: FiniteNearSemiring, profile: str) -> CheckReport:
     if clauses.needs_inv and algebra.inv is None:
         raise PreconditionError(
             f"profile {profile!r} requires an involution table, but {algebra.name} has none")
-    violations = sorted(find_violations(algebra, clauses).values(),
-                        key=lambda v: (v.clause, v.witness))
-    return CheckReport(algebra.name, profile, not violations, tuple(violations))
+    return CheckReport.of(algebra.name, profile, find_violations(algebra, clauses).values())
 
 
 def require(algebra: FiniteNearSemiring, profile: str, context: str = "") -> None:
@@ -768,9 +768,8 @@ def check_involution(algebra: FiniteNearSemiring) -> CheckReport:
     if not order.is_partial_order:
         raise PreconditionError(
             f"sum relation of {algebra.name} is not a partial order; involution undefined")
-    violations = sorted(find_violations(algebra, _INVOLUTION).values(),
-                        key=lambda v: (v.clause, v.witness))
-    return CheckReport(algebra.name, "involution", not violations, tuple(violations))
+    violations = find_violations(algebra, _INVOLUTION).values()
+    return CheckReport.of(algebra.name, "involution", violations)
 
 
 def dual_algebra(algebra: FiniteNearSemiring) -> FiniteNearSemiring:

@@ -47,7 +47,7 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int):
     an unfilled cell with the sentinel n; instances reaching one are skipped.
     """
     ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
-    found = _compiled(identity).violations(ops, n, sentinel=mul.shape[0] > n)
+    found = _compiled(identity).violations(ops, n)
     return found[identity.name].witness if found else None
 
 
@@ -269,7 +269,7 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool):
         for v in range(n):
             add[x, y] = v
             add[y, x] = v
-            if not assoc.violations({"add": add}, n, sentinel=True):
+            if not assoc.violations({"add": add}, n):
                 dfs(i + 1)
         add[x, y] = n
         add[y, x] = n

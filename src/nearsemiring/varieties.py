@@ -160,10 +160,9 @@ def check_lukasiewicz(algebra: FiniteNearSemiring) -> CheckReport:
     if algebra.inv is None:
         raise PreconditionError(f"{algebra.name} has no involution table")
     require(algebra, "involutive", "Łukasiewicz check")
-    violations = tuple(find_violations(algebra, _EXCHANGE).values())
     semiring = check_axioms(algebra, "semiring").passed
-    return CheckReport(algebra.name, "lukasiewicz", not violations, violations,
-                       tags=(("semiring", semiring),))
+    return CheckReport.of(algebra.name, "lukasiewicz", find_violations(algebra, _EXCHANGE).values(),
+                          tags=(("semiring", semiring),))
 
 
 def require_lukasiewicz(algebra: FiniteNearSemiring, context: str = "") -> CheckReport:
@@ -269,9 +268,8 @@ def check_orthomodular_ns(algebra: FiniteNearSemiring) -> CheckReport:
     require_lukasiewicz(algebra, "orthomodular check")
     found = find_violations(algebra, _ORTHOMODULAR)
     prose_variant = found.pop("interval-multiplication-prose-variant", None) is None
-    violations = sorted(found.values(), key=lambda v: (v.clause, v.witness))
-    return CheckReport(
-        algebra.name, "orthomodular", not violations, tuple(violations),
+    return CheckReport.of(
+        algebra.name, "orthomodular", found.values(),
         tags=(("interval-multiplication-prose-variant", prose_variant),),
         notes=("interval-multiplication is normative as x·y=x for x≤y; "
                "the x·y=y reading is reported via the prose-variant tag only",),
@@ -359,9 +357,7 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
                                     "de Morgan meet is not the glb"))
 
     mv = bool(np.array_equal(op[op, :], op[:, op]))
-    violations.sort(key=lambda v: (v.clause, v.witness))
-    return CheckReport(basic.name, "basic-algebra", not violations, tuple(violations),
-                       tags=(("mv", mv),))
+    return CheckReport.of(basic.name, "basic-algebra", violations, tags=(("mv", mv),))
 
 
 def require_basic(basic: BasicAlgebra, context: str = "") -> CheckReport:
@@ -402,9 +398,8 @@ _OML = ClauseSet([
 
 def check_oml(lattice: OrthoLattice) -> CheckReport:
     """Check bounded-lattice axioms, orthocomplementation, and the orthomodular law."""
-    violations = sorted(find_violations(lattice, _OML).values(),
-                        key=lambda v: (v.clause, v.witness))
-    return CheckReport(lattice.name, "orthomodular-lattice", not violations, tuple(violations))
+    violations = find_violations(lattice, _OML).values()
+    return CheckReport.of(lattice.name, "orthomodular-lattice", violations)
 
 
 def require_oml(lattice: OrthoLattice, context: str = "") -> CheckReport:

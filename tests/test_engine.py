@@ -10,7 +10,7 @@ from nearsemiring.core import ClauseSet, X, Y, _add, clause
 
 
 def _naive_first_violation(identity, add, mul, inv, filled, n):
-    """First instance, in itertools.product order, whose sides differ without reading an unfilled cell."""
+    """First instance in product order whose sides differ, skipping unfilled cells."""
     def value(term, point):
         head = term[0]
         if head == "var":
