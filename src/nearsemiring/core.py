@@ -373,7 +373,7 @@ ZERO, ONE = ("zero",), ("one",)
 _add, _mul, _inv = _op("add"), _op("mul"), _op("inv")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Clause:
     """An equational clause: each part lhs = rhs must hold wherever its guard holds.
 
@@ -468,6 +468,9 @@ class ClauseSet:
                 (slot(lhs), slot(rhs), guard and (slot(guard[0]), slot(guard[1])))
                 for lhs, rhs, guard in c.parts))
         self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
+        # a binary table whose length tells padded partial tables from complete ones
+        self._probe = next((head for head, args, _view in self._nodes
+                            if head != "var" and len(args) == 2), None)
 
     def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None) -> dict:
         """Failing clauses by name, each as a Violation with its least witness.
@@ -493,7 +496,7 @@ class ClauseSet:
             pos = where.pop()
             held.add(pos)
             grids[pos] = value
-        sentinel = any(len(t) > n for t in ops.values() if not isinstance(t, (int, np.integer)))
+        sentinel = self._probe is not None and len(ops[self._probe]) > n
         # views read the tables over the grid itself, without padding
         views = None if held or carrier is not None else ops if not sentinel else {
             name: t[:n, :n] if np.ndim(t) == 2 else t for name, t in ops.items()}
@@ -511,7 +514,7 @@ class ClauseSet:
                 vals.append(ops[head][vals[args[0]], vals[args[1]]])
         found = {}
         for c, parts in zip(self.clauses, self._parts):
-            bad = False
+            bad = None
             for lhs, rhs, guard in parts:
                 fails = vals[lhs] != vals[rhs]
                 if guard:
@@ -519,7 +522,7 @@ class ClauseSet:
                 if sentinel:
                     for side in (lhs, rhs) + (guard or ()):
                         fails = fails & (vals[side] != n)
-                bad = bad | fails
+                bad = fails if bad is None else bad | fails
             if not np.count_nonzero(bad):
                 continue
             # an axis the mask does not span stays at its least element
