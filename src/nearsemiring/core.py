@@ -36,7 +36,15 @@ class PreconditionError(AlgebraError):
 # data model
 
 
+def _has_bool(obj) -> bool:
+    """Whether a (nested) list holds a boolean, which numpy would read as 0 or 1."""
+    return isinstance(obj, (bool, np.bool_)) or (
+        isinstance(obj, (list, tuple)) and any(_has_bool(v) for v in obj))
+
+
 def _as_array(obj, what: str) -> np.ndarray:
+    if _has_bool(obj):
+        raise DocumentError(f"{what} table entries must be integers")
     try:
         return np.asarray(obj)
     except ValueError as exc:          # ragged nesting
@@ -123,6 +131,16 @@ def _unary_table(obj, n: int, what: str, permutation: bool = False) -> np.ndarra
     return arr
 
 
+def relabel_table(table, p, q) -> np.ndarray:
+    """A unary or binary table after the relabelling x -> p[x], q being p's inverse.
+
+    p and q are single permutations or (k, n) stacks of them; a stack gives
+    the k relabelled tables, stacked likewise.
+    """
+    inner = table[q] if np.ndim(table) == 1 else table[q[..., :, None], q[..., None, :]]
+    return np.take_along_axis(p, inner.reshape(*p.shape[:-1], -1), -1).reshape(inner.shape)
+
+
 class FiniteNearSemiring:
     """A finite algebra <R, +, ., 0, 1> with optional involution table.
 
@@ -178,14 +196,12 @@ class FiniteNearSemiring:
     def relabel(self, perm, name=None) -> "FiniteNearSemiring":
         """Apply a carrier permutation: element x becomes perm[x]."""
         p = _unary_table(perm, self.n, "permutation", permutation=True)
-        q = np.empty(self.n, dtype=int)
-        q[p] = np.arange(self.n)
-        add = p[self.add[np.ix_(q, q)]]
-        mul = p[self.mul[np.ix_(q, q)]]
-        inv = None if self.inv is None else p[self.inv[q]]
-        labels = tuple(self.labels[q[i]] for i in range(self.n))
+        q = np.argsort(p)
+        inv = None if self.inv is None else relabel_table(self.inv, p, q)
+        labels = tuple(self.labels[x] for x in q)
         return FiniteNearSemiring(
-            add, mul, int(p[self.zero]), int(p[self.one]), inv=inv,
+            relabel_table(self.add, p, q), relabel_table(self.mul, p, q),
+            int(p[self.zero]), int(p[self.one]), inv=inv,
             name=self.name if name is None else name, labels=labels,
         )
 

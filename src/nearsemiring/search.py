@@ -3,12 +3,17 @@
 Models are generated with the constants pinned at indices zero=0, one=1 and
 emitted in canonical form: the lexicographically minimal concatenation of
 the sum, product and involution tables over all carrier permutations fixing
-the constants.  The sum table is filled first (commutative-monoid and
-semilattice constraints prune hard), then the involution, then the product
-column by column under right-distributivity propagation; required
-identities are re-checked incrementally on the partially filled product
-table and nothing is trusted at the leaves — every emitted model re-passes
-its constraint through the ordinary checkers.
+the constants.  The permutations come in stacks of at most 7! rows, one
+cached stack for n <= 9; each stack relabels the tables at once
+(``core.relabel_table``), and np.lexsort picks the least row of the stacked
+keys.  Past 10! permutations (n >= 13) the canonical form is refused.
+
+The sum table is filled first (commutative-monoid and semilattice
+constraints prune hard), then the involution, then the product column by
+column under right-distributivity propagation; required identities are
+re-checked incrementally on the partially filled product table and nothing
+is trusted at the leaves — every emitted model re-passes its constraint
+through the ordinary checkers.
 
 The involution slot ranges over period-two permutations; order-antitonicity
 is additionally enforced exactly when an involutive profile is part of the
@@ -17,6 +22,7 @@ constraint.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass
 from itertools import permutations, product as iproduct
@@ -25,7 +31,7 @@ import numpy as np
 
 from .core import (
     _AXIOMS, IDENTITIES, AlgebraError, Clause, ClauseSet, FiniteNearSemiring, PROFILES,
-    check_axioms,
+    check_axioms, relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -121,41 +127,66 @@ def parse_constraint(names, forbid=()) -> SearchConstraint:
 # canonical forms and isomorphism
 
 
-def _constant_fixing_perms(n: int, zero: int, one: int):
-    if n == 1:
-        yield (0,)
-        return
-    rest = [x for x in range(n) if x not in (zero, one)]
-    slots = list(range(2, n))
-    for images in permutations(slots):
-        perm = [0] * n
-        perm[zero] = 0
-        perm[one] = 1
-        for x, s in zip(rest, images):
-            perm[x] = s
-        yield tuple(perm)
+# a (p, q) stack permutes at most the last _BLOCK middle elements: 7! = 5,040 rows
+_BLOCK = 7
+MAX_RELABELLINGS = math.factorial(10)
 
 
-def _relabel_key(algebra: FiniteNearSemiring, perm) -> tuple:
-    p = np.asarray(perm)
-    q = np.empty(algebra.n, dtype=int)
-    q[p] = np.arange(algebra.n)
-    add = p[algebra.add[np.ix_(q, q)]]
-    mul = p[algebra.mul[np.ix_(q, q)]]
-    key = tuple(add.ravel()) + tuple(mul.ravel())
-    if algebra.inv is not None:
-        key += tuple(p[algebra.inv[q]])
-    return key
+@functools.lru_cache(maxsize=None)
+def _single_block(n: int) -> tuple:
+    p = np.array([(*range(min(n, 2)), *tail) for tail in permutations(range(2, n))])
+    q = np.argsort(p, axis=1)
+    p.setflags(write=False)
+    q.setflags(write=False)
+    return ((p, q),)
+
+
+def _middle_perms(n: int):
+    """Every permutation p of range(n) fixing 0 and 1, with its inverse q, as (p, q) stacks.
+
+    n <= 9 gives one cached stack; a larger n gives stacks of 7! rows, one at a time,
+    each fixing the images of the first middle elements.
+    """
+    count = math.factorial(max(n - 2, 0))
+    if count > MAX_RELABELLINGS:
+        raise AlgebraError(
+            f"size {n} needs (n-2)! = {count:,} relabellings, "
+            f"more than the limit of 10! = {MAX_RELABELLINGS:,}")
+    if n - 2 <= _BLOCK:
+        return _single_block(n)
+    return _blocks(n)
+
+
+def _blocks(n: int):
+    tails = _single_block(2 + _BLOCK)[0][0][:, 2:] - 2    # the 7! permutations of range(7)
+    for head in permutations(range(2, n), n - 2 - _BLOCK):
+        rest = np.array([x for x in range(2, n) if x not in head])
+        p = np.hstack([np.tile((0, 1, *head), (len(tails), 1)), rest[tails]])
+        yield p, np.argsort(p, axis=1)
+
+
+def _least_relabelling(tables, stacks) -> tuple:
+    """The least concatenation of the relabelled tables over the (p, q) stacks, as ints."""
+    best = None
+    for p, q in stacks:
+        keys = np.hstack([relabel_table(t, p, q).reshape(len(p), -1) for t in tables])
+        row = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
+        if best is None or row < best:
+            best = row
+    return best
 
 
 def canonical_form(algebra: FiniteNearSemiring) -> tuple:
-    """Minimal (add | mul | inv) concatenation over permutations fixing 0 and 1."""
-    best = None
-    for perm in _constant_fixing_perms(algebra.n, algebra.zero, algebra.one):
-        key = _relabel_key(algebra, perm)
-        if best is None or key < best:
-            best = key
-    return (algebra.n, algebra.inv is not None) + best
+    """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1."""
+    n = algebra.n
+    stacks = _middle_perms(n)
+    if (algebra.zero, algebra.one) != (0, min(n - 1, 1)):
+        # composed with one relabelling sending zero to 0 and one to 1, the stacks
+        # range over the same set of permutations
+        order = [*dict.fromkeys((algebra.zero, algebra.one, *range(n)))]
+        algebra = algebra.relabel(np.argsort(order))
+    tables = [algebra.add, algebra.mul] + ([] if algebra.inv is None else [algebra.inv])
+    return (n, algebra.inv is not None) + _least_relabelling(tables, stacks)
 
 
 def canonicalize(algebra: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
@@ -185,16 +216,10 @@ def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
     if a.n != b.n:
         return None
     n = a.n
+    # equal sizes: zero and one differ in both algebras, or both are the one element
     img = [-1] * n
-    used = [False] * n
-
-    def assign(x, y) -> bool:
-        if img[x] == -1:
-            if used[y]:
-                return False
-            img[x], used[y] = y, True
-            return True
-        return img[x] == y
+    img[a.zero], img[a.one] = b.zero, b.one
+    used = [y in (b.zero, b.one) for y in range(n)]
 
     def consistent(x) -> bool:
         # check every instance all of whose lookups are already mapped
@@ -214,7 +239,7 @@ def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
 
     def dfs(x) -> bool:
         if x == n:
-            return _is_full_isomorphism(a, b, img)
+            return a.relabel(img).same_tables(b)
         if img[x] != -1:
             return consistent(x) and dfs(x + 1)
         for y in range(n):
@@ -226,20 +251,7 @@ def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
             img[x], used[y] = -1, False
         return False
 
-    if not (assign(a.zero, b.zero) and assign(a.one, b.one)):
-        return None
     return tuple(img) if dfs(0) else None
-
-
-def _is_full_isomorphism(a, b, img) -> bool:
-    p = np.asarray(img)
-    if not np.array_equal(p[a.add], b.add[np.ix_(p, p)]):
-        return False
-    if not np.array_equal(p[a.mul], b.mul[np.ix_(p, p)]):
-        return False
-    if a.inv is not None and not np.array_equal(p[a.inv], b.inv[p]):
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -280,30 +292,9 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool):
 
 def _canonical_add_tables(n: int, constraint: SearchConstraint):
     """Sum tables for the constraint, one per orbit of middle-permutations."""
-    if n == 1:
-        return [np.zeros((1, 1), dtype=int)]
     raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
-    seen = {}
-    for add in raw:
-        key = min(tuple(perm[add[np.ix_(q, q)]].ravel())
-                  for perm, q in _middle_perms(n))
-        if key not in seen:
-            seen[key] = np.array(key, dtype=int).reshape(n, n)
-    return [seen[key] for key in sorted(seen)]
-
-
-@functools.lru_cache(maxsize=None)
-def _middle_perms(n: int):
-    """All (perm, inverse) pairs over range(n) fixing 0 and 1."""
-    out = []
-    for perm in _constant_fixing_perms(n, 0, 1 if n >= 2 else 0):
-        p = np.asarray(perm)
-        q = np.empty(n, dtype=int)
-        q[p] = np.arange(n)
-        p.setflags(write=False)
-        q.setflags(write=False)
-        out.append((p, q))
-    return tuple(out)
+    keys = {_least_relabelling([add], _middle_perms(n)) for add in raw}
+    return [np.array(key, dtype=int).reshape(n, n) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------
@@ -313,24 +304,16 @@ def _middle_perms(n: int):
 def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     """Period-two permutations, antitone when an involutive profile demands it."""
     n = add.shape[0]
-    autos = [(p, q) for p, q in _middle_perms(n)
-             if np.array_equal(p[add[np.ix_(q, q)]], add)]
+    autos = [(p[m], q[m]) for p, q in _middle_perms(n)
+             for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))]]
     antitone = _compiled(_AXIOMS["involution-antitone"])
-    cands = []
+    keys = set()
     for perm in permutations(range(n)):
         p = np.asarray(perm)
         if np.array_equal(p[p], np.arange(n)) and not (
                 constraint.antitone_inv and antitone.violations({"add": add, "inv": p}, n)):
-            cands.append(p)
-    seen = set()
-    out = []
-    for p in cands:
-        key = min(tuple(sp[p[sq]]) for sp, sq in autos)
-        if key not in seen:
-            seen.add(key)
-            out.append(np.asarray(key, dtype=int))
-    out.sort(key=tuple)
-    return out
+            keys.add(_least_relabelling([p], autos))
+    return [np.array(key, dtype=int) for key in sorted(keys)]
 
 
 def _column_candidates(add: np.ndarray, z: int):

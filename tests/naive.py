@@ -2,12 +2,39 @@
 
 Deliberately independent of the search module: every raw table is
 generated, filtered by direct clause loops, and only then quotiented by
-isomorphism.  Feasible for n <= 3 only.
+isomorphism with a canonical form written over plain lists, without numpy
+or the package's relabelling.  Feasible for n <= 3 only.
 """
 from itertools import permutations, product
 
-from nearsemiring import FiniteNearSemiring, canonical_form
 from nearsemiring.core import PROFILES
+
+
+def relabel(add, mul, inv, perm):
+    """The tables after the relabelling x -> perm[x], as lists."""
+    n = len(add)
+    back = [0] * n
+    for x, y in enumerate(perm):
+        back[y] = x
+    add = [[perm[add[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+    mul = [[perm[mul[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+    return add, mul, None if inv is None else [perm[inv[back[i]]] for i in range(n)]
+
+
+def canonical_form(add, mul, inv, zero, one):
+    """(n, has inv) and the least add | mul | inv over relabellings sending zero to 0, one to 1."""
+    n = len(add)
+    fixed = [zero, one] if n >= 2 else [zero]
+    best = None
+    for tail in permutations([x for x in range(n) if x not in fixed]):
+        perm = [0] * n
+        for y, x in enumerate(fixed + list(tail)):
+            perm[x] = y
+        a, m, i = relabel(add, mul, inv, perm)
+        key = [v for row in a + m for v in row] + (i or [])
+        if best is None or key < best:
+            best = key
+    return (n, inv is not None) + tuple(best)
 
 
 def _tables(n):
@@ -135,6 +162,5 @@ def naive_models(n, constraint):
                             break
                 if not ok:
                     continue
-                algebra = FiniteNearSemiring(add, mul, 0, 1 if n >= 2 else 0, inv=inv)
-                found.add(canonical_form(algebra))
+                found.add(canonical_form(add, mul, inv, 0, 1 if n >= 2 else 0))
     return found

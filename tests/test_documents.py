@@ -14,6 +14,7 @@ from nearsemiring.core import DocumentError
 DOCS = [fixtures.fixture(name).to_document() for name in ("EX24", "EX28", "MV3", "MO2")]
 DOCS += [fixtures.mv3_basic().to_document(), fixtures.mo2_ortholattice().to_document()]
 CONSTANTS = {"oplus": ("zero",), "join": ("zero", "one")}
+TABLES = ("add", "mul", "inv", "oplus", "neg", "join", "ortho")
 
 
 def _constants(doc):
@@ -45,6 +46,15 @@ def test_malformed_documents_exit_two(doc, tmp_path, capsys):
         case = copy.deepcopy(doc)
         case["size"] = size
         cases.append(case)
+    for table in TABLES:
+        if table in doc:
+            # a JSON boolean among integers, in place of the integer numpy would read it as
+            case = copy.deepcopy(doc)
+            rows = case[table] if isinstance(case[table][0], list) else [case[table]]
+            i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                        if v in (0, 1))
+            rows[i][j] = bool(rows[i][j])
+            cases.append(case)
     for labels in ("abc"[:doc["size"]], list(range(doc["size"])), 7):
         case = copy.deepcopy(doc)
         case["labels"] = labels

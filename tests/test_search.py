@@ -1,12 +1,15 @@
 import json
 from itertools import permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
 from nearsemiring import fixtures
 from nearsemiring.search import SearchConstraint, canonical_form
 
+import naive
 from naive import naive_models
 
 
@@ -168,6 +171,41 @@ def test_canonical_form_invariant_under_relabeling():
     a = fixtures.fixture("MV3xBOOL2")
     perm = (3, 0, 5, 2, 4, 1)
     assert canonical_form(a.relabel(perm)) == canonical_form(a)
+
+
+@st.composite
+def random_algebras(draw):
+    """Tables with no axioms, constants at random positions, with or without inv."""
+    n = draw(st.integers(1, 5))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    add = np.array(draw(cells)).reshape(n, n)
+    mul = np.array(draw(cells)).reshape(n, n)
+    zero, one = draw(st.permutations(range(n)))[:2] if n >= 2 else (0, 0)
+    inv = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return nsr.FiniteNearSemiring(add, mul, zero, one, inv=inv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra=random_algebras(), data=st.data())
+def test_canonical_form_and_relabel_match_plain_lists(algebra, data):
+    add, mul = algebra.add.tolist(), algebra.mul.tolist()
+    inv = None if algebra.inv is None else algebra.inv.tolist()
+    assert canonical_form(algebra) == naive.canonical_form(
+        add, mul, inv, algebra.zero, algebra.one)
+    perm = data.draw(st.permutations(range(algebra.n)))
+    got = algebra.relabel(perm)
+    want = naive.relabel(add, mul, inv, perm)
+    assert (got.add.tolist(), got.mul.tolist(), None if got.inv is None else got.inv.tolist()) \
+        == want
+    assert (got.zero, got.one) == (perm[algebra.zero], perm[algebra.one])
+
+
+def test_canonical_form_refuses_more_than_ten_factorial_relabellings():
+    zeros = np.zeros((13, 13), dtype=int)
+    algebra = nsr.FiniteNearSemiring(zeros, zeros, 0, 1)
+    for fn in (canonical_form, nsr.canonicalize):
+        with pytest.raises(nsr.AlgebraError, match="39,916,800 relabellings"):
+            fn(algebra)
 
 
 def test_search_constraint_validation():
