@@ -305,7 +305,7 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     """Period-two permutations, antitone when an involutive profile demands it."""
     n = add.shape[0]
     autos = [(p[m], q[m]) for p, q in _middle_perms(n)
-             for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))]]
+             for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))] if m.any()]
     antitone = _compiled(_AXIOMS["involution-antitone"])
     keys = set()
     for perm in permutations(range(n)):
