@@ -10,10 +10,13 @@ keys.  Past 10! permutations (n >= 13) the canonical form is refused.
 
 The sum table is filled first (commutative-monoid and semilattice
 constraints prune hard), then the involution, then the product column by
-column under right-distributivity propagation; required identities are
-re-checked incrementally on the partially filled product table and nothing
-is trusted at the leaves — every emitted model re-passes its constraint
-through the ordinary checkers.
+column; required identities are re-checked incrementally on the partially
+filled product table and nothing is trusted at the leaves — every emitted
+model re-passes its constraint through the ordinary checkers.  By
+right-distributivity, (x + y).z = x.z + y.z, each product column x -> x.z is
+an endomorphism of (A, +) fixing 0 and sending 1 to z: the candidates are
+found in one vectorised sweep per sum table, in chunks of at most
+_SWEEP_CELLS cells, and grouped by the image of 1.
 
 The involution slot ranges over period-two permutations; order-antitonicity
 is additionally enforced exactly when an involutive profile is part of the
@@ -25,7 +28,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 import numpy as np
 
@@ -316,21 +319,32 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     return [np.array(key, dtype=int) for key in sorted(keys)]
 
 
-def _column_candidates(add: np.ndarray, z: int):
-    """Right-distributive columns x -> x.z with 0.z = 0 and 1.z = z."""
+# rows x n^2 cells of one sweep chunk: its int64 temporaries stay near 8 MB each at any n
+_SWEEP_CELLS = 1 << 20
+
+
+def _column_candidates(add: np.ndarray) -> dict:
+    """Right-distributive product columns x -> x.z for each z in 2..n-1.
+
+    They are the endomorphisms col of (A, +) with col[0] = 0 and col[1] = z,
+    found by one sweep over every such map, grouped by z, each group in
+    itertools.product order over col[2:].
+    """
     n = add.shape[0]
-    cols = []
-    free = list(range(2, n))
-    for values in iproduct(range(n), repeat=len(free)):
-        col = np.empty(n, dtype=int)
-        col[0] = 0
-        if n >= 2:
-            col[1] = z
-        for x, v in zip(free, values):
-            col[x] = v
-        if np.array_equal(col[add], add[np.ix_(col, col)]):
-            cols.append(col)
-    return cols
+    if n < 3:
+        return {}
+    # row r is the map whose values col[1], ..., col[n-1] are the base-n digits of r
+    weights = n ** np.arange(n - 2, -1, -1)
+    step = max(1, _SWEEP_CELLS // (n * n))
+    kept = []
+    for start in range(2 * n ** (n - 2), n ** (n - 1), step):
+        rows = np.arange(start, min(start + step, n ** (n - 1)))
+        cols = np.zeros((len(rows), n), dtype=int)
+        cols[:, 1:] = rows[:, None] // weights % n
+        ok = (cols[:, add] == add[cols[:, :, None], cols[:, None, :]]).all(axis=(1, 2))
+        kept.append(cols[ok])
+    found = np.concatenate(kept)
+    return {z: found[found[:, 1] == z] for z in range(2, n)}
 
 
 def _column_order(n: int, inv) -> list:
@@ -385,7 +399,7 @@ def _iter_raw_models(n: int, constraint: SearchConstraint, add: np.ndarray, coun
     """All (add, inv, mul) completions of one sum table, unverified, DFS order."""
     required = [IDENTITIES[name] for name in constraint.require]
     invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
-    columns = {z: _column_candidates(add, z) for z in range(2, n)}
+    columns = _column_candidates(add)
     # tables padded with the absorbing sentinel n, which marks an unfilled product cell
     padded_add = np.full((n + 1, n + 1), n)
     padded_add[:n, :n] = add
@@ -467,10 +481,10 @@ def _models_for_roots(n, constraint, roots, counter):
 
 
 def _search_worker(args):
-    n, constraint, roots = args
+    n, constraint, add = args
     counter = _Counter()
     found = {}
-    for key, _model, witnesses in _models_for_roots(n, constraint, roots, counter):
+    for key, _model, witnesses in _models_for_roots(n, constraint, [add], counter):
         if key not in found:
             found[key] = witnesses
     return found, counter.nodes
@@ -482,10 +496,14 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
 
     Output is canonically sorted, so serial and parallel runs emit the same
     list in the same order.  Sizes above the default cap require
-    allow_large=True.
+    allow_large=True.  A pool of at most one process per sum table takes the
+    tables one at a time; keys from different tables never collide, since a
+    key starts with its table.
     """
     if n < 1:
         raise AlgebraError("size must be at least 1")
+    if workers is not None and workers < 1:
+        raise AlgebraError(f"the number of workers must be at least 1, got {workers}")
     if n > DEFAULT_SIZE_CAP and not allow_large:
         raise AlgebraError(
             f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
@@ -495,11 +513,10 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     nodes = 0
     if workers and workers > 1 and len(roots) > 1:
         import multiprocessing as mp
-        chunks = [roots[i::workers] for i in range(workers)]
         ctx = mp.get_context("fork")
-        with ctx.Pool(workers) as pool:
-            for part, part_nodes in pool.map(
-                    _search_worker, [(n, constraint, c) for c in chunks if c]):
+        with ctx.Pool(min(workers, len(roots))) as pool:
+            for part, part_nodes in pool.imap(
+                    _search_worker, [(n, constraint, add) for add in roots], chunksize=1):
                 nodes += part_nodes
                 for key, value in part.items():
                     found.setdefault(key, value)

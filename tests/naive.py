@@ -72,6 +72,17 @@ def _near_semiring_mul(add, mul, n):
     return True
 
 
+def right_distributive_columns(add, z):
+    """Every column x -> x.z with 0.z = 0, 1.z = z and (x + y).z = x.z + y.z, in product order."""
+    n = len(add)
+    cols = []
+    for tail in product(range(n), repeat=n - 2):
+        col = [0, z] + list(tail)
+        if all(col[add[x][y]] == add[col[x]][col[y]] for x in range(n) for y in range(n)):
+            cols.append(col)
+    return cols
+
+
 def _involutions(n):
     for p in permutations(range(n)):
         if all(p[p[x]] == x for x in range(n)):

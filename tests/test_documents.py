@@ -79,6 +79,14 @@ def test_find_max_below_one_is_a_usage_error(capsys):
         assert captured.out == "" and "at least 1" in captured.err
 
 
+def test_enumerate_workers_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3"):
+        argv = ["enumerate", "--size", "3", "--constraint", "involutive-integral"]
+        assert main(argv + ["--workers", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least 1" in captured.err
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 12) | st.floats(-2, 12) | st.text(max_size=2),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,

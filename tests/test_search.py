@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
 from nearsemiring import fixtures
+from nearsemiring import search
 from nearsemiring.search import SearchConstraint, canonical_form
 
 import naive
@@ -76,6 +79,60 @@ def test_parallel_enumeration_is_byte_identical():
     ser = [json.dumps(m.to_document()) for m in serial.models]
     par = [json.dumps(m.to_document()) for m in parallel.models]
     assert ser == par
+
+
+def test_parallel_pool_has_at_most_one_worker_per_sum_table(monkeypatch):
+    sizes = []
+    real = multiprocessing.get_context
+
+    class Spy:
+        def __init__(self, method):
+            self.ctx = real(method)
+
+        def Pool(self, processes):
+            sizes.append(processes)
+            return self.ctx.Pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "get_context", Spy)
+    constraint = nsr.parse_constraint("involutive-integral")
+    assert len(search._canonical_add_tables(4, constraint)) == 2
+    parallel = nsr.enumerate_models(4, constraint, workers=3)
+    assert sizes == [2]
+    assert [canonical_form(m) for m in parallel.models] == \
+        [canonical_form(m) for m in nsr.enumerate_models(4, constraint).models]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_enumerate_workers_below_one_is_rejected(workers):
+    with pytest.raises(nsr.AlgebraError, match="at least 1"):
+        nsr.enumerate_models(3, nsr.parse_constraint("involutive-integral"), workers=workers)
+
+
+@pytest.mark.parametrize("names, sizes", [
+    ("involutive-integral", range(1, 7)),
+    ("near-semiring", range(1, 5)),
+])
+def test_column_candidates_match_plain_lists(names, sizes):
+    constraint = nsr.parse_constraint(names)
+    for n in sizes:
+        for add in search._canonical_add_tables(n, constraint):
+            got = search._column_candidates(add)
+            assert sorted(got) == list(range(2, n))
+            for z, cols in got.items():
+                assert cols.tolist() == naive.right_distributive_columns(add.tolist(), z)
+
+
+def test_column_candidates_memory_is_bounded_at_size_seven():
+    # the join table of the chain 0 < 6 < 5 < ... < 2 < 1, the last canonical lattice root at n = 7
+    rank = np.array([0, 6, 5, 4, 3, 2, 1])
+    add = np.where(rank[:, None] >= rank[None, :], np.arange(7)[:, None], np.arange(7))
+    tracemalloc.start()
+    try:
+        search._column_candidates(add)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_are_isomorphic_bool4_vs_product():
