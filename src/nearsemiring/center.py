@@ -282,10 +282,14 @@ _CENTER_BOOLEAN = ClauseSet([
 ])
 
 
-def center_algebra(algebra: FiniteNearSemiring) -> CenterReport:
-    """The center as a structure: closure, Boolean axioms, selector agreement, atoms."""
+def center_algebra(algebra: FiniteNearSemiring, method="equational") -> CenterReport:
+    """The center as a structure: closure, Boolean axioms, selector agreement, atoms.
+
+    ``method`` is passed to ``central_elements``; the checks run over the
+    centrals it reports, those of the first method when several are named.
+    """
     require(algebra, "involutive-integral", "center algebra")
-    base = central_elements(algebra, "equational")
+    base = central_elements(algebra, method)
     cen = base.centrals
     add, mul, inv, l = algebra.add, algebra.mul, algebra.inv, algebra.label
     cset = set(cen)

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import fixtures as fixture_catalog
 from .core import (
     AlgebraError, DocumentError, FiniteNearSemiring, PreconditionError,
-    PROFILES, check_axioms, core_property_suite, induced_order,
+    PROFILES, check_axioms, core_property_suite, hasse_edges, induced_order,
 )
 from .varieties import (
     BasicAlgebra, OrthoLattice, check_basic_algebra, check_oml,
@@ -24,7 +24,10 @@ from .varieties import (
 from .transforms import (
     basic_from_lns, lns_from_basic, oml_from_ons, ons_from_oml, roundtrip_check,
 )
-from .congruences import all_congruences, congruence_lattice_properties, witness_term_checks
+from .congruences import (
+    all_congruences, congruence_lattice_properties, meet_partitions, witness_term_checks,
+)
+# central_elements stays bound here because perfbench/tracing.py wraps cli.central_elements
 from .center import center_algebra, central_elements, central_lemma_suite, decompose
 from .search import enumerate_models, find_model, parse_constraint
 
@@ -92,17 +95,12 @@ def _dot_order(algebra: FiniteNearSemiring) -> str:
 
 def _dot_congruences(algebra: FiniteNearSemiring, lattice) -> str:
     """Hasse diagram of the congruence lattice under refinement."""
-    k = len(lattice)
-    leq = [[all(q.related(x, y) for x in range(algebra.n) for y in range(algebra.n)
-                if p.related(x, y)) for q in lattice] for p in lattice]
+    leq = [[meet_partitions(p, q) == p for q in lattice] for p in lattice]
     lines = ["digraph congruence_lattice {", "  rankdir=BT;"]
     for i, p in enumerate(lattice):
         lines.append(f'  n{i} [label="{p.render(algebra)}"];')
-    for i in range(k):
-        for j in range(k):
-            if i != j and leq[i][j]:
-                if not any(t != i and t != j and leq[i][t] and leq[t][j] for t in range(k)):
-                    lines.append(f"  n{i} -> n{j};")
+    for i, j in hasse_edges(leq):
+        lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines)
 
@@ -203,14 +201,9 @@ def _cmd_congruences(args) -> int:
 def _cmd_center(args) -> int:
     algebra = _need_ns(_load_document(args.source))
     method = {"full": "full-conditions"}.get(args.method, args.method)
-    report = central_elements(algebra, method)
-    boolean = center_algebra(algebra)
-    ok = report.agreement and boolean.boolean_check.passed
-    text = report.render(algebra) + "\n" + boolean.boolean_check.render()
-    payload = report.to_dict()
-    payload["boolean_check"] = boolean.boolean_check.to_dict()
-    _emit(args, text, payload)
-    return 0 if ok else 1
+    report = center_algebra(algebra, method)
+    _emit(args, report.render(algebra), report.to_dict())
+    return 0 if report.agreement and report.boolean_check.passed else 1
 
 
 def _cmd_decompose(args) -> int:

@@ -4,6 +4,15 @@ A congruence is a partition of the carrier compatible with both binary
 operations (on either side) and with the involution when present.  It is
 stored canonically as a block-id vector whose ids appear in first-occurrence
 order, so partitions compare and sort deterministically.
+
+The computations work on label vectors that map each element to the least
+member of its block.  A partition is compatible exactly when it relates the
+images of every pair (x, least member of x's block) under the one-variable
+translations t -> t+c, c+t, t·c, c·t and α(t); ``_translation_images`` lists
+them.  ``_coarsen`` merges the blocks of given pairs, so a principal
+congruence alternates the two until nothing changes (R. Freese, "Computing
+congruences efficiently", Algebra Universalis 59, 2008), and a join of two
+partitions is one coarsening.
 """
 from __future__ import annotations
 
@@ -74,80 +83,70 @@ class Congruence:
         return Congruence((0,) * n)
 
 
+def _least_members(part: Congruence) -> np.ndarray:
+    """Label vector: each element mapped to the least member of its block."""
+    b = np.asarray(part.blocks)
+    return np.unique(b, return_index=True)[1][b]
+
+
+def _translation_images(algebra: FiniteNearSemiring, labels: np.ndarray) -> tuple:
+    """Images (u, v) of each pair (x, labels[x]) with x ≠ labels[x] under the
+    translations t -> t+c, c+t, t·c, c·t for every c, and α(t)."""
+    x = np.flatnonzero(labels != np.arange(algebra.n))
+    y = labels[x]
+    tables = [algebra.add, algebra.add.T, algebra.mul, algebra.mul.T]
+    u = [t[x] for t in tables]
+    v = [t[y] for t in tables]
+    if algebra.inv is not None:
+        u.append(algebra.inv[x])
+        v.append(algebra.inv[y])
+    return np.concatenate([a.ravel() for a in u]), np.concatenate([a.ravel() for a in v])
+
+
+def _coarsen(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Merge the blocks of every pair (u[i], v[i]) in a least-member label vector.
+
+    Each round points the least member of a block at the least member it is
+    paired with, then follows pointers until every label is a fixed point.
+    """
+    labels = labels.copy()
+    while True:
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
+            return labels
+        low = np.minimum(lu, lv)
+        np.minimum.at(labels, lu, low)
+        np.minimum.at(labels, lv, low)
+        while not np.array_equal(labels[labels], labels):
+            labels = labels[labels]
+
+
 def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
     """Compatibility of a partition with +, · (both sides) and α."""
     if part.n != algebra.n:
         return False
-    b = np.asarray(part.blocks)
     if sorted(set(part.blocks)) != list(range(part.block_count)):
         return False
-    for x, y in iproduct(range(algebra.n), repeat=2):
-        if b[x] != b[y]:
-            continue
-        if algebra.inv is not None and b[algebra.inv[x]] != b[algebra.inv[y]]:
-            return False
-        for c in range(algebra.n):
-            if (b[algebra.add[x, c]] != b[algebra.add[y, c]]
-                    or b[algebra.add[c, x]] != b[algebra.add[c, y]]
-                    or b[algebra.mul[x, c]] != b[algebra.mul[y, c]]
-                    or b[algebra.mul[c, x]] != b[algebra.mul[c, y]]):
-                return False
-    return True
-
-
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-    def partition(self) -> Congruence:
-        return Congruence.from_blocks(self.find(x) for x in range(len(self.parent)))
+    b = np.asarray(part.blocks)
+    u, v = _translation_images(algebra, _least_members(part))
+    return np.array_equal(b[u], b[v])
 
 
 def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congruence:
     """Smallest congruence identifying a and b.
 
-    Fixpoint closure: seed a≡b, then keep merging images of merged pairs
-    under every one-variable translation x -> x+c, c+x, x·c, c·x, α(x)
-    until nothing new appears.  The result is re-validated independently.
+    Seeds a≡b, then alternates listing the translation images of every
+    related pair with merging their blocks, until a round merges nothing.
+    The result is re-validated independently.
     """
     n = algebra.n
     if not (0 <= a < n and 0 <= b < n):
         raise AlgebraError(f"elements ({a},{b}) out of range [0, {n})")
-    uf = _UnionFind(n)
-    work = []
-    if uf.union(a, b):
-        work.append((a, b))
-    add, mul, inv = algebra.add, algebra.mul, algebra.inv
-    while work:
-        x, y = work.pop()
-        images = []
-        for c in range(n):
-            images.append((add[x, c], add[y, c]))
-            images.append((add[c, x], add[c, y]))
-            images.append((mul[x, c], mul[y, c]))
-            images.append((mul[c, x], mul[c, y]))
-        if inv is not None:
-            images.append((inv[x], inv[y]))
-        for u, v in images:
-            if uf.union(int(u), int(v)):
-                work.append((int(u), int(v)))
-    out = uf.partition()
+    labels, merged = np.arange(n), _coarsen(np.arange(n), np.array([a]), np.array([b]))
+    while not np.array_equal(merged, labels):
+        labels = merged
+        merged = _coarsen(labels, *_translation_images(algebra, labels))
+    out = Congruence.from_blocks(labels.tolist())
     if not is_congruence(algebra, out):
         raise AlgebraError(f"closure produced an incompatible partition on {algebra.name}")
     return out
@@ -155,13 +154,8 @@ def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congrue
 
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Smallest partition refining neither: transitive closure of the union."""
-    uf = _UnionFind(p.n)
-    for part in (p, q):
-        classes = part.classes()
-        for cls in classes:
-            for x in cls[1:]:
-                uf.union(cls[0], x)
-    return uf.partition()
+    merged = _coarsen(_least_members(p), np.arange(q.n), _least_members(q))
+    return Congruence.from_blocks(merged.tolist())
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
@@ -177,24 +171,18 @@ def compose_relations(p: Congruence, q: Congruence) -> np.ndarray:
 def all_congruences(algebra: FiniteNearSemiring) -> list:
     """The full congruence lattice, canonically sorted.
 
-    Generated as the join-closure of all principal congruences plus the
-    identity; every member is re-validated for compatibility.
+    Every congruence is the join of the principal congruences it contains,
+    so one pass over the distinct principal congruences, joining each into
+    everything found so far, reaches the whole lattice from the identity.
+    Every member is re-validated for compatibility.
     """
     n = algebra.n
+    principals = {principal_congruence(algebra, a, b)
+                  for a in range(n) for b in range(a + 1, n)}
     found = {Congruence.identity(n)}
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(principal_congruence(algebra, a, b))
-    frontier = True
-    while frontier:
-        frontier = False
-        current = sorted(found)
-        for i, p in enumerate(current):
-            for q in current[i + 1:]:
-                j = join_partitions(p, q)
-                if j not in found:
-                    found.add(j)
-                    frontier = True
+    for p in sorted(principals):
+        if p not in found:
+            found |= {join_partitions(x, p) for x in found}
     out = sorted(found)
     for part in out:
         if not is_congruence(algebra, part):
@@ -221,13 +209,11 @@ def quotient_algebra(algebra: FiniteNearSemiring, theta: Congruence) -> FiniteNe
     if not is_congruence(algebra, theta):
         raise AlgebraError(f"partition is not a congruence of {algebra.name}")
     b = np.asarray(theta.blocks)
-    reps = [next(x for x in range(algebra.n) if b[x] == blk)
-            for blk in range(theta.block_count)]
-    k = len(reps)
-    add = np.array([[b[algebra.add[x, y]] for y in reps] for x in reps])
-    mul = np.array([[b[algebra.mul[x, y]] for y in reps] for x in reps])
-    inv = None if algebra.inv is None else np.array([b[algebra.inv[x]] for x in reps])
-    if k >= 2 and b[algebra.zero] == b[algebra.one]:
+    reps = np.unique(_least_members(theta))
+    add = b[algebra.add[np.ix_(reps, reps)]]
+    mul = b[algebra.mul[np.ix_(reps, reps)]]
+    inv = None if algebra.inv is None else b[algebra.inv[reps]]
+    if len(reps) >= 2 and b[algebra.zero] == b[algebra.one]:
         raise AlgebraError("congruence merges the constants but not everything")
     labels = tuple("{" + ",".join(algebra.label(x) for x in cls) + "}"
                    for cls in theta.classes())

@@ -680,6 +680,13 @@ def require(algebra: FiniteNearSemiring, profile: str, context: str = "") -> Non
 # induced orders
 
 
+def hasse_edges(leq) -> tuple:
+    """Covering pairs (x, y) of a partial order given as a boolean matrix, row-major."""
+    leq = np.asarray(leq, dtype=bool)
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    return tuple((int(x), int(y)) for x, y in np.argwhere(lt & ~(lt @ lt)))
+
+
 @dataclass(frozen=True, eq=False)
 class PartialOrderReport:
     subject: str
@@ -693,10 +700,7 @@ class PartialOrderReport:
 
     def covers(self) -> tuple:
         """Hasse edges (x, y): y covers x."""
-        n = self.leq.shape[0]
-        lt = self.leq & ~np.eye(n, dtype=bool)
-        strict = lt & ~(lt @ lt)
-        return tuple((int(x), int(y)) for x, y in np.argwhere(strict))
+        return hasse_edges(self.leq)
 
     def to_dict(self) -> dict:
         return {

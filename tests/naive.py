@@ -83,6 +83,31 @@ def right_distributive_columns(add, z):
     return cols
 
 
+def is_congruence(add, mul, inv, blocks):
+    """Whether x ~ x' and y ~ y' give x+y ~ x'+y', x·y ~ x'·y' and α(x) ~ α(x')."""
+    n = len(blocks)
+    for x, x2, y, y2 in product(range(n), repeat=4):
+        if blocks[x] != blocks[x2] or blocks[y] != blocks[y2]:
+            continue
+        if blocks[add[x][y]] != blocks[add[x2][y2]] or blocks[mul[x][y]] != blocks[mul[x2][y2]]:
+            return False
+        if inv is not None and blocks[inv[x]] != blocks[inv[x2]]:
+            return False
+    return True
+
+
+def join_blocks(p, q):
+    """Blocks of the transitive closure of the union of two partitions, numbered by first element."""
+    n = len(p)
+    rel = [[p[x] == p[y] or q[x] == q[y] for y in range(n)] for x in range(n)]
+    for z, x, y in product(range(n), repeat=3):
+        if rel[x][z] and rel[z][y]:
+            rel[x][y] = True
+    first = [min(y for y in range(n) if rel[x][y]) for x in range(n)]
+    ids = sorted(set(first))
+    return [ids.index(f) for f in first]
+
+
 def _involutions(n):
     for p in permutations(range(n)):
         if all(p[p[x]] == x for x in range(n)):

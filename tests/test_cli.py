@@ -104,6 +104,25 @@ def test_center_command(capsys):
     assert code == 0
 
 
+def test_center_command_detects_centrals_once(capsys, monkeypatch):
+    from nearsemiring import center, cli
+    calls = []
+    original = center.central_elements
+
+    def spy(*args, **kwargs):
+        calls.append(args[1:])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(center, "central_elements", spy)
+    monkeypatch.setattr(cli, "central_elements", spy)
+    code, out, _ = run(capsys, "center", "fixtures:MO2xBOOL2", "--method", "all", "--json")
+    assert code == 0
+    assert calls == [("all",)]
+    payload = json.loads(out)
+    assert payload["methods"] == list(nsr.CENTRALITY_METHODS)
+    assert payload["boolean_check"]["passed"]
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "fixtures:BOOL4", "--json")
     assert code == 0

@@ -1,7 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive
 import nearsemiring as nsr
 from nearsemiring import fixtures
 from nearsemiring.congruences import Congruence, compose_relations
@@ -18,12 +20,10 @@ def all_partitions(n):
 
 
 def brute_force_congruences(algebra):
-    out = set()
-    for blocks in all_partitions(algebra.n):
-        part = Congruence.from_blocks(blocks)
-        if nsr.is_congruence(algebra, part):
-            out.add(part)
-    return sorted(out)
+    add, mul = algebra.add.tolist(), algebra.mul.tolist()
+    inv = None if algebra.inv is None else algebra.inv.tolist()
+    return sorted(Congruence.from_blocks(blocks) for blocks in all_partitions(algebra.n)
+                  if naive.is_congruence(add, mul, inv, blocks))
 
 
 def test_principal_bool2_collapses_everything():
@@ -137,3 +137,65 @@ def test_principal_congruences_are_smallest():
             for c in cons:
                 if c.related(a, b):
                     assert nsr.meet_partitions(theta, c) == theta
+
+
+@st.composite
+def small_tables(draw):
+    """Tables of size n <= 5, with or without α, that need not be near semirings.
+
+    Half of them respect a drawn partition (the block of x+y and of x·y
+    depends only on the blocks of x and y, and α permutes each block), and
+    some operations are projections, which respect every partition; so
+    congruences other than the identity and the full one turn up, and
+    lattices with members that are not principal.
+    """
+    n = draw(st.integers(1, 5))
+    element = st.integers(0, n - 1)
+    plant = draw(st.lists(element, min_size=n, max_size=n)) if draw(st.booleans()) \
+        else list(range(n))
+    members = {b: [x for x in range(n) if plant[x] == b] for b in plant}
+
+    def table():
+        projection = draw(st.sampled_from([None, None, 0, 1]))
+        if projection is not None:
+            return [[(x, y)[projection] for y in range(n)] for x in range(n)]
+        image = {}
+        rows = [[0] * n for _ in range(n)]
+        for x, y in product(range(n), repeat=2):
+            block = image.setdefault((plant[x], plant[y]), plant[draw(element)])
+            rows[x][y] = draw(st.sampled_from(members[block]))
+        return rows
+
+    add, mul = table(), table()
+    inv = None
+    if draw(st.booleans()):
+        inv = list(range(n))
+        groups = members.values() if draw(st.booleans()) else [list(range(n))]
+        for group in groups:
+            for x, y in zip(group, draw(st.permutations(group))):
+                inv[x] = y
+    partitions = st.lists(element, min_size=n, max_size=n)
+    return (add, mul, inv, draw(partitions), draw(partitions))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_tables())
+def test_congruence_code_matches_plain_list_oracle(tables):
+    add, mul, inv, p, q = tables
+    n = len(add)
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n > 1 else 0, inv=inv)
+    brute = []
+    for blocks in all_partitions(n):
+        part = Congruence.from_blocks(blocks)
+        expected = naive.is_congruence(add, mul, inv, blocks)
+        assert nsr.is_congruence(algebra, part) == expected, blocks
+        if expected:
+            brute.append(part)
+    assert nsr.all_congruences(algebra) == sorted(brute)
+    for a, b in product(range(n), repeat=2):
+        theta = nsr.principal_congruence(algebra, a, b)
+        relating = [c for c in brute if c.related(a, b)]
+        assert theta in relating
+        assert all(nsr.meet_partitions(theta, c) == theta for c in relating)
+    p, q = Congruence.from_blocks(p), Congruence.from_blocks(q)
+    assert list(nsr.join_partitions(p, q).blocks) == naive.join_blocks(p.blocks, q.blocks)
