@@ -185,7 +185,7 @@ def _cmd_congruences(args) -> int:
     if args.dot:
         print(_dot_congruences(algebra, lattice))
         return 0
-    props = congruence_lattice_properties(algebra)
+    props = congruence_lattice_properties(algebra, lattice)
     text = "\n".join([f"congruences of {algebra.name}: {len(lattice)}"]
                      + [f"  {p.render(algebra)}" for p in lattice]
                      + [props.render()])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (
     AlgebraError, ClauseResult, ClauseSet, FiniteNearSemiring, PropertyReport, X, Y,
-    WitnessTermReport, _add, _inv, _mul, clause, clause_results, find_violations,
+    WitnessTermReport, _add, _first_true, _inv, _mul, clause, clause_results, find_violations,
 )
 from .varieties import require_lukasiewicz
 
@@ -253,28 +253,39 @@ _WITNESS_TERMS = ClauseSet([
 ])
 
 
+def _regularity_failure(algebra: FiniteNearSemiring):
+    """The first (x, y, z), in product order, where both regularity terms fix z
+    but x ≠ y, or x = y but one of them moves z; None if there is none."""
+    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
+    x, y, z = np.ogrid[:n, :n, :n]
+    d = add[mul[x, inv[y]], mul[y, inv[x]]]
+    return _first_true(((add[d, z] == z) & (mul[inv[d], z] == z)) != (x == y))
+
+
 def witness_term_checks(algebra: FiniteNearSemiring) -> WitnessTermReport:
     """Exhaustive verification of the regularity, Mal'cev and majority terms."""
     require_lukasiewicz(algebra, "witness terms")
-    n, l = algebra.n, algebra.label
+    l = algebra.label
     clauses = []
-
-    res = None
-    for x, y, z in iproduct(range(n), repeat=3):
+    bad = _regularity_failure(algebra)
+    if bad is None:
+        clauses.append(ClauseResult("regularity-biconditional", True))
+    else:
+        x, y, z = bad
         t1, t2 = regularity_terms(algebra, x, y, z)
-        if ((t1 == z and t2 == z) != (x == y)) and res is None:
-            res = ClauseResult(
-                "regularity-biconditional", False, (x, y, z),
-                f"t1={l(t1)}, t2={l(t2)}, z={l(z)} with x={l(x)}, y={l(y)}")
-    clauses.append(res or ClauseResult("regularity-biconditional", True))
-
+        clauses.append(ClauseResult(
+            "regularity-biconditional", False, bad,
+            f"t1={l(t1)}, t2={l(t2)}, z={l(z)} with x={l(x)}, y={l(y)}"))
     clauses += clause_results(_WITNESS_TERMS, find_violations(algebra, _WITNESS_TERMS))
     return PropertyReport(algebra.name, "witness-terms", tuple(clauses))
 
 
-def congruence_lattice_properties(algebra: FiniteNearSemiring) -> PropertyReport:
-    """Permutability and distributivity of the whole congruence lattice."""
-    cons = all_congruences(algebra)
+def congruence_lattice_properties(algebra: FiniteNearSemiring, lattice=None) -> PropertyReport:
+    """Permutability and distributivity of the whole congruence lattice.
+
+    lattice is all_congruences(algebra), when the caller has it already.
+    """
+    cons = all_congruences(algebra) if lattice is None else lattice
     l = len(cons)
     clauses = []
     res = None

@@ -141,14 +141,32 @@ def relabel_table(table, p, q) -> np.ndarray:
     return np.take_along_axis(p, inner.reshape(*p.shape[:-1], -1), -1).reshape(inner.shape)
 
 
-class FiniteNearSemiring:
+class _Structure:
+    """Pickling for a slotted structure that keeps find_violations' results.
+
+    The kept results are left out: their keys, compiled clause sets, hold
+    closures, and a copy evaluates afresh.
+    """
+
+    __slots__ = ()
+
+    def __getstate__(self):
+        return {s: getattr(self, s) for s in type(self).__slots__ if s != "_violations"}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._violations = {}
+
+
+class FiniteNearSemiring(_Structure):
     """A finite algebra <R, +, ., 0, 1> with optional involution table.
 
     Immutable after construction; tables are read-only numpy arrays indexed
     as ``add[x, y] == x + y`` (row = left argument).
     """
 
-    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels")
+    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels", "_violations")
 
     def __init__(self, add, mul, zero, one, inv=None, name="R", labels=None):
         self.add = _square_table(add, "sum")
@@ -161,6 +179,7 @@ class FiniteNearSemiring:
             raise DocumentError("zero and one must differ when the universe has >= 2 elements")
         self.name = str(name)
         self.labels = _labels(labels, n)
+        self._violations = {}
 
     @property
     def n(self) -> int:
@@ -562,9 +581,31 @@ class ClauseSet:
         return found
 
 
-def find_violations(structure, clauses: ClauseSet, **kwargs) -> dict:
-    """ClauseSet.violations over a structure's own tables, rendered with its labels."""
-    return clauses.violations(structure.ops(), structure.n, structure.labels, **kwargs)
+def _first_true(mask: np.ndarray):
+    """Index of the first true entry in C (product) order, as a tuple of ints, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
+
+
+def find_violations(structure, clauses: ClauseSet, pinned=None, carrier=None) -> dict:
+    """ClauseSet.violations over a structure's own tables, rendered with its labels.
+
+    The result over the whole universe is kept on the structure, keyed by the
+    clause set, so checkers that reach the same profile again (a require
+    before a check, a suite after its variety check) evaluate it once.  This
+    is exact because a structure's tables, constants and labels are read-only
+    after construction.  Each call returns a fresh dict; calls with pinned or
+    carrier are evaluated every time.
+    """
+    if pinned is not None or carrier is not None:
+        return clauses.violations(structure.ops(), structure.n, structure.labels,
+                                  pinned=pinned, carrier=carrier)
+    found = structure._violations.get(clauses)
+    if found is None:
+        found = structure._violations[clauses] = clauses.violations(
+            structure.ops(), structure.n, structure.labels)
+    return dict(found)
 
 
 def clause_results(clauses: ClauseSet, found: dict) -> list:
@@ -719,7 +760,9 @@ def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrd
     """Order induced by sum (x<=y iff x+y=y) or by product (x<=y iff x·y=x).
 
     Only defined when the chosen operation is idempotent and commutative;
-    otherwise raises, naming the failing witness.
+    otherwise raises, naming the failing witness.  A partial order is a
+    join (meet) semilattice when every pair has exactly one least upper
+    (greatest lower) bound; both flags are array checks over all pairs.
     """
     if which == "sum":
         table, rel = algebra.add, "sum"
@@ -751,32 +794,27 @@ def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrd
     is_po = bool(antisym and transitive)
     join_sl = meet_sl = False
     if is_po:
-        join_sl = all(_bound(leq, x, y, upper=True) is not None
-                      for x in range(n) for y in range(n))
-        meet_sl = all(_bound(leq, x, y, upper=False) is not None
-                      for x in range(n) for y in range(n))
-    bottoms = [x for x in range(n) if leq[x].all()]
-    tops = [x for x in range(n) if leq[:, x].all()]
+        join_sl = _bounded(leq)
+        meet_sl = _bounded(leq.T)
+    bottoms = np.flatnonzero(leq.all(axis=1))
+    tops = np.flatnonzero(leq.all(axis=0))
     leq = leq.copy()
     leq.setflags(write=False)
     return PartialOrderReport(
         subject=algebra.name, which=which, leq=leq,
         is_partial_order=is_po, is_join_semilattice=join_sl, is_meet_semilattice=meet_sl,
-        bottom=bottoms[0] if len(bottoms) == 1 else None,
-        top=tops[0] if len(tops) == 1 else None,
+        bottom=int(bottoms[0]) if len(bottoms) == 1 else None,
+        top=int(tops[0]) if len(tops) == 1 else None,
     )
 
 
-def _bound(leq: np.ndarray, x: int, y: int, upper: bool):
-    """Least upper / greatest lower bound of {x, y} in a partial order, or None."""
-    n = leq.shape[0]
-    if upper:
-        cands = [z for z in range(n) if leq[x, z] and leq[y, z]]
-        best = [z for z in cands if all(leq[z, w] for w in cands)]
-    else:
-        cands = [z for z in range(n) if leq[z, x] and leq[z, y]]
-        best = [z for z in cands if all(leq[w, z] for w in cands)]
-    return best[0] if len(best) == 1 else None
+def _bounded(leq: np.ndarray) -> bool:
+    """Whether every pair {x, y} has exactly one least upper bound under leq."""
+    n = len(leq)
+    upper = (leq[:, None, :] & leq[None, :, :]).reshape(n * n, n)     # upper[(x, y), z]
+    # an upper bound z is least when no upper bound w has z ≰ w
+    least = upper & ~(upper @ ~leq.T)
+    return bool(np.all(np.count_nonzero(least, axis=1) == 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ Round trips are verified pointwise, operation by operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -127,11 +126,9 @@ def _compare(direction, pairs, verbose):
             if int(orig) != int(back):
                 mismatches.append((op, (), int(orig), int(back)))
             continue
-        for args in iproduct(*(range(s) for s in orig.shape)):
-            if orig[args] != back[args]:
-                mismatches.append((op, args, int(orig[args]), int(back[args])))
-                if not verbose:
-                    break
+        where = [tuple(args) for args in np.argwhere(orig != back).tolist()]
+        mismatches += [(op, args, int(orig[args]), int(back[args]))
+                       for args in (where if verbose else where[:1])]
     mismatches.sort(key=lambda m: (m[0], m[1]))
     return RoundTripReport(
         direction, not mismatches,

@@ -15,8 +15,9 @@ import numpy as np
 from .core import (
     _AXIOMS, IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseResult, ClauseSet,
     DocumentError, FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z,
-    _add, _constant, _document_size, _inv, _labels, _mul, _op, _sized, _square_table,
-    _unary_table, check_axioms, clause, clause_results, find_violations, require,
+    _Structure, _add, _constant, _document_size, _first_true, _inv, _labels, _mul, _op,
+    _sized, _square_table, _unary_table, check_axioms, clause, clause_results,
+    find_violations, require,
 )
 
 
@@ -24,10 +25,10 @@ from .core import (
 # companion structures
 
 
-class BasicAlgebra:
+class BasicAlgebra(_Structure):
     """Finite algebra <A, ⊕, ', 0> with 1 = 0'; tables structural only."""
 
-    __slots__ = ("oplus", "neg", "zero", "name", "labels")
+    __slots__ = ("oplus", "neg", "zero", "name", "labels", "_violations")
 
     def __init__(self, oplus, neg, zero, name="B", labels=None):
         self.oplus = _square_table(oplus, "oplus")
@@ -36,6 +37,7 @@ class BasicAlgebra:
         self.zero = _constant(zero, n, "zero")
         self.name = str(name)
         self.labels = _labels(labels, n)
+        self._violations = {}
 
     @property
     def n(self) -> int:
@@ -75,7 +77,7 @@ class BasicAlgebra:
                           name=doc["name"], labels=doc.get("labels")), n)
 
 
-class OrthoLattice:
+class OrthoLattice(_Structure):
     """Finite bounded lattice candidate <L, ∨, ∧, ', 0, 1>.
 
     Stores the join table and the orthocomplement; the meet is derived from
@@ -83,7 +85,7 @@ class OrthoLattice:
     tables actually form an orthomodular lattice is the job of check_oml.
     """
 
-    __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels")
+    __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels", "_violations")
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):
         self.join = _square_table(join, "join")
@@ -98,6 +100,7 @@ class OrthoLattice:
         self.meet = meet
         self.name = str(name)
         self.labels = _labels(labels, n)
+        self._violations = {}
 
     @property
     def n(self) -> int:
@@ -335,29 +338,31 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
         violations.append(Violation(
             "order-join-consistent", (x, y),
             f"join term and relation disagree at ({l(x)},{l(y)})"))
-    bad = None
-    for x, y in iproduct(range(n), repeat=2):
-        j = int(jt[x, y])
-        ub = [z for z in range(n) if rel[x, z] and rel[y, z]]
-        if not (rel[x, j] and rel[y, j] and all(rel[j, z] for z in ub)):
-            bad = (x, y)
-            break
+    bad = _first_non_lub(rel, jt)
     if bad is not None:
         violations.append(Violation("order-join-lub", bad,
                                     f"({l(bad[0])}'⊕{l(bad[1])})'⊕{l(bad[1])} is not the lub"))
-    bad = None
-    for x, y in iproduct(range(n), repeat=2):
-        m = int(neg[jt[neg[x], neg[y]]])
-        lb = [z for z in range(n) if rel[z, x] and rel[z, y]]
-        if not (rel[m, x] and rel[m, y] and all(rel[z, m] for z in lb)):
-            bad = (x, y)
-            break
+    # de Morgan meet (x'∨y')' checked as the lub of the reversed relation
+    bad = _first_non_lub(rel.T, neg[jt[np.ix_(neg, neg)]])
     if bad is not None:
         violations.append(Violation("order-meet-glb", bad,
                                     "de Morgan meet is not the glb"))
 
     mv = bool(np.array_equal(op[op, :], op[:, op]))
     return CheckReport.of(basic.name, "basic-algebra", violations, tags=(("mv", mv),))
+
+
+def _first_non_lub(rel: np.ndarray, b: np.ndarray):
+    """The first (x, y), in product order, where b[x, y] is not an upper bound of x
+    and y lying below every upper bound of them under rel; None if there is none.
+
+    rel need not be antisymmetric, so b is tested against the bounds rather
+    than compared with a computed lub.
+    """
+    n = len(rel)
+    x, y = np.ogrid[:n, :n]
+    upper = rel[:, None, :] & rel[None, :, :]                        # upper[x, y, z]
+    return _first_true(~(rel[x, b] & rel[y, b]) | np.any(upper & ~rel[b], axis=-1))
 
 
 def require_basic(basic: BasicAlgebra, context: str = "") -> CheckReport:

@@ -200,3 +200,73 @@ def naive_models(n, constraint):
                     continue
                 found.add(canonical_form(add, mul, inv, 0, 1 if n >= 2 else 0))
     return found
+
+
+def bound(leq, x, y, upper):
+    """The one least upper (greatest lower) bound of {x, y} under leq, or None."""
+    n = len(leq)
+    if upper:
+        cands = [z for z in range(n) if leq[x][z] and leq[y][z]]
+        best = [z for z in cands if all(leq[z][w] for w in cands)]
+    else:
+        cands = [z for z in range(n) if leq[z][x] and leq[z][y]]
+        best = [z for z in cands if all(leq[w][z] for w in cands)]
+    return best[0] if len(best) == 1 else None
+
+
+def first_non_lub(rel, jt):
+    """First (x, y) where jt[x][y] is not an upper bound of x, y below all their upper bounds."""
+    n = len(rel)
+    for x, y in product(range(n), repeat=2):
+        j = jt[x][y]
+        ub = [z for z in range(n) if rel[x][z] and rel[y][z]]
+        if not (rel[x][j] and rel[y][j] and all(rel[j][z] for z in ub)):
+            return (x, y)
+    return None
+
+
+def first_non_glb(rel, jt, neg):
+    """First (x, y) where the de Morgan meet (x'∨y')' is not their greatest lower bound."""
+    n = len(rel)
+    for x, y in product(range(n), repeat=2):
+        m = neg[jt[neg[x]][neg[y]]]
+        lb = [z for z in range(n) if rel[z][x] and rel[z][y]]
+        if not (rel[m][x] and rel[m][y] and all(rel[z][m] for z in lb)):
+            return (x, y)
+    return None
+
+
+def regularity_failure(add, mul, inv):
+    """First (x, y, z) where "t1 = t2 = z iff x = y" fails.
+
+    t1 = d+z and t2 = α(d)·z, with d = x·α(y) + y·α(x).
+    """
+    n = len(add)
+    for x, y, z in product(range(n), repeat=3):
+        d = add[mul[x][inv[y]]][mul[y][inv[x]]]
+        if (add[d][z] == z and mul[inv[d]][z] == z) != (x == y):
+            return (x, y, z)
+    return None
+
+
+def _entry(table, args):
+    for i in args:
+        table = table[i]
+    return table
+
+
+def table_mismatches(pairs, verbose):
+    """(op, args, expected, actual) per differing cell, the first per table unless verbose."""
+    out = []
+    for op, orig, back in pairs:
+        if not isinstance(orig, list):
+            if orig != back:
+                out.append((op, (), orig, back))
+            continue
+        shape = (len(orig),) * (2 if isinstance(orig[0], list) else 1)
+        for args in product(*map(range, shape)):
+            if _entry(orig, args) != _entry(back, args):
+                out.append((op, args, _entry(orig, args), _entry(back, args)))
+                if not verbose:
+                    break
+    return sorted(out, key=lambda m: (m[0], m[1]))

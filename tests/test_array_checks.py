@@ -1,0 +1,143 @@
+"""The array checks of the audit path against the plain loops in naive.py.
+
+Relations need not be partial orders and tables need not form near
+semirings: the array checks must give the loops' verdicts and their first
+witnesses, in product order, on any input.
+"""
+from itertools import product as iproduct
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+import naive
+import nearsemiring as nsr
+from nearsemiring import core, transforms, varieties
+from nearsemiring.congruences import _regularity_failure
+
+
+def _pairs(n):
+    return iproduct(range(n), repeat=2)
+
+
+@st.composite
+def relations(draw):
+    """An arbitrary relation, or a partial order: the closure of a relabelled random DAG."""
+    n = draw(st.integers(1, 6))
+    cells = np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        return cells
+    leq = np.triu(cells) | np.eye(n, dtype=bool)
+    for _ in range(n):
+        leq = leq | (leq @ leq)
+    perm = np.array(draw(st.permutations(range(n))))
+    return leq[np.ix_(perm, perm)]
+
+
+@st.composite
+def tables(draw, n):
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    return np.array(draw(cells)).reshape(n, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relations())
+def test_semilattice_flags_match_bound_loop(leq):
+    n, lists = len(leq), leq.tolist()
+    assert core._bounded(leq) == all(
+        naive.bound(lists, x, y, True) is not None for x, y in _pairs(n))
+    assert core._bounded(leq.T) == all(
+        naive.bound(lists, x, y, False) is not None for x, y in _pairs(n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_induced_order_matches_loops_on_commutative_idempotent_tables(data):
+    n = data.draw(st.integers(1, 6))
+    table = np.triu(data.draw(tables(n)))
+    table = table + np.triu(table, 1).T
+    table[np.diag_indices(n)] = np.arange(n)
+    algebra = nsr.FiniteNearSemiring(table, table, 0, 1 if n >= 2 else 0)
+    for which, leq in (("sum", table == np.arange(n)[None, :]),
+                       ("mul", table == np.arange(n)[:, None])):
+        report = nsr.induced_order(algebra, which)
+        lists = leq.tolist()
+        is_po = (all(not (leq[x, y] and leq[y, x]) or x == y for x, y in _pairs(n))
+                 and all(not (leq[x, y] and leq[y, z]) or leq[x, z]
+                         for x, y, z in iproduct(range(n), repeat=3)))
+        assert report.is_partial_order == is_po
+        assert report.is_join_semilattice == (is_po and all(
+            naive.bound(lists, x, y, True) is not None for x, y in _pairs(n)))
+        assert report.is_meet_semilattice == (is_po and all(
+            naive.bound(lists, x, y, False) is not None for x, y in _pairs(n)))
+        bottoms = [x for x in range(n) if all(lists[x])]
+        tops = [x for x in range(n) if all(row[x] for row in lists)]
+        assert report.bottom == (bottoms[0] if len(bottoms) == 1 else None)
+        assert report.top == (tops[0] if len(tops) == 1 else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_first_non_lub_matches_loop(data):
+    rel = data.draw(relations())
+    n = len(rel)
+    b = data.draw(tables(n))
+    if data.draw(st.booleans()):
+        # the loop's own least upper bound wherever there is one
+        lists = rel.tolist()
+        for x, y in _pairs(n):
+            j = naive.bound(lists, x, y, True)
+            if j is not None:
+                b[x, y] = j
+    assert varieties._first_non_lub(rel, b) == naive.first_non_lub(rel.tolist(), b.tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_basic_algebra_order_witnesses_match_loops(data):
+    n = data.draw(st.integers(1, 6))
+    oplus = data.draw(tables(n)).tolist()
+    neg = data.draw(st.permutations(range(n)))
+    zero = data.draw(st.integers(0, n - 1))
+    basic = nsr.BasicAlgebra(oplus, neg, zero)
+    one = neg[zero]
+    rel = [[oplus[neg[x]][y] == one for y in range(n)] for x in range(n)]
+    jt = [[oplus[neg[oplus[neg[x]][y]]][y] for y in range(n)] for x in range(n)]
+    found = {v.clause: v.witness for v in nsr.check_basic_algebra(basic).violations}
+    assert found.get("order-join-lub") == naive.first_non_lub(rel, jt)
+    assert found.get("order-meet-glb") == naive.first_non_glb(rel, jt, neg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_regularity_failure_matches_loop(data):
+    n = data.draw(st.integers(1, 6))
+    add, mul = data.draw(tables(n)), data.draw(tables(n))
+    inv = data.draw(st.permutations(range(n)))
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n >= 2 else 0, inv=inv)
+    assert _regularity_failure(algebra) == naive.regularity_failure(
+        add.tolist(), mul.tolist(), inv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.booleans())
+def test_compare_matches_loop(data, verbose):
+    n = data.draw(st.integers(1, 6))
+    pairs = []
+    for op in data.draw(st.permutations(["add", "inv", "mul", "one", "zero"])):
+        if op in ("zero", "one"):
+            orig = data.draw(st.integers(0, n - 1))
+            back = data.draw(st.sampled_from([orig, data.draw(st.integers(0, n - 1))]))
+        else:
+            orig = data.draw(tables(n))
+            if op == "inv":
+                orig = orig[0]
+            back = orig.copy()
+            flips = data.draw(st.lists(st.integers(0, orig.size - 1), max_size=4))
+            back.flat[flips] = data.draw(st.integers(0, n - 1))
+        pairs.append((op, orig, back))
+    report = transforms._compare("test", pairs, verbose)
+    expected = naive.table_mismatches(
+        [(op, np.asarray(a).tolist(), np.asarray(b).tolist()) for op, a, b in pairs], verbose)
+    assert report.pointwise_equal == (not expected)
+    assert report.mismatch == (expected[0] if expected else None)
+    assert report.mismatches == (tuple(expected) if verbose else ())

@@ -123,6 +123,25 @@ def test_center_command_detects_centrals_once(capsys, monkeypatch):
     assert payload["boolean_check"]["passed"]
 
 
+def test_congruences_command_computes_the_lattice_once(capsys, monkeypatch):
+    from nearsemiring import cli, congruences
+    calls = []
+    original = congruences.all_congruences
+
+    def spy(algebra):
+        calls.append(algebra.name)
+        return original(algebra)
+
+    monkeypatch.setattr(congruences, "all_congruences", spy)
+    monkeypatch.setattr(cli, "all_congruences", spy)
+    code, out, _ = run(capsys, "congruences", "fixtures:MO2xBOOL2", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out)
+    assert payload["count"] == len(payload["congruences"])
+    assert payload["count"] == len(original(fixtures.fixture("MO2xBOOL2")))
+
+
 def test_decompose_command(capsys):
     code, out, _ = run(capsys, "decompose", "fixtures:BOOL4", "--json")
     assert code == 0

@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import center, core, fixtures
 from nearsemiring.core import DocumentError, PreconditionError
 
 
@@ -252,3 +253,67 @@ def test_relabel_preserves_check_verdicts(algebra, rng):
     for profile in ("near-semiring", "idempotent-add", "integral"):
         assert (nsr.check_axioms(algebra, profile).passed
                 == nsr.check_axioms(other, profile).passed)
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    original = core.ClauseSet.violations
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(core.ClauseSet, "violations", spy)
+    return calls
+
+
+def test_find_violations_evaluates_a_clause_set_once_per_structure(monkeypatch):
+    apxb = fixtures.apxb()
+    clauses = core._PROFILE_CLAUSES["near-semiring"]
+    calls = _count_evaluations(monkeypatch)
+    first = core.find_violations(apxb, clauses)
+    second = core.find_violations(apxb, clauses)
+    assert first and second == first and second is not first
+    assert nsr.check_axioms(apxb, "near-semiring").violations == tuple(
+        sorted(first.values(), key=lambda v: (v.clause, v.witness)))
+    assert calls == [clauses]
+
+
+def test_find_violations_result_is_a_fresh_dict():
+    apxb = fixtures.apxb()
+    clauses = core._PROFILE_CLAUSES["near-semiring"]
+    expected = dict(core.find_violations(apxb, clauses))
+    core.find_violations(apxb, clauses).clear()
+    core.find_violations(apxb, clauses)["extra"] = None
+    assert core.find_violations(apxb, clauses) == expected
+
+
+def test_find_violations_with_pinned_or_carrier_always_evaluates(monkeypatch):
+    mv3 = fixtures.mv3()
+    lemmas = center._CENTRAL_LEMMAS
+    calls = _count_evaluations(monkeypatch)
+    for _ in range(2):
+        core.find_violations(mv3, lemmas, pinned={"e": 1})
+        core.find_violations(mv3, lemmas, carrier=(0, 2))
+    assert calls == [lemmas] * 4
+    assert lemmas not in mv3._violations
+
+
+def test_equal_tables_in_a_new_object_are_evaluated_again(monkeypatch):
+    mv3 = fixtures.mv3()
+    twin = nsr.load_algebra(nsr.dump_algebra(mv3))
+    assert twin.same_tables(mv3)
+    calls = _count_evaluations(monkeypatch)
+    for _ in range(2):
+        assert nsr.check_axioms(mv3, "involutive") == nsr.check_axioms(twin, "involutive")
+    assert calls == [core._PROFILE_CLAUSES["involutive"]] * 2
+
+
+def test_pickled_structures_leave_kept_results_behind():
+    mv3 = fixtures.mv3()
+    basic = nsr.basic_from_lns(mv3)
+    assert mv3._violations and basic._violations
+    for structure in (mv3, basic, nsr.oml_from_ons(fixtures.mo2())):
+        again = pickle.loads(pickle.dumps(structure))
+        assert again.same_tables(structure) and again.labels == structure.labels
+        assert again._violations == {}
