@@ -9,7 +9,7 @@ exhaustively enumerate small models up to isomorphism.
 """
 from .core import (
     AlgebraError, CheckReport, Clause, ClauseResult, ClauseSet, DocumentError, FiniteNearSemiring,
-    PartialOrderReport, PreconditionError, PROFILES, PropertyReport, Violation,
+    PartialOrderReport, PreconditionError, PROFILES, PropertyReport, TableStack, Violation,
     WitnessTermReport, check_axioms, check_involution, core_property_suite,
     dual_algebra, dump_algebra, induced_order, load_algebra, product_algebra,
 )

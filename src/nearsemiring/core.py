@@ -58,9 +58,10 @@ def _as_int_array(obj, what: str) -> np.ndarray:
     return arr.astype(int)
 
 
-def _binary_table(obj, n: int, what: str) -> np.ndarray:
+def _binary_table(obj, n: int, what: str, stack: bool = False) -> np.ndarray:
+    """An n x n table; with stack, also a (k, n, n) stack of them."""
     arr = _as_int_array(obj, what)
-    if arr.shape != (n, n):
+    if arr.shape != (n, n) and not (stack and arr.ndim == 3 and arr.shape[1:] == (n, n)):
         raise DocumentError(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
@@ -71,12 +72,13 @@ def _binary_table(obj, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def _square_table(obj, what: str) -> np.ndarray:
-    """A nonempty square table; its side is the size of the universe."""
+def _square_table(obj, what: str, stack: bool = False) -> np.ndarray:
+    """A nonempty square table, or with stack a stack of them; the side is the universe's size."""
     arr = _as_array(obj, what)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    if not (arr.ndim == 2 or stack and arr.ndim == 3) or arr.shape[-1] != arr.shape[-2] \
+            or arr.shape[-1] == 0:
         raise DocumentError(f"{what} table must be square and nonempty, got shape {arr.shape}")
-    return _binary_table(arr, arr.shape[0], what)
+    return _binary_table(arr, arr.shape[-1], what, stack)
 
 
 def _constant(value, n: int, what: str) -> int:
@@ -88,9 +90,22 @@ def _constant(value, n: int, what: str) -> int:
     return int(value)
 
 
+def _constants(zero, one, n: int) -> tuple:
+    """A near semiring's zero and one, distinct unless the universe has one element."""
+    zero, one = _constant(zero, n, "zero"), _constant(one, n, "one")
+    if n >= 2 and zero == one:
+        raise DocumentError("zero and one must differ when the universe has >= 2 elements")
+    return zero, one
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_labels(n: int) -> tuple:
+    return tuple(str(i) for i in range(n))
+
+
 def _labels(labels, n: int) -> tuple:
     if labels is None:
-        return tuple(str(i) for i in range(n))
+        return _plain_labels(n)
     if (not isinstance(labels, (list, tuple)) or len(labels) != n
             or not all(isinstance(s, str) for s in labels) or len(set(labels)) != n):
         raise DocumentError(f"labels must be {n} distinct strings")
@@ -119,26 +134,36 @@ def _sized(structure, n: int):
     return structure
 
 
-def _unary_table(obj, n: int, what: str, permutation: bool = False) -> np.ndarray:
+def _unary_table(obj, n: int, what: str, permutation: bool = False,
+                 stack: bool = False) -> np.ndarray:
+    """A table of length n; with stack, also a (k, n) stack of them."""
     arr = _as_int_array(obj, what)
-    if arr.shape != (n,):
+    if arr.shape != (n,) and not (stack and arr.ndim == 2 and arr.shape[1] == n):
         raise DocumentError(f"{what} table must have length {n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise DocumentError(f"{what} entry out of range [0, {n})")
-    if permutation and sorted(arr.tolist()) != list(range(n)):
+    if permutation and (sorted(arr.tolist()) != list(range(n)) if arr.ndim == 1
+                        else (np.sort(arr, axis=-1) != np.arange(n)).any()):
         raise DocumentError(f"{what} table is not a permutation of 0..{n - 1}")
     arr.setflags(write=False)
     return arr
 
 
-def relabel_table(table, p, q) -> np.ndarray:
+def relabel_table(table, p, q, arity=None) -> np.ndarray:
     """A unary or binary table after the relabelling x -> p[x], q being p's inverse.
 
-    p and q are single permutations or (k, n) stacks of them; a stack gives
-    the k relabelled tables, stacked likewise.
+    p and q are single permutations or (c, n) stacks of them; a stack gives
+    the c relabelled tables, stacked likewise.  arity (1 or 2) defaults to
+    the table's ndim; axes before the last arity ones hold a stack of tables,
+    so (k, n, n) tables and (c, n) permutations give (k, c, n, n).
     """
-    inner = table[q] if np.ndim(table) == 1 else table[q[..., :, None], q[..., None, :]]
-    return np.take_along_axis(p, inner.reshape(*p.shape[:-1], -1), -1).reshape(inner.shape)
+    arity = table.ndim if arity is None else arity
+    inner = table[..., q] if arity == 1 else table[..., q[..., :, None], q[..., None, :]]
+    if p.ndim == 1:
+        return p[inner]
+    p = p.reshape((1,) * (inner.ndim - p.ndim - arity + 1) + p.shape)
+    flat = inner.reshape(*inner.shape[:inner.ndim - arity], -1)
+    return np.take_along_axis(p, flat, -1).reshape(inner.shape)
 
 
 class _Structure:
@@ -173,13 +198,18 @@ class FiniteNearSemiring(_Structure):
         n = self.add.shape[0]
         self.mul = _binary_table(mul, n, "product")
         self.inv = None if inv is None else _unary_table(inv, n, "involution", permutation=True)
-        self.zero = _constant(zero, n, "zero")
-        self.one = _constant(one, n, "one")
-        if n >= 2 and self.zero == self.one:
-            raise DocumentError("zero and one must differ when the universe has >= 2 elements")
+        self.zero, self.one = _constants(zero, one, n)
         self.name = str(name)
         self.labels = _labels(labels, n)
         self._violations = {}
+
+    @classmethod
+    def _validated(cls, add, mul, zero: int, one: int, inv, name: str) -> "FiniteNearSemiring":
+        """An algebra on read-only tables that a TableStack has validated, taken as they are."""
+        self = cls.__new__(cls)
+        self.add, self.mul, self.inv, self.zero, self.one = add, mul, inv, zero, one
+        self.name, self.labels, self._violations = name, _plain_labels(len(add)), {}
+        return self
 
     @property
     def n(self) -> int:
@@ -246,6 +276,66 @@ class FiniteNearSemiring(_Structure):
             doc["add"], doc["mul"], doc["zero"], doc["one"],
             inv=doc.get("inv"), name=doc["name"], labels=doc.get("labels"),
         ), n)
+
+
+class TableStack:
+    """k algebras of one size with the same constants, as stacked tables.
+
+    add and mul are (k, n, n) stacks or (n, n) tables shared by all k; inv
+    is None, a (k, n) stack or a shared (n,) table.  At least one table is
+    a stack.  Construction validates every slice as FiniteNearSemiring
+    validates one algebra, with array operations over the whole stack.
+    """
+
+    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "_length")
+
+    def __init__(self, add, mul, zero, one, inv=None, name="R"):
+        self.add = _square_table(add, "sum", stack=True)
+        n = self.add.shape[-1]
+        self.mul = _binary_table(mul, n, "product", stack=True)
+        self.inv = None if inv is None else _unary_table(
+            inv, n, "involution", permutation=True, stack=True)
+        lengths = {len(t) for t, arity in ((self.add, 2), (self.mul, 2), (self.inv, 1))
+                   if t is not None and t.ndim > arity}
+        if len(lengths) != 1:
+            raise DocumentError("a table stack needs stacked tables of one length")
+        self._length = lengths.pop()
+        self.zero, self.one = _constants(zero, one, n)
+        self.name = str(name)
+
+    @property
+    def n(self) -> int:
+        return self.add.shape[-1]
+
+    @property
+    def labels(self) -> tuple:
+        return _plain_labels(self.n)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def ops(self) -> dict:
+        """Tables and constants by name, stacked tables keeping their stack axis."""
+        ops = {"add": self.add, "mul": self.mul, "zero": self.zero, "one": self.one}
+        if self.inv is not None:
+            ops["inv"] = self.inv
+        return ops
+
+    def _tables(self, index):
+        """add, mul and inv of the slices a basic or array index picks."""
+        pick = lambda t, arity: t if t is None or t.ndim == arity else t[index]
+        return pick(self.add, 2), pick(self.mul, 2), pick(self.inv, 1)
+
+    def take(self, index) -> "TableStack":
+        """The stack of the slices an index array or boolean mask picks, in its order."""
+        add, mul, inv = self._tables(np.asarray(index))
+        return TableStack(add, mul, self.zero, self.one, inv=inv, name=self.name)
+
+    def algebra(self, i: int, name=None) -> FiniteNearSemiring:
+        """Slice i as an algebra, its tables read-only views of the stack's."""
+        add, mul, inv = self._tables(i)
+        return FiniteNearSemiring._validated(add, mul, self.zero, self.one, inv,
+                                             self.name if name is None else str(name))
 
 
 def load_algebra(source) -> FiniteNearSemiring:
@@ -474,6 +564,10 @@ def _at(value, point):
     return value[tuple(p if s > 1 else 0 for p, s in zip(point, shape))] if shape else value
 
 
+# stacked algebras x grid cells of one chunk of a stacked ClauseSet.violations call
+_STACK_CELLS = 1 << 18
+
+
 class ClauseSet:
     """Clauses compiled together: a subterm they share is evaluated once.
 
@@ -503,11 +597,13 @@ class ClauseSet:
                 (slot(lhs), slot(rhs), guard and (slot(guard[0]), slot(guard[1])))
                 for lhs, rhs, guard in c.parts))
         self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
+        # each table read, with its arity: a table with one axis more is a stack
+        self._tables = tuple({head: len(args) for head, args, _view in self._nodes
+                              if head != "var" and args}.items())
         # a binary table whose length tells padded partial tables from complete ones
-        self._probe = next((head for head, args, _view in self._nodes
-                            if head != "var" and len(args) == 2), None)
+        self._probe = next((head for head, arity in self._tables if arity == 2), None)
 
-    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None) -> dict:
+    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None):
         """Failing clauses by name, each as a Violation with its least witness.
 
         Variables range over range(n), or over the ascending carrier.
@@ -516,7 +612,19 @@ class ClauseSet:
         with the sentinel value n: it is absorbing, and instances that
         reach it are skipped.  The equation is rendered only when
         labels are given.
+
+        A table with one leading axis more than its arity is a stack of k
+        tables, one per algebra; a table without it is shared by all k.
+        When the clauses read a stacked table, the call returns a list of k
+        dicts, each equal to the dict a call on that algebra's own tables
+        returns, and is evaluated in chunks of at most about _STACK_CELLS
+        grid cells.
         """
+        for head, arity in self._tables:
+            if ops[head].ndim > arity:
+                if pinned is not None or carrier is not None:
+                    raise AlgebraError("stacked tables take neither pinned variables nor a carrier")
+                return self._stacked_violations(ops, n, labels)
         k = self._arity
         if carrier is None:
             elems, grids = range(n), list(_open_grid(n, k))
@@ -548,16 +656,8 @@ class ClauseSet:
             else:
                 vals.append(ops[head][vals[args[0]], vals[args[1]]])
         found = {}
-        for c, parts in zip(self.clauses, self._parts):
-            bad = None
-            for lhs, rhs, guard in parts:
-                fails = vals[lhs] != vals[rhs]
-                if guard:
-                    fails = fails & (vals[guard[0]] == vals[guard[1]])
-                if sentinel:
-                    for side in (lhs, rhs) + (guard or ()):
-                        fails = fails & (vals[side] != n)
-                bad = fails if bad is None else bad | fails
+        for c, parts, bad in zip(self.clauses, self._parts,
+                                 _failures(self._parts, vals, sentinel, n)):
             if not np.count_nonzero(bad):
                 continue
             # an axis the mask does not span stays at its least element
@@ -565,20 +665,84 @@ class ClauseSet:
             values = [int(grids[i]) if i in held else int(elems[point[i]])
                       for i in range(len(c.variables))]
             witness = tuple(v for i, v in enumerate(values) if i not in held)
-            text = None
-            if labels is not None:
-                at = {s: int(_at(vals[s], point))
-                      for lhs, rhs, guard in parts for s in (lhs, rhs) + (guard or ())}
-                j = next(j for j, (lhs, rhs, guard) in enumerate(parts) if at[lhs] != at[rhs]
-                         and (not guard or at[guard[0]] == at[guard[1]]))
-                fields = {v: labels[x] for v, x in zip(c.variables, values)}
-                fields.update((name, labels[value]) for name, value in ops.items()
-                              if isinstance(value, (int, np.integer)))
-                for i, (lhs, rhs, _guard) in enumerate(parts):
-                    fields[f"lhs{i}"], fields[f"rhs{i}"] = labels[at[lhs]], labels[at[rhs]]
-                text = c.render[j].format(lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields)
+            text = None if labels is None else _render(c, parts, vals, point, values, ops, labels)
             found[c.name] = Violation(c.name, witness, text)
         return found
+
+    def _stacked_violations(self, ops, n, labels) -> list:
+        """violations over stacked tables: one dict per algebra of the stack.
+
+        Every table is read by indexing, the stack axis leading the grid axes.
+        """
+        k = self._arity
+        stacked = [head for head, arity in self._tables if ops[head].ndim > arity]
+        length = len(ops[stacked[0]])
+        if any(len(ops[head]) != length for head in stacked):
+            raise AlgebraError("stacked tables of different lengths")
+        sentinel = self._probe is not None and ops[self._probe].shape[-1] > n
+        grids = [g[None] for g in _open_grid(n, k)]
+        found = [{} for _ in range(length)]
+        step = max(1, _STACK_CELLS // n ** k)
+        for lo in range(0, length, step):
+            part = {name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()}
+            m = len(part[stacked[0]])
+            which = np.arange(m).reshape((m,) + (1,) * k)      # each value's algebra
+            vals = []
+            for head, args, _view in self._nodes:
+                if head == "var":
+                    vals.append(grids[args])
+                elif not args:
+                    vals.append(part[head])
+                elif head in stacked:
+                    vals.append(part[head][(which,) + tuple(vals[a] for a in args)])
+                else:
+                    vals.append(part[head][tuple(vals[a] for a in args)])
+            for c, parts, bad in zip(self.clauses, self._parts,
+                                     _failures(self._parts, vals, sentinel, n)):
+                bad = np.broadcast_to(bad, (m,) + (bad.shape[1:] if bad.ndim else (1,) * k))
+                rows = bad.reshape(m, -1)
+                hits = np.flatnonzero(rows.any(axis=1))
+                if not len(hits):
+                    continue
+                points = np.unravel_index(rows[hits].argmax(axis=1), bad.shape[1:])
+                for j, s in enumerate(hits.tolist()):
+                    point = tuple(int(p[j]) for p in points)
+                    witness = point[:len(c.variables)]
+                    text = None if labels is None else _render(
+                        c, parts, vals, (s,) + point, witness, part, labels)
+                    found[lo + s][c.name] = Violation(c.name, witness, text)
+        return found
+
+
+def _failures(clause_parts, vals, sentinel: bool, n: int) -> list:
+    """Per clause, the grid mask of its failing instances, given every node's value."""
+    masks = []
+    for parts in clause_parts:
+        bad = None
+        for lhs, rhs, guard in parts:
+            fails = vals[lhs] != vals[rhs]
+            if guard:
+                fails = fails & (vals[guard[0]] == vals[guard[1]])
+            if sentinel:
+                for side in (lhs, rhs) + (guard or ()):
+                    fails = fails & (vals[side] != n)
+            bad = fails if bad is None else bad | fails
+        masks.append(bad)
+    return masks
+
+
+def _render(c: Clause, parts, vals, point, values, ops, labels) -> str:
+    """The equation of a clause failing at a grid point, its variables being values."""
+    at = {s: int(_at(vals[s], point))
+          for lhs, rhs, guard in parts for s in (lhs, rhs) + (guard or ())}
+    j = next(j for j, (lhs, rhs, guard) in enumerate(parts) if at[lhs] != at[rhs]
+             and (not guard or at[guard[0]] == at[guard[1]]))
+    fields = {v: labels[x] for v, x in zip(c.variables, values)}
+    fields.update((name, labels[value]) for name, value in ops.items()
+                  if isinstance(value, (int, np.integer)))
+    for i, (lhs, rhs, _guard) in enumerate(parts):
+        fields[f"lhs{i}"], fields[f"rhs{i}"] = labels[at[lhs]], labels[at[rhs]]
+    return c.render[j].format(lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields)
 
 
 def _first_true(mask: np.ndarray):
@@ -691,12 +855,13 @@ _PROFILE_CLAUSES = {p: ClauseSet(_AXIOMS[c] for c in cs) for p, cs in PROFILES.i
 _INVOLUTION = ClauseSet(_AXIOMS[c] for c in ("involution-period-two", "involution-antitone"))
 
 
-def check_axioms(algebra: FiniteNearSemiring, profile: str) -> CheckReport:
+def check_axioms(algebra, profile: str):
     """Exhaustively check every clause of an axiom profile.
 
     Each failing clause contributes one violation, carrying the
     lexicographically smallest witness; the list is sorted by clause id
-    and witness, so reports are reproducible.
+    and witness, so reports are reproducible.  A TableStack gets one report
+    per slice, each equal to the report on that slice as an algebra.
     """
     if profile not in PROFILES:
         raise AlgebraError(f"unknown profile {profile!r}; known: {', '.join(sorted(PROFILES))}")
@@ -704,6 +869,11 @@ def check_axioms(algebra: FiniteNearSemiring, profile: str) -> CheckReport:
     if clauses.needs_inv and algebra.inv is None:
         raise PreconditionError(
             f"profile {profile!r} requires an involution table, but {algebra.name} has none")
+    if isinstance(algebra, TableStack):
+        found = clauses.violations(algebra.ops(), algebra.n, algebra.labels)
+        if isinstance(found, dict):          # the profile reads only shared tables
+            found = [found] * len(algebra)
+        return [CheckReport.of(algebra.name, profile, f.values()) for f in found]
     return CheckReport.of(algebra.name, profile, find_violations(algebra, clauses).values())
 
 

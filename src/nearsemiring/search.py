@@ -3,24 +3,35 @@
 Models are generated with the constants pinned at indices zero=0, one=1 and
 emitted in canonical form: the lexicographically minimal concatenation of
 the sum, product and involution tables over all carrier permutations fixing
-the constants.  The permutations come in stacks of at most 7! rows, one
-cached stack for n <= 9; each stack relabels the tables at once
-(``core.relabel_table``), and np.lexsort picks the least row of the stacked
-keys.  Past 10! permutations (n >= 13) the canonical form is refused.
+the constants.  That minimum starts with the least relabelling of the sum
+table alone, so it is taken over the permutations reaching that relabelling
+only: one of them composed with the sum table's automorphisms.  The
+(n-2)! permutations come in stacks of at most 7! rows, one cached stack for
+n <= 9, and ``core.relabel_table`` relabels a stack of tables by a stack of
+permutations at once.  Past 10! permutations (n >= 13) the canonical form is
+refused.
 
 The sum table is filled first (commutative-monoid and semilattice
 constraints prune hard), then the involution, then the product column by
-column; required identities are re-checked incrementally on the partially
-filled product table and nothing is trusted at the leaves — every emitted
-model re-passes its constraint through the ordinary checkers.  By
+column; required identities and the product clauses of the requested
+profiles (commutativity, associativity, left-distributivity) are re-checked
+incrementally on the partially filled product table.  By
 right-distributivity, (x + y).z = x.z + y.z, each product column x -> x.z is
 an endomorphism of (A, +) fixing 0 and sending 1 to z: the candidates are
 found in one vectorised sweep per sum table, in chunks of at most
 _SWEEP_CELLS cells, and grouped by the image of 1.
 
-The involution slot ranges over period-two permutations; order-antitonicity
-is additionally enforced exactly when an involutive profile is part of the
-constraint.
+Nothing is trusted at the leaves.  Each sum table's completed tables are
+collected into TableStacks, and every leaf is re-checked against every
+clause of its constraint through the ordinary checkers, one stacked engine
+call per clause set.  The canonical forms of the survivors are taken per
+stack, and algebra objects are built only for the models emitted.  A leaf
+that fails re-verification is counted as rejected: with no forbidden
+identities, that is a table the DFS should have pruned.
+
+The involution slot ranges over period-two permutations, one per orbit of
+the sum table's automorphisms; order-antitonicity is additionally enforced
+exactly when an involutive profile is part of the constraint.
 """
 from __future__ import annotations
 
@@ -33,8 +44,8 @@ from itertools import permutations
 import numpy as np
 
 from .core import (
-    _AXIOMS, IDENTITIES, AlgebraError, Clause, ClauseSet, FiniteNearSemiring, PROFILES,
-    check_axioms, relabel_table,
+    _AXIOMS, _STACK_CELLS, IDENTITIES, AlgebraError, Clause, ClauseSet, FiniteNearSemiring,
+    PROFILES, TableStack, check_axioms, relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -54,9 +65,13 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int):
 
     Tables padded to n+1, as the search's partial product tables are, mark
     an unfilled cell with the sentinel n; instances reaching one are skipped.
+    Stacked tables, as ClauseSet.violations takes them, give a list with one
+    witness or None per algebra.
     """
     ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
     found = _compiled(identity).violations(ops, n)
+    if isinstance(found, list):
+        return [f[identity.name].witness if f else None for f in found]
     return found[identity.name].witness if found else None
 
 
@@ -168,44 +183,110 @@ def _blocks(n: int):
         yield p, np.argsort(p, axis=1)
 
 
-def _least_relabelling(tables, stacks) -> tuple:
-    """The least concatenation of the relabelled tables over the (p, q) stacks, as ints."""
+def _least_sum_form(add: np.ndarray) -> tuple:
+    """The least relabelling of a sum table, as ints, and one permutation reaching it."""
     best = None
-    for p, q in stacks:
-        keys = np.hstack([relabel_table(t, p, q).reshape(len(p), -1) for t in tables])
-        row = tuple(keys[np.lexsort(keys.T[::-1])[0]].tolist())
-        if best is None or row < best:
-            best = row
+    for p, q in _middle_perms(add.shape[0]):
+        rows = relabel_table(add, p, q).reshape(len(p), -1)
+        i = np.lexsort(rows.T[::-1])[0]
+        row = tuple(rows[i].tolist())
+        if best is None or row < best[0]:
+            best = (row, p[i])
     return best
 
 
-def canonical_form(algebra: FiniteNearSemiring) -> tuple:
-    """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1."""
+def _automorphisms(add: np.ndarray) -> tuple:
+    """The permutations fixing 0, 1 and a sum table, as one (p, q) stack in ascending order."""
+    kept = [(p[m], q[m]) for p, q in _middle_perms(add.shape[0])
+            for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))] if m.any()]
+    return np.concatenate([p for p, _q in kept]), np.concatenate([q for _p, q in kept])
+
+
+def _least_rows(keys: np.ndarray) -> np.ndarray:
+    """The lexicographically least row of each (c, L) block of a (k, c, L) array."""
+    k, c, width = keys.shape
+    if c == 1:
+        return keys[:, 0]
+    rows = keys.reshape(k * c, width)
+    order = np.lexsort(rows.T[::-1])
+    # each block's first row in the overall order is its least
+    first = np.unique(order // c, return_index=True)[1]
+    return rows[order[first]]
+
+
+def _canonical_keys(add, mul, inv) -> list:
+    """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
+    involutions, constants at 0 and 1.
+
+    The least concatenation starts with the least relabelling of the sum table,
+    so it is the least over the permutations reaching that: one of them composed
+    with the table's automorphisms.
+    """
+    n = add.shape[0]
+    least, sigma = _least_sum_form(add)
+    autos, _ = _automorphisms(add)
+    p = sigma[autos]
+    q = np.argsort(p, axis=1)
+    head = (n, inv is not None) + least
+    # chunks of about _STACK_CELLS key cells: slices by blocks of permutations
+    block = max(1, _STACK_CELLS // (n * n + n))
+    step = max(1, _STACK_CELLS // (min(len(p), block) * (n * n + n)))
+    keys = []
+    for lo in range(0, len(mul), step):
+        least_rows = []
+        for at in range(0, len(p), block):
+            pp, qq = p[at:at + block], q[at:at + block]
+            parts = [relabel_table(mul[lo:lo + step], pp, qq, 2)]
+            if inv is not None:
+                parts.append(relabel_table(inv[lo:lo + step], pp, qq, 1))
+            least_rows.append(_least_rows(np.concatenate(
+                [t.reshape(*t.shape[:2], -1) for t in parts], axis=2)))
+        rows = least_rows[0] if len(least_rows) == 1 else _least_rows(np.stack(least_rows, 1))
+        keys.extend(head + tuple(row) for row in rows.tolist())
+    return keys
+
+
+def canonical_form(algebra):
+    """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1.
+
+    A TableStack gets the list of its slices' forms.
+    """
+    stacked = isinstance(algebra, TableStack)
+    if stacked and algebra.add.ndim == 3:          # a sum table per slice
+        return [canonical_form(algebra.algebra(i)) for i in range(len(algebra))]
     n = algebra.n
-    stacks = _middle_perms(n)
+    add, mul, inv = algebra.add, algebra.mul, algebra.inv
     if (algebra.zero, algebra.one) != (0, min(n - 1, 1)):
-        # composed with one relabelling sending zero to 0 and one to 1, the stacks
-        # range over the same set of permutations
-        order = [*dict.fromkeys((algebra.zero, algebra.one, *range(n)))]
-        algebra = algebra.relabel(np.argsort(order))
-    tables = [algebra.add, algebra.mul] + ([] if algebra.inv is None else [algebra.inv])
-    return (n, algebra.inv is not None) + _least_relabelling(tables, stacks)
+        # composed with one relabelling sending zero to 0 and one to 1, the
+        # permutations range over the same set
+        q = np.array([*dict.fromkeys((algebra.zero, algebra.one, *range(n)))])
+        p = np.argsort(q)
+        add, mul = relabel_table(add, p, q, 2), relabel_table(mul, p, q, 2)
+        inv = None if inv is None else relabel_table(inv, p, q, 1)
+    if not stacked:
+        return _canonical_keys(add, mul[None], None if inv is None else inv[None])[0]
+    k = len(algebra)
+    return _canonical_keys(add, np.broadcast_to(mul, (k, n, n)),
+                           None if inv is None else np.broadcast_to(inv, (k, n)))
 
 
 def canonicalize(algebra: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
     """Relabel onto the canonical form (constants at 0 and 1)."""
-    return _model_from_key(canonical_form(algebra),
-                           algebra.name if name is None else name)
+    return _models_from_keys([canonical_form(algebra)],
+                             [algebra.name if name is None else name])[0]
 
 
-def _model_from_key(key: tuple, name: str) -> FiniteNearSemiring:
-    """Rebuild the canonical model directly from its canonical-form key."""
-    n, has_inv = key[0], key[1]
-    flat = key[2:]
-    add = np.array(flat[:n * n], dtype=int).reshape(n, n)
-    mul = np.array(flat[n * n:2 * n * n], dtype=int).reshape(n, n)
-    inv = np.array(flat[2 * n * n:], dtype=int) if has_inv else None
-    return FiniteNearSemiring(add, mul, 0, 1 if n >= 2 else 0, inv=inv, name=name)
+def _models_from_keys(keys: list, names: list) -> list:
+    """The canonical models of canonical-form keys of one signature and size, one per name.
+
+    Their tables are validated once, as one TableStack.
+    """
+    n, has_inv = keys[0][:2]
+    rows = np.array([key[2:] for key in keys], dtype=np.int8)      # n <= 12
+    add, mul, inv = rows[:, :n * n], rows[:, n * n:2 * n * n], rows[:, 2 * n * n:]
+    stack = TableStack(add.reshape(-1, n, n), mul.reshape(-1, n, n), 0, 1 if n >= 2 else 0,
+                       inv=inv if has_inv else None)
+    return [stack.algebra(i, name) for i, name in enumerate(names)]
 
 
 def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
@@ -296,7 +377,7 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool):
 def _canonical_add_tables(n: int, constraint: SearchConstraint):
     """Sum tables for the constraint, one per orbit of middle-permutations."""
     raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
-    keys = {_least_relabelling([add], _middle_perms(n)) for add in raw}
+    keys = {_least_sum_form(add)[0] for add in raw}
     return [np.array(key, dtype=int).reshape(n, n) for key in sorted(keys)]
 
 
@@ -304,19 +385,40 @@ def _canonical_add_tables(n: int, constraint: SearchConstraint):
 # involution and product generation
 
 
+@functools.lru_cache(maxsize=None)
+def _involutions(n: int) -> np.ndarray:
+    """Every permutation of range(n) of period at most two, as read-only rows."""
+    def pairings(free):
+        if not free:
+            yield {}
+            return
+        x, rest = free[0], free[1:]
+        for m in pairings(rest):
+            yield {x: x, **m}
+        for y in rest:
+            for m in pairings([z for z in rest if z != y]):
+                yield {x: y, y: x, **m}
+
+    rows = np.array([[m[x] for x in range(n)] for m in pairings(list(range(n)))])
+    rows.setflags(write=False)
+    return rows
+
+
 def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
-    """Period-two permutations, antitone when an involutive profile demands it."""
+    """Period-two permutations, antitone when an involutive profile demands it.
+
+    One per orbit of the sum table's automorphisms, each the least of its
+    orbit, in ascending order.
+    """
     n = add.shape[0]
-    autos = [(p[m], q[m]) for p, q in _middle_perms(n)
-             for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))] if m.any()]
-    antitone = _compiled(_AXIOMS["involution-antitone"])
-    keys = set()
-    for perm in permutations(range(n)):
-        p = np.asarray(perm)
-        if np.array_equal(p[p], np.arange(n)) and not (
-                constraint.antitone_inv and antitone.violations({"add": add, "inv": p}, n)):
-            keys.add(_least_relabelling([p], autos))
-    return [np.array(key, dtype=int) for key in sorted(keys)]
+    invs = _involutions(n)
+    if constraint.antitone_inv:
+        found = _compiled(_AXIOMS["involution-antitone"]).violations({"add": add, "inv": invs}, n)
+        invs = invs[[not f for f in found]]
+    if not len(invs):
+        return []
+    p, q = _automorphisms(add)
+    return list(np.unique(_least_rows(relabel_table(invs, p, q, 1)), axis=0))
 
 
 # rows x n^2 cells of one sweep chunk: its int64 temporaries stay near 8 MB each at any n
@@ -377,6 +479,8 @@ class SearchResult:
     elapsed: float
     sizes: tuple = ()
     violations: tuple = ()        # for find: ((identity, witness-dict), ...)
+    leaves: int = 0               # completed tables that reached verification
+    rejected: int = 0             # leaves that failed it: the DFS should have pruned them
 
     def to_dict(self) -> dict:
         return {
@@ -389,22 +493,44 @@ class SearchResult:
 
 
 class _Counter:
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "leaves", "rejected")
 
     def __init__(self):
-        self.nodes = 0
+        self.nodes = self.leaves = self.rejected = 0
 
 
-def _iter_raw_models(n: int, constraint: SearchConstraint, add: np.ndarray, counter: _Counter):
-    """All (add, inv, mul) completions of one sum table, unverified, DFS order."""
-    required = [IDENTITIES[name] for name in constraint.require]
+# product clauses of the profiles that the DFS checks on partial tables
+_PRUNED_AXIOMS = ("mul-commutativity", "mul-associativity", "left-distributivity")
+
+
+def _prunes(constraint: SearchConstraint) -> list:
+    """Clauses every partial product table must pass: the required identities, then the
+    product clauses of the requested profiles."""
+    wanted = {c for p in constraint.profiles for c in PROFILES[p]}
+    return [IDENTITIES[name] for name in constraint.require] + [
+        _AXIOMS[c] for c in _PRUNED_AXIOMS if c in wanted]
+
+
+def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, counter: _Counter):
+    """One sum table's completed (inv, mul) tables, unverified, in DFS order.
+
+    They come as TableStacks sharing the sum table, each of at most about
+    _STACK_CELLS product cells.
+    """
+    prunes = _prunes(constraint)
     invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
     columns = _column_candidates(add)
     # tables padded with the absorbing sentinel n, which marks an unfilled product cell
     padded_add = np.full((n + 1, n + 1), n)
     padded_add[:n, :n] = add
+    size = max(1, _STACK_CELLS // (n * n))
+    muls, which, count = np.empty((size, n, n), dtype=int), np.empty(size, dtype=int), 0
 
-    for inv in invs:
+    def stack():
+        inv = None if invs[0] is None else np.array(invs)[which[:count]]
+        return TableStack(add, muls[:count], 0, 1 if n >= 2 else 0, inv=inv, name="candidate")
+
+    for j, inv in enumerate(invs):
         counter.nodes += 1
         order = _column_order(n, inv)
         padded_inv = None if inv is None else np.append(inv, n)
@@ -415,24 +541,34 @@ def _iter_raw_models(n: int, constraint: SearchConstraint, add: np.ndarray, coun
             mul[:n, 1] = np.arange(n)
             mul[1, :n] = np.arange(n)
 
+        def passes():
+            # the prunes cannot reject what a completed table would accept:
+            # instances that read an unfilled cell are skipped
+            return all(identity_first_violation(c, padded_add, mul, padded_inv, n) is None
+                       for c in prunes)
+
         def dfs(i):
             if i == len(order):
-                yield mul[:n, :n].copy()
+                yield
                 return
             z = order[i]
             saved = mul[:n, z].copy()
             for col in columns[z]:
                 counter.nodes += 1
                 mul[:n, z] = col
-                # identities cannot reject what a completed table would accept:
-                # instances that read an unfilled cell are skipped
-                if all(identity_first_violation(ident, padded_add, mul, padded_inv, n) is None
-                       for ident in required):
+                if passes():
                     yield from dfs(i + 1)
             mul[:n, z] = saved
 
-        for m in dfs(0):
-            yield add, inv, m
+        # with no column to fill (n <= 2) the product table is complete already
+        for _leaf in dfs(0) if order or passes() else ():
+            muls[count], which[count] = mul[:n, :n], j
+            count += 1
+            if count == size:
+                yield stack()
+                count = 0
+    if count:
+        yield stack()
 
 
 def _effective_profiles(constraint: SearchConstraint) -> tuple:
@@ -448,46 +584,43 @@ def _effective_profiles(constraint: SearchConstraint) -> tuple:
     return tuple(keep)
 
 
-def _verify(algebra: FiniteNearSemiring, constraint: SearchConstraint):
-    """Re-check a candidate through the ordinary checkers; None or (ok, forbid witnesses)."""
+def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
+    """Mask of the leaves that pass the constraint, re-checked through the ordinary checkers.
+
+    Every leaf is checked against every clause of every effective profile,
+    every required identity and every forbidden identity.
+    """
+    ok = np.ones(len(stack), dtype=bool)
     for profile in _effective_profiles(constraint):
-        if not check_axioms(algebra, profile).passed:
-            return None
-    for name in constraint.require:
-        if identity_first_violation(
-                IDENTITIES[name], algebra.add, algebra.mul, algebra.inv, algebra.n) is not None:
-            return None
-    witnesses = []
-    for name in constraint.forbid:
-        w = identity_first_violation(
-            IDENTITIES[name], algebra.add, algebra.mul, algebra.inv, algebra.n)
-        if w is None:
-            return None
-        witnesses.append((name, tuple(zip(IDENTITIES[name].variables, w))))
-    return tuple(witnesses)
+        ok &= [report.passed for report in check_axioms(stack, profile)]
+    for names, wanted in ((constraint.require, True), (constraint.forbid, False)):
+        for name in names:
+            found = identity_first_violation(
+                IDENTITIES[name], stack.add, stack.mul, stack.inv, stack.n)
+            holds = [w is None for w in found] if isinstance(found, list) else found is None
+            ok &= np.equal(holds, wanted)
+    return ok
 
 
-def _models_for_roots(n, constraint, roots, counter):
-    """Generate (canonical key, model, forbid-witnesses) for a list of sum tables."""
+def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Counter):
+    """The leaves of each sum table that pass _verify, as TableStacks in generation order."""
     for add in roots:
-        for raw_add, inv, mul in _iter_raw_models(n, constraint, add, counter):
-            candidate = FiniteNearSemiring(
-                raw_add, mul, 0, 1 if n >= 2 else 0,
-                inv=None if inv is None else inv.copy(), name="candidate")
-            witnesses = _verify(candidate, constraint)
-            if witnesses is None:
-                continue
-            yield canonical_form(candidate), candidate, witnesses
+        for stack in _leaf_stacks(n, constraint, add, counter):
+            ok = _verify(stack, constraint)
+            passed = int(np.count_nonzero(ok))
+            counter.leaves += len(stack)
+            counter.rejected += len(stack) - passed
+            if passed:
+                yield stack if passed == len(stack) else stack.take(ok)
 
 
 def _search_worker(args):
     n, constraint, add = args
     counter = _Counter()
-    found = {}
-    for key, _model, witnesses in _models_for_roots(n, constraint, [add], counter):
-        if key not in found:
-            found[key] = witnesses
-    return found, counter.nodes
+    keys = set()
+    for stack in _verified_stacks(n, constraint, [add], counter):
+        keys.update(canonical_form(stack))
+    return keys, counter
 
 
 def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
@@ -509,24 +642,24 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
             f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
     start = time.perf_counter()
     roots = _canonical_add_tables(n, constraint)
-    found = {}
-    nodes = 0
+    keys = set()
+    counter = _Counter()
     if workers and workers > 1 and len(roots) > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(min(workers, len(roots))) as pool:
-            for part, part_nodes in pool.imap(
+            for part, part_counter in pool.imap(
                     _search_worker, [(n, constraint, add) for add in roots], chunksize=1):
-                nodes += part_nodes
-                for key, value in part.items():
-                    found.setdefault(key, value)
+                keys |= part
+                for name in _Counter.__slots__:
+                    setattr(counter, name, getattr(counter, name) + getattr(part_counter, name))
     else:
-        counter = _Counter()
-        for key, _model, witnesses in _models_for_roots(n, constraint, roots, counter):
-            found.setdefault(key, witnesses)
-        nodes = counter.nodes
-    models = [_model_from_key(key, f"n{n}#{i}") for i, key in enumerate(sorted(found))]
-    return SearchResult(models, True, nodes, time.perf_counter() - start, sizes=(n,))
+        for stack in _verified_stacks(n, constraint, roots, counter):
+            keys.update(canonical_form(stack))
+    keys = sorted(keys)
+    models = _models_from_keys(keys, [f"n{n}#{i}" for i in range(len(keys))]) if keys else []
+    return SearchResult(models, True, counter.nodes, time.perf_counter() - start, sizes=(n,),
+                        leaves=counter.leaves, rejected=counter.rejected)
 
 
 def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> SearchResult:
@@ -552,8 +685,8 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
     searched = []
     for n in range(1, n_max + 1):
         roots = _canonical_add_tables(n, constraint)
-        for _key, model, _witnesses in _models_for_roots(n, constraint, roots, counter):
-            model = canonicalize(model, name=f"witness-n{n}")
+        for stack in _verified_stacks(n, constraint, roots, counter):
+            model, = _models_from_keys(canonical_form(stack.take([0])), [f"witness-n{n}"])
             # witnesses are recomputed on the canonical labelling
             witnesses = []
             for name in constraint.forbid:
@@ -562,7 +695,8 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
                 witnesses.append((name, tuple(zip(IDENTITIES[name].variables, w))))
             return SearchResult([model], False, counter.nodes,
                                 time.perf_counter() - start,
-                                sizes=tuple(searched), violations=tuple(witnesses))
+                                sizes=tuple(searched), violations=tuple(witnesses),
+                                leaves=counter.leaves, rejected=counter.rejected)
         searched.append(n)
     return SearchResult([], True, counter.nodes, time.perf_counter() - start,
-                        sizes=tuple(searched))
+                        sizes=tuple(searched), leaves=counter.leaves, rejected=counter.rejected)

@@ -274,3 +274,64 @@ def test_search_constraint_validation():
     assert c.profiles == ("involutive",)
     assert c.require == ("lukasiewicz",)
     assert c.forbid == ("central-2",)
+
+
+@pytest.mark.parametrize("names", sorted(nsr.PROFILES) + sorted(nsr.IDENTITIES))
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_no_leaf_is_rejected_without_a_forbid_set(n, names):
+    # a rejected leaf is a table the DFS should have pruned
+    result = nsr.enumerate_models(n, nsr.parse_constraint(names))
+    assert result.rejected == 0 and result.leaves >= len(result.models)
+
+
+def test_no_leaf_is_rejected_for_involutive_at_size_five():
+    result = nsr.enumerate_models(5, nsr.parse_constraint("involutive"))
+    assert (result.leaves, result.rejected, len(result.models)) == (11863, 0, 10317)
+
+
+def test_leaf_counts_stay_out_of_json():
+    result = nsr.enumerate_models(3, nsr.parse_constraint("involutive-integral"))
+    assert result.leaves > 0
+    assert set(result.to_dict()) == {"models", "exhaustive", "nodes", "sizes", "violations"}
+
+
+def _plain_involution_candidates(add, antitone):
+    """Period-two permutations (antitone if asked), least of each orbit under the sum
+    table's automorphisms, ascending; over plain lists."""
+    n = len(add)
+    fixed = list(range(min(n, 2)))
+    autos = [p for p in permutations(range(n)) if list(p[:len(fixed)]) == fixed
+             and naive.relabel(add, add, None, p)[0] == add]
+    keys = {min(tuple(naive.relabel(add, add, inv, p)[2]) for p in autos)
+            for inv in naive._involutions(n) if not antitone or naive._antitone(add, inv, n)}
+    return [list(key) for key in sorted(keys)]
+
+
+@pytest.mark.parametrize("names, sizes", [
+    ("involutive-integral", range(1, 7)),
+    ("involutive", range(1, 6)),
+])
+def test_involution_candidates_match_plain_lists(names, sizes):
+    constraint = nsr.parse_constraint(names)
+    for n in sizes:
+        for add in search._canonical_add_tables(n, constraint):
+            got = search._involution_candidates(add, constraint)
+            assert [inv.tolist() for inv in got] == \
+                _plain_involution_candidates(add.tolist(), constraint.antitone_inv)
+
+
+# counts from the paper's representation theorems, n = 1..6: finite MV-algebras (the
+# Łukasiewicz near semirings that are semirings) are products of Łukasiewicz chains,
+# one per unordered factorization of n (OEIS A001055); orthomodular lattices; and
+# basic algebras (the Łukasiewicz near semirings)
+@pytest.mark.parametrize("names, counts", [
+    ("involutive-integral,lukasiewicz,semiring", (1, 1, 1, 2, 1, 2)),
+    ("involutive-integral,lukasiewicz,associative-mul", (1, 1, 1, 2, 1, 2)),
+    ("involutive-integral,lukasiewicz,commutative-mul", (1, 1, 1, 2, 1, 2)),
+    ("involutive-integral,lukasiewicz,orthomodular", (1, 1, 0, 1, 0, 1)),
+    ("involutive-integral,lukasiewicz", (1, 1, 1, 3, 4, 11)),
+])
+def test_model_counts_match_the_representation_theorems(names, counts):
+    constraint = nsr.parse_constraint(names)
+    got = tuple(len(nsr.enumerate_models(n, constraint).models) for n in range(1, 7))
+    assert got == counts

@@ -1,0 +1,137 @@
+"""Stacked tables: the clause engine, check_axioms and canonical_form on TableStacks.
+
+Each stacked call is compared slice by slice with the single-algebra call,
+and the stacked canonical form with the plain-list one in naive.py.
+"""
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import nearsemiring as nsr
+from nearsemiring import core, search
+from nearsemiring.core import IDENTITIES, PROFILES, ClauseSet, TableStack
+from nearsemiring.search import canonical_form
+
+import naive
+
+CLAUSE_SETS = [(p, core._PROFILE_CLAUSES[p]) for p in sorted(PROFILES)] + [
+    (name, ClauseSet([c])) for name, c in sorted(IDENTITIES.items())]
+
+
+@st.composite
+def stacks(draw, max_n=4, max_k=6):
+    """k random add, mul and inv tables of one size, each table stacked or shared."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, max_k))
+    cells = st.lists(st.integers(0, n - 1), min_size=k * n * n, max_size=k * n * n)
+    add = np.array(draw(cells)).reshape(k, n, n)
+    mul = np.array(draw(cells)).reshape(k, n, n)
+    inv = np.array([draw(st.permutations(range(n))) for _ in range(k)])
+    if draw(st.booleans()):
+        add = add[0]
+    if draw(st.booleans()):
+        inv = inv[0]
+    return n, add, mul, inv
+
+
+def _slice(table, arity, i):
+    return table if table.ndim == arity else table[i]
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.booleans(), st.sampled_from([1 << 18, 64]), st.data())
+def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, data):
+    n, add, mul, inv = drawn
+    k = len(mul)
+    labels = None if padded else tuple(str(x) for x in range(n))
+    if padded:
+        # sentinel-padded partial tables, as the search's are: n marks an unfilled cell
+        pad = lambda t: np.pad(t, [(0, 0)] * (t.ndim - 2) + [(0, 1), (0, 1)], constant_values=n)
+        add, mul = pad(add), pad(mul)
+        unfilled = np.array(data.draw(st.lists(st.booleans(), min_size=mul.size,
+                                               max_size=mul.size))).reshape(mul.shape)
+        mul = np.where(unfilled, n, mul)
+        inv = np.pad(inv, [(0, 0)] * (inv.ndim - 1) + [(0, 1)], constant_values=n)
+    ops = {"add": add, "mul": mul, "inv": inv, "zero": 0, "one": min(n - 1, 1)}
+    saved = core._STACK_CELLS
+    core._STACK_CELLS = cells            # small chunks split the stack
+    try:
+        for name, clauses in CLAUSE_SETS:
+            got = clauses.violations(ops, n, labels)
+            if isinstance(got, dict):        # the clauses read only shared tables
+                got = [got] * k
+            for i in range(k):
+                single = {"add": _slice(add, 2, i), "mul": mul[i], "inv": _slice(inv, 1, i),
+                          "zero": ops["zero"], "one": ops["one"]}
+                assert got[i] == clauses.violations(single, n, labels), (name, i)
+    finally:
+        core._STACK_CELLS = saved
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+def test_check_axioms_on_a_stack_equals_per_algebra_reports(drawn):
+    n, add, mul, inv = drawn
+    stack = TableStack(add, mul, 0, min(n - 1, 1), inv=inv, name="S")
+    for profile in sorted(PROFILES):
+        reports = nsr.check_axioms(stack, profile)
+        assert len(reports) == len(stack)
+        for i, report in enumerate(reports):
+            assert report == nsr.check_axioms(stack.algebra(i), profile), (profile, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacks(max_n=5), st.booleans(), st.sampled_from([1 << 18, 40]), st.data())
+def test_stacked_canonical_form_matches_plain_lists(drawn, with_inv, cells, data):
+    n, add, mul, inv = drawn
+    zero, one = data.draw(st.permutations(range(n)))[:2] if n >= 2 else (0, 0)
+    stack = TableStack(add, mul, zero, one, inv=inv if with_inv else None)
+    saved = search._STACK_CELLS
+    search._STACK_CELLS = cells          # small chunks split the slices and the permutations
+    try:
+        keys = canonical_form(stack)
+    finally:
+        search._STACK_CELLS = saved
+    assert len(keys) == len(stack)
+    for i, key in enumerate(keys):
+        a = stack.algebra(i)
+        assert key == naive.canonical_form(
+            a.add.tolist(), a.mul.tolist(), None if a.inv is None else a.inv.tolist(), zero, one)
+
+
+def test_table_stack_take_and_algebra():
+    mv3 = nsr.fixtures.mv3()
+    stack = TableStack(mv3.add, np.stack([mv3.mul, mv3.mul.T]), mv3.zero, mv3.one, inv=mv3.inv)
+    assert len(stack) == 2 and stack.n == 3
+    assert stack.algebra(0).same_tables(mv3)
+    picked = stack.take(np.array([False, True]))
+    assert len(picked) == 1 and np.array_equal(picked.mul[0], mv3.mul.T)
+    assert picked.add.ndim == 2              # a shared table stays shared
+
+
+GOOD = np.zeros((2, 3, 3), dtype=int)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(add=GOOD[0], mul=GOOD[0]), "stacked tables of one length"),
+    (dict(add=np.zeros((3, 3, 3), dtype=int), mul=GOOD), "stacked tables of one length"),
+    (dict(add=GOOD.astype(float)), "must be integers"),
+    (dict(add=GOOD.astype(bool)), "must be integers"),
+    (dict(add=[[[0, True, 0]] * 3] * 2), "must be integers"),
+    (dict(add=[[0, 1], [1]]), "ragged"),
+    (dict(add=np.zeros((2, 3, 2), dtype=int)), "square and nonempty"),
+    (dict(add=np.zeros((2, 0, 0), dtype=int)), "square and nonempty"),
+    (dict(mul=np.zeros((2, 3, 2), dtype=int)), "3x3"),
+    (dict(mul=GOOD + 3), r"out of range \[0, 3\)"),
+    (dict(add=GOOD - 1), r"out of range \[0, 3\)"),
+    (dict(inv=np.array([[0, 1, 2], [0, 0, 2]])), "not a permutation"),
+    (dict(inv=np.array([[0, 1, 3], [0, 1, 2]])), "out of range"),
+    (dict(inv=np.array([[0, 1], [1, 0]])), "length 3"),
+    (dict(zero=1, one=1), "must differ"),
+    (dict(zero=3), "zero must lie in"),
+    (dict(one=True), "one must be an integer"),
+])
+def test_table_stack_rejects_what_the_algebra_rejects(kwargs, message):
+    args = dict(add=GOOD, mul=GOOD, zero=0, one=1, inv=None) | kwargs
+    with pytest.raises(nsr.DocumentError, match=message):
+        TableStack(args.pop("add"), args.pop("mul"), args.pop("zero"), args.pop("one"), **args)
