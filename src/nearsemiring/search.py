@@ -480,7 +480,7 @@ class SearchResult:
     sizes: tuple = ()
     violations: tuple = ()        # for find: ((identity, witness-dict), ...)
     leaves: int = 0               # completed tables that reached verification
-    rejected: int = 0             # leaves that failed it: the DFS should have pruned them
+    rejected: int = 0             # leaves that failed it; with no forbid set, missed prunes
 
     def to_dict(self) -> dict:
         return {
