@@ -96,43 +96,45 @@ def _require_central(algebra: FiniteNearSemiring, e: int) -> None:
             f"{algebra.label(e)} is not central in {algebra.name} (fails {w[0]} at {w[1]})")
 
 
+# grid cells of one chunk of the n⁴ full-conditions checks
+_FULL_CELLS = 1 << 20
+
+
 def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
     """Selector-based conditions: q(e,·,·) is a decomposition operation.
 
     Checks, through their table expansions, that q(e,a,a)=a, that q(e,-,-)
     is associative in the appropriate sense, that it commutes with every
     basic operation of the signature (both constants, the involution, sum
-    and product), and that q(e,1,0)=e.
+    and product), and that q(e,1,0)=e.  The conditions are read as block
+    takes of the tables on open grids; the n⁴ ones a chunk of first
+    arguments at a time, stopping at the first chunk that fails.
     """
-    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
-    zero, one = algebra.zero, algebra.one
-    ie = int(inv[e])
-
-    def q(x, y, z):
-        return add[mul[x, y], mul[inv[x], z]]
-
-    a = np.arange(n)
-    if not np.array_equal(q(e, a, a), a):
+    n, zero, one = algebra.n, algebra.zero, algebra.one
+    small = np.min_scalar_type(n - 1)
+    add, mul, inv = (t.astype(small) for t in (algebra.add, algebra.mul, algebra.inv))
+    qe = add[np.ix_(mul[e], mul[inv[e]])]      # qe[y, z] = q(e, y, z)
+    if not np.array_equal(qe.diagonal(), np.arange(n)):
         return False
-    qe = add[np.ix_(mul[e], mul[ie])]      # qe[y, z] = q(e, y, z)
-    a3, b3, c3 = np.indices((n, n, n)).reshape(3, -1)
-    if not np.array_equal(qe[qe[a3, b3], c3], qe[a3, c3]):
+    # q(e, q(e, a, b), c) = q(e, a, c) = q(e, a, q(e, b, c)), on the grid (a, b, c)
+    ac = qe[:, None, :]
+    if not ((qe[qe] == ac).all() and (qe[:, qe] == ac).all()):
         return False
-    if not np.array_equal(qe[a3, c3], qe[a3, qe[b3, c3]]):
+    if qe[zero, zero] != zero or qe[one, one] != one:
         return False
-    if add[mul[e, zero], mul[ie, zero]] != zero:
+    if not np.array_equal(qe[inv][:, inv], inv[qe]):
         return False
-    if add[mul[e, one], mul[ie, one]] != one:
-        return False
-    a2, b2 = np.indices((n, n)).reshape(2, -1)
-    if not np.array_equal(qe[inv[a2], inv[b2]], inv[qe[a2, b2]]):
-        return False
-    a4, b4, c4, d4 = np.indices((n, n, n, n)).reshape(4, -1)
-    if not np.array_equal(qe[add[a4, c4], add[b4, d4]], add[qe[a4, b4], qe[c4, d4]]):
-        return False
-    if not np.array_equal(qe[mul[a4, c4], mul[b4, d4]], mul[qe[a4, b4], qe[c4, d4]]):
-        return False
-    return int(q(e, one, zero)) == e
+    # q(e, a∘c, b∘d) = q(e, a, b)∘q(e, c, d) for ∘ = +, ·: the left side is read on the
+    # grid (a, c, b, d) and transposed
+    # qe[:, t][r, b, d] = q(e, r, b∘d) and t[:, qe][r, c, d] = r∘q(e, c, d)
+    reads = [(t, qe[:, t], t[:, qe]) for t in (add, mul)]
+    step = max(1, _FULL_CELLS // n ** 3)
+    for lo in range(0, n, step):
+        for t, left, right in reads:
+            lhs = left[t[lo:lo + step]].transpose(0, 2, 1, 3)
+            if not (lhs == right[qe[lo:lo + step]]).all():
+                return False
+    return int(qe[one, zero]) == e
 
 
 def is_central_congruence(algebra: FiniteNearSemiring, e: int) -> bool:

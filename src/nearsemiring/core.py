@@ -566,6 +566,9 @@ def _at(value, point):
 
 # stacked algebras x grid cells of one chunk of a stacked ClauseSet.violations call
 _STACK_CELLS = 1 << 18
+# grid cells from which a single-table read of two independent subterms is two block
+# takes on narrowed tables (_outer_read) rather than one broadcast gather
+_OUTER_CELLS = 1 << 14
 
 
 class ClauseSet:
@@ -573,23 +576,28 @@ class ClauseSet:
 
     Each variable position gets one axis of an open (broadcasting) grid, so
     a subterm's array is only as large as the variables it reads; a table
-    applied straight to variables is read as a view of the table.
+    applied straight to variables is read as a view of the table, and over
+    large grids a table applied to two subterms on disjoint axes is read as
+    two block takes.
     """
 
     def __init__(self, clauses):
         self.clauses = tuple(clauses)
         self._arity = k = max((len(c.variables) for c in self.clauses), default=0)
         self._nodes, self._parts, slots = [], [], {}
+        self._axes = []                 # per node, the grid axes of the variables it reads
 
         def slot(term):
             if term not in slots:
                 head, args = term[0], term[1:]
                 if head == "var":
-                    node = (head, args[0], None)
+                    node, axes = (head, args[0], None), frozenset(args)
                 else:
                     node = (head, tuple(slot(t) for t in args), _view(args, k))
+                    axes = frozenset().union(*(self._axes[s] for s in node[1]))
                 slots[term] = len(self._nodes)
                 self._nodes.append(node)
+                self._axes.append(axes)
             return slots[term]
 
         for c in self.clauses:
@@ -643,8 +651,12 @@ class ClauseSet:
         # views read the tables over the grid itself, without padding
         views = None if held or carrier is not None else ops if not sentinel else {
             name: t[:n, :n] if np.ndim(t) == 2 else t for name, t in ops.items()}
+        nodes, narrow = self._nodes, None
+        if len(elems) ** (k - len(held)) >= _OUTER_CELLS:
+            nodes = self._outer_nodes(held, len(elems))
+            narrow = {head: _narrow(ops[head]) for head, arity in self._tables if arity == 2}
         vals = []
-        for head, args, view in self._nodes:
+        for head, args, view in nodes:
             if head == "var":
                 vals.append(grids[args])
             elif view is not None and views is not None:
@@ -653,8 +665,10 @@ class ClauseSet:
                 vals.append(ops[head])
             elif len(args) == 1:
                 vals.append(ops[head][vals[args[0]]])
-            else:
+            elif len(args) == 2:
                 vals.append(ops[head][vals[args[0]], vals[args[1]]])
+            else:
+                vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]], *args[2:], k))
         found = {}
         for c, parts, bad in zip(self.clauses, self._parts,
                                  _failures(self._parts, vals, sentinel, n)):
@@ -665,9 +679,26 @@ class ClauseSet:
             values = [int(grids[i]) if i in held else int(elems[point[i]])
                       for i in range(len(c.variables))]
             witness = tuple(v for i, v in enumerate(values) if i not in held)
-            text = None if labels is None else _render(c, parts, vals, point, values, ops, labels)
+            text = None if labels is None else _render(
+                c, parts, vals, point, values, ops, labels, n if sentinel else None)
             found[c.name] = Violation(c.name, witness, text)
         return found
+
+    def _outer_nodes(self, held: set, size: int) -> list:
+        """The nodes, each binary read that _outer_read serves carrying two more args.
+
+        That is a table applied to two subterms whose free grid axes are
+        disjoint, over a grid of at least _OUTER_CELLS cells; the extra args
+        are the two subterms' free axes.
+        """
+        nodes = []
+        for head, args, view in self._nodes:
+            if head != "var" and len(args) == 2:
+                a, b = (tuple(sorted(self._axes[s] - held)) for s in args)
+                if not set(a) & set(b) and size ** (len(a) + len(b)) >= _OUTER_CELLS:
+                    args = args + (a, b)
+            nodes.append((head, args, view))
+        return nodes
 
     def _stacked_violations(self, ops, n, labels) -> list:
         """violations over stacked tables: one dict per algebra of the stack.
@@ -709,9 +740,29 @@ class ClauseSet:
                     point = tuple(int(p[j]) for p in points)
                     witness = point[:len(c.variables)]
                     text = None if labels is None else _render(
-                        c, parts, vals, (s,) + point, witness, part, labels)
+                        c, parts, vals, (s,) + point, witness, part, labels,
+                        n if sentinel else None)
                     found[lo + s][c.name] = Violation(c.name, witness, text)
         return found
+
+
+def _narrow(table: np.ndarray) -> np.ndarray:
+    """The table in the smallest unsigned dtype that holds its entries, sentinel included."""
+    if table.min() < 0:
+        return table
+    return table.astype(np.min_scalar_type(int(table.max())), copy=False)
+
+
+def _outer_read(table, a, b, axes_a: tuple, axes_b: tuple, k: int) -> np.ndarray:
+    """table[a, b] for subterm values on disjoint grid axes, as two block takes.
+
+    The columns b are taken first and then the rows a, giving a's axes then
+    b's; views put them back in grid order.
+    """
+    block = table[:, np.ravel(b)][np.ravel(a)]
+    shape = [np.shape(a)[d] for d in axes_a] + [np.shape(b)[d] for d in axes_b]
+    axes = axes_a + axes_b
+    return block.reshape(shape).transpose(np.argsort(axes))[_spread(k, *axes)]
 
 
 def _failures(clause_parts, vals, sentinel: bool, n: int) -> list:
@@ -731,17 +782,24 @@ def _failures(clause_parts, vals, sentinel: bool, n: int) -> list:
     return masks
 
 
-def _render(c: Clause, parts, vals, point, values, ops, labels) -> str:
-    """The equation of a clause failing at a grid point, its variables being values."""
+def _render(c: Clause, parts, vals, point, values, ops, labels, unfilled) -> str:
+    """The equation of a clause failing at a grid point, its variables being values.
+
+    unfilled is the sentinel value of padded tables, or None.  The part
+    rendered is the first that fails as _failures counts it: its sides are
+    filled and differ, and its guard holds.  An unfilled side renders as "?".
+    """
     at = {s: int(_at(vals[s], point))
           for lhs, rhs, guard in parts for s in (lhs, rhs) + (guard or ())}
-    j = next(j for j, (lhs, rhs, guard) in enumerate(parts) if at[lhs] != at[rhs]
-             and (not guard or at[guard[0]] == at[guard[1]]))
+    j = next(j for j, (lhs, rhs, guard) in enumerate(parts)
+             if at[lhs] != at[rhs] and (not guard or at[guard[0]] == at[guard[1]])
+             and all(at[s] != unfilled for s in (lhs, rhs) + (guard or ())))
     fields = {v: labels[x] for v, x in zip(c.variables, values)}
     fields.update((name, labels[value]) for name, value in ops.items()
                   if isinstance(value, (int, np.integer)))
     for i, (lhs, rhs, _guard) in enumerate(parts):
-        fields[f"lhs{i}"], fields[f"rhs{i}"] = labels[at[lhs]], labels[at[rhs]]
+        fields[f"lhs{i}"], fields[f"rhs{i}"] = (
+            "?" if at[s] == unfilled else labels[at[s]] for s in (lhs, rhs))
     return c.render[j].format(lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields)
 
 

@@ -1,11 +1,15 @@
-"""Generate-and-filter oracle for small model enumeration.
+"""Generate-and-filter oracle for small model enumeration, and loop forms of checks.
 
 Deliberately independent of the search module: every raw table is
 generated, filtered by direct clause loops, and only then quotiented by
 isomorphism with a canonical form written over plain lists, without numpy
-or the package's relabelling.  Feasible for n <= 3 only.
+or the package's relabelling.  Feasible for n <= 3 only.  The congruence,
+lattice and term checks are loops over plain lists; the full-conditions
+centrality check reads numpy tables with index arrays over whole grids.
 """
 from itertools import permutations, product
+
+import numpy as np
 
 from nearsemiring.core import PROFILES
 
@@ -106,6 +110,80 @@ def join_blocks(p, q):
     first = [min(y for y in range(n) if rel[x][y]) for x in range(n)]
     ids = sorted(set(first))
     return [ids.index(f) for f in first]
+
+
+def _canonical_blocks(raw):
+    """Block ids renumbered in first-occurrence order."""
+    remap = {}
+    return [remap.setdefault(b, len(remap)) for b in raw]
+
+
+def _compose(p, q):
+    """Relation of p∘q as a boolean matrix: x p y q z for some y."""
+    n = len(p)
+    return [[any(p[x] == p[y] and q[y] == q[z] for y in range(n)) for z in range(n)]
+            for x in range(n)]
+
+
+def _render_blocks(p):
+    classes = [[x for x in range(len(p)) if p[x] == b] for b in range(max(p) + 1)]
+    return "|".join("{" + ",".join(str(x) for x in cls) + "}" for cls in classes)
+
+
+def lattice_properties(cons):
+    """(clause, passed, counterexample, detail) for the permutability and the
+    distributivity of a congruence lattice, given as block lists, by loops over
+    all pairs and all triples."""
+    cons = [list(c) for c in cons]
+    l = len(cons)
+    meet = lambda p, q: _canonical_blocks(zip(p, q))
+    out = [("congruences-permute", True, None, f"{l} congruences")]
+    for p, q in product(cons, repeat=2):
+        if _compose(p, q) != _compose(q, p):
+            out[0] = ("congruences-permute", False, (cons.index(p), cons.index(q)),
+                      f"{_render_blocks(p)} and {_render_blocks(q)} do not permute")
+            break
+    out.append(("congruence-lattice-distributive", True, None, f"{l ** 3} triples"))
+    for p, q, r in product(cons, repeat=3):
+        if meet(p, join_blocks(q, r)) != join_blocks(meet(p, q), meet(p, r)):
+            out[1] = ("congruence-lattice-distributive", False,
+                      (cons.index(p), cons.index(q), cons.index(r)), "distributivity fails")
+            break
+    return out
+
+
+def is_central_full_conditions(algebra, e):
+    """The selector conditions of centrality, read with np.indices arrays over
+    the whole n³ and n⁴ grids."""
+    add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
+    zero, one = algebra.zero, algebra.one
+    ie = int(inv[e])
+
+    def q(x, y, z):
+        return add[mul[x, y], mul[inv[x], z]]
+
+    a = np.arange(n)
+    if not np.array_equal(q(e, a, a), a):
+        return False
+    qe = add[np.ix_(mul[e], mul[ie])]
+    a3, b3, c3 = np.indices((n, n, n)).reshape(3, -1)
+    if not np.array_equal(qe[qe[a3, b3], c3], qe[a3, c3]):
+        return False
+    if not np.array_equal(qe[a3, c3], qe[a3, qe[b3, c3]]):
+        return False
+    if add[mul[e, zero], mul[ie, zero]] != zero:
+        return False
+    if add[mul[e, one], mul[ie, one]] != one:
+        return False
+    a2, b2 = np.indices((n, n)).reshape(2, -1)
+    if not np.array_equal(qe[inv[a2], inv[b2]], inv[qe[a2, b2]]):
+        return False
+    a4, b4, c4, d4 = np.indices((n, n, n, n)).reshape(4, -1)
+    if not np.array_equal(qe[add[a4, c4], add[b4, d4]], add[qe[a4, b4], qe[c4, d4]]):
+        return False
+    if not np.array_equal(qe[mul[a4, c4], mul[b4, d4]], mul[qe[a4, b4], qe[c4, d4]]):
+        return False
+    return int(q(e, one, zero)) == e
 
 
 def _involutions(n):

@@ -1,9 +1,12 @@
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import center, fixtures
 from nearsemiring.core import PreconditionError
 
 
@@ -257,3 +260,57 @@ def test_element_local_identity_split_second_direction():
     assert w == (0, 0)          # e + α(e) != 1 already fails
     assert a.add[3, a.inv[3]] != a.one
     assert nsr.central_elements(a, "all").centrals == (0, 1)
+
+
+FULL_CONDITION_BASES = [fixtures.fixture(name) for name in (
+    "BOOL2", "BOOL4", "EX28", "APXA", "APXB", "MV3", "MO2", "MV3xBOOL2")] + [
+    SPLIT_1_NOT_2, SPLIT_2_NOT_1]
+
+
+@st.composite
+def involutive_tables(draw):
+    """Tables of size n <= 6 with an involution, that need not be near semirings.
+
+    Either a fixture, relabelled, with a few cells of its sum and product
+    changed, so that some elements are central and others fail only the n⁴
+    conditions; or random tables, some with 0 neutral for the sum and 0, 1
+    absorbing and neutral for the product, so that q(0,·,·) and q(1,·,·) are
+    projections.
+    """
+    if draw(st.booleans()):
+        base = draw(st.sampled_from(FULL_CONDITION_BASES))
+        n = base.n
+        a = base.relabel(draw(st.permutations(range(n))))
+        add, mul = a.add.copy(), a.mul.copy()
+        for _ in range(draw(st.integers(0, 2))):
+            table = draw(st.sampled_from([add, mul]))
+            table[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = \
+                draw(st.integers(0, n - 1))
+        return nsr.FiniteNearSemiring(add, mul, a.zero, a.one, inv=a.inv)
+    n = draw(st.integers(1, 6))
+    cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
+    add = np.array(draw(cells)).reshape(n, n)
+    mul = np.array(draw(cells)).reshape(n, n)
+    one = min(n - 1, 1)
+    if draw(st.booleans()):
+        add[0], add[:, 0] = np.arange(n), np.arange(n)
+        mul[0], mul[:, 0] = 0, 0
+        mul[one], mul[:, one] = np.arange(n), np.arange(n)
+    inv = list(range(n))
+    order = draw(st.permutations(range(n)))
+    for x, y in zip(order[0::2], order[1::2]):      # swap drawn pairs: an involution
+        if draw(st.booleans()):
+            inv[x], inv[y] = y, x
+    return nsr.FiniteNearSemiring(add, mul, 0, one, inv=inv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(involutive_tables(), st.sampled_from([center._FULL_CELLS, 1]))
+def test_full_conditions_match_the_whole_grid_oracle(algebra, cells):
+    saved = center._FULL_CELLS
+    center._FULL_CELLS = cells          # one chunk per first argument
+    try:
+        got = [center.is_central_full_conditions(algebra, e) for e in range(algebra.n)]
+    finally:
+        center._FULL_CELLS = saved
+    assert got == [naive.is_central_full_conditions(algebra, e) for e in range(algebra.n)]

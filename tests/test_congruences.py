@@ -199,3 +199,40 @@ def test_congruence_code_matches_plain_list_oracle(tables):
         assert all(nsr.meet_partitions(theta, c) == theta for c in relating)
     p, q = Congruence.from_blocks(p), Congruence.from_blocks(q)
     assert list(nsr.join_partitions(p, q).blocks) == naive.join_blocks(p.blocks, q.blocks)
+
+
+def _lattice_clauses(report):
+    return [(c.clause, c.passed, c.counterexample, c.detail) for c in report.clauses]
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_tables())
+def test_lattice_properties_match_the_loop_oracle(tables):
+    add, mul, inv, _p, _q = tables
+    n = len(add)
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n > 1 else 0, inv=inv)
+    cons = nsr.all_congruences(algebra)
+    expected = naive.lattice_properties([c.blocks for c in cons])
+    assert _lattice_clauses(nsr.congruence_lattice_properties(algebra)) == expected
+    assert _lattice_clauses(nsr.congruence_lattice_properties(algebra, cons)) == expected
+
+
+def test_lattice_properties_fail_on_the_partition_lattice_of_three():
+    # projections respect every partition, so the lattice is all five partitions of
+    # {0, 1, 2}: the diamond M3, whose two-block members neither permute nor distribute
+    first = [[x for _y in range(3)] for x in range(3)]
+    algebra = nsr.FiniteNearSemiring(first, first, 0, 1)
+    cons = nsr.all_congruences(algebra)
+    assert len(cons) == 5
+    report = nsr.congruence_lattice_properties(algebra)
+    assert _lattice_clauses(report) == naive.lattice_properties([c.blocks for c in cons])
+    assert _lattice_clauses(report) == [
+        ("congruences-permute", False, (1, 2), "{0,1}|{2} and {0,2}|{1} do not permute"),
+        ("congruence-lattice-distributive", False, (1, 2, 3), "distributivity fails")]
+
+
+def test_lattice_properties_reject_a_lattice_missing_a_join():
+    algebra = fixtures.bool4()
+    cons = nsr.all_congruences(algebra)
+    with pytest.raises(nsr.AlgebraError, match="not in the lattice"):
+        nsr.congruence_lattice_properties(algebra, cons[1:])

@@ -5,16 +5,29 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import fixtures
-from nearsemiring.core import ClauseSet, X, Y, _add, clause
+from nearsemiring import center, core, fixtures
+from nearsemiring.core import IDENTITIES, PROFILES, ClauseSet, X, Y, _add, _mul, clause
+
+ENGINE_SETS = [(p, core._PROFILE_CLAUSES[p]) for p in sorted(PROFILES)] + [
+    (name, ClauseSet([c])) for name, c in sorted(IDENTITIES.items())] + [
+    (f"central-{which}", clauses) for which, clauses in sorted(center._CENTRAL.items())]
 
 
-def _naive_first_violation(identity, add, mul, inv, filled, n):
-    """First instance in product order whose sides differ, skipping unfilled cells."""
+def _naive_first_violation(identity, add, mul, inv, filled, n, pinned=None, carrier=None):
+    """First instance in product order where a part's sides differ while its guard
+    holds, skipping instances that read an unfilled cell.
+
+    Variables range over the carrier (range(n) by default); pinned ones are
+    held and left out of the witness.  The constants are 0 and min(n-1, 1).
+    """
+    constants = {"zero": 0, "one": min(n - 1, 1)}
+
     def value(term, point):
         head = term[0]
         if head == "var":
             return point[term[1]]
+        if head in constants:
+            return constants[head]
         args = [value(t, point) for t in term[1:]]
         if any(a is None for a in args):
             return None
@@ -24,11 +37,15 @@ def _naive_first_violation(identity, add, mul, inv, filled, n):
             return None
         return int((add if head == "add" else mul)[args[0], args[1]])
 
-    for point in iproduct(range(n), repeat=len(identity.variables)):
-        for lhs, rhs, _guard in identity.parts:
-            left, right = value(lhs, point), value(rhs, point)
-            if left is not None and right is not None and left != right:
-                return point
+    pinned = pinned or {}
+    free = [v for v in identity.variables if v not in pinned]
+    for witness in iproduct(range(n) if carrier is None else carrier, repeat=len(free)):
+        at = dict(zip(free, witness)) | pinned
+        point = [at[v] for v in identity.variables]
+        for lhs, rhs, guard in identity.parts:
+            sides = [value(t, point) for t in (lhs, rhs) + (guard or ())]
+            if None not in sides and sides[0] != sides[1] and (not guard or sides[2] == sides[3]):
+                return witness
     return None
 
 
@@ -45,15 +62,21 @@ def partial_tables(draw):
     return n, add, mul, inv, filled
 
 
-@settings(max_examples=80, deadline=None)
-@given(partial_tables())
-def test_identity_first_violation_matches_plain_loop_on_partial_tables(tables):
-    n, add, mul, inv, filled = tables
+def _padded(add, mul, inv, filled, n):
+    """The tables padded with the sentinel n, as the search's are;
+    mul's cells are unfilled where filled is false."""
     padded_add = np.full((n + 1, n + 1), n)
     padded_add[:n, :n] = add
     padded_mul = np.full((n + 1, n + 1), n)
     padded_mul[:n, :n] = np.where(filled, mul, n)
-    padded_inv = np.append(inv, n)
+    return padded_add, padded_mul, np.append(inv, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(partial_tables())
+def test_identity_first_violation_matches_plain_loop_on_partial_tables(tables):
+    n, add, mul, inv, filled = tables
+    padded_add, padded_mul, padded_inv = _padded(add, mul, inv, filled, n)
     for identity in nsr.IDENTITIES.values():
         expected = _naive_first_violation(identity, add, mul, inv, filled, n)
         got = nsr.identity_first_violation(identity, padded_add, padded_mul, padded_inv, n)
@@ -74,3 +97,47 @@ def test_pinned_variable_and_carrier_witnesses():
     twisted = nsr.FiniteNearSemiring([[0, 1, 2], [2, 1, 1], [2, 1, 2]], ex24.mul, 0, 2)
     found = clauses.violations(twisted.ops(), 3, twisted.labels, carrier=(0, 1))
     assert found["comm"].witness == (0, 1) and found["comm"].equation == "0,1"
+
+
+@settings(max_examples=60, deadline=None)
+@given(partial_tables(), st.booleans(), st.booleans(), st.data())
+def test_outer_reads_match_gathers_and_the_loop_oracle(tables, pin, restrict, data):
+    n, add, mul, inv, filled = tables
+    ops = {"zero": 0, "one": min(n - 1, 1)}
+    ops["add"], ops["mul"], ops["inv"] = _padded(add, mul, inv, filled, n) \
+        if not filled.all() or data.draw(st.booleans()) else (add, mul, inv)
+    labels = tuple(f"<{x}>" for x in range(n))
+    carrier = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))) if restrict else None
+    for name, clauses in ENGINE_SETS:
+        pinned = {clauses.clauses[0].variables[0]: data.draw(st.integers(0, n - 1))} \
+            if pin else None
+        gathered = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
+        saved = core._OUTER_CELLS
+        core._OUTER_CELLS = 1            # every eligible read takes the two block takes
+        try:
+            outer = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
+        finally:
+            core._OUTER_CELLS = saved
+        assert outer == gathered, name
+        for c in clauses.clauses:
+            expected = _naive_first_violation(c, add, mul, inv, filled, n, pinned, carrier)
+            assert (outer[c.name].witness if c.name in outer else None) == expected, (name, c.name)
+
+
+def test_an_unfilled_side_renders_as_a_question_mark():
+    # x+y reads the unfilled cell (1, 2) and differs from y+x there, so only the
+    # product part fails at (1, 2); its text shows the unfilled side as "?"
+    clauses = ClauseSet([clause(
+        "both-commute", "xy", (_add(X, Y), _add(Y, X)), (_mul(X, Y), _mul(Y, X)),
+        render=("{x}+{y}={lhs} but {y}+{x}={rhs}", "{x}·{y}={lhs} but {y}·{x}={rhs}, "
+                "{x}+{y}={lhs0} and {y}+{x}={rhs0}"))])
+    add = np.array([[0, 1, 2], [1, 1, 3], [2, 2, 2]])
+    mul = np.array([[0, 0, 0], [0, 1, 0], [0, 1, 2]])
+    add, mul, _inv = _padded(add, mul, np.arange(3), np.ones((3, 3), dtype=bool), 3)
+    add[1, 2] = 3
+    labels = ("a", "b", "c")
+    found = clauses.violations({"add": add, "mul": mul}, 3, labels)
+    assert found["both-commute"].witness == (1, 2)
+    assert found["both-commute"].equation == "b·c=a but c·b=b, b+c=? and c+b=c"
+    stacked = clauses.violations({"add": add, "mul": np.stack([mul, mul])}, 3, labels)
+    assert stacked == [found, found]
