@@ -15,7 +15,7 @@ from pathlib import Path
 from . import fixtures as fixture_catalog
 from .core import (
     AlgebraError, DocumentError, FiniteNearSemiring, PreconditionError,
-    PROFILES, check_axioms, core_property_suite, hasse_edges, induced_order,
+    PROFILES, _parse_json, check_axioms, core_property_suite, hasse_edges, induced_order,
 )
 from .varieties import (
     BasicAlgebra, OrthoLattice, check_basic_algebra, check_oml,
@@ -37,13 +37,10 @@ def _load_document(source: str):
     if source.startswith("fixtures:"):
         return fixture_catalog.fixture(source[len("fixtures:"):])
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        data = Path(source).read_bytes()
     except OSError as exc:
         raise DocumentError(f"cannot read {source}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{source} is not valid JSON: {exc}") from exc
+    doc = _parse_json(data, source)
     if not isinstance(doc, dict):
         raise DocumentError(f"{source} must hold a JSON object")
     if "oplus" in doc:

@@ -14,6 +14,7 @@ sorted by clause id and witness.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -37,9 +38,19 @@ class PreconditionError(AlgebraError):
 
 
 def _has_bool(obj) -> bool:
-    """Whether a (nested) list holds a boolean, which numpy would read as 0 or 1."""
-    return isinstance(obj, (bool, np.bool_)) or (
-        isinstance(obj, (list, tuple)) and any(_has_bool(v) for v in obj))
+    """Whether a (nested) list holds a boolean, which numpy would read as 0 or 1.
+
+    The scan goes one nesting level at a time, so no depth exhausts Python's
+    stack.
+    """
+    level = [obj]
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds:
+            return True
+        level = list(itertools.chain.from_iterable(
+            v for v in level if isinstance(v, (list, tuple))))
+    return False
 
 
 def _as_array(obj, what: str) -> np.ndarray:
@@ -47,8 +58,8 @@ def _as_array(obj, what: str) -> np.ndarray:
         raise DocumentError(f"{what} table entries must be integers")
     try:
         return np.asarray(obj)
-    except ValueError as exc:          # ragged nesting
-        raise DocumentError(f"{what} table is ragged") from exc
+    except ValueError as exc:          # ragged, or deeper than numpy's dimension limit
+        raise DocumentError(f"{what} table is ragged or nested too deeply") from exc
 
 
 def _as_int_array(obj, what: str) -> np.ndarray:
@@ -167,21 +178,22 @@ def relabel_table(table, p, q, arity=None) -> np.ndarray:
 
 
 class _Structure:
-    """Pickling for a slotted structure that keeps find_violations' results.
+    """Pickling for a slotted structure that keeps its whole-universe results.
 
-    The kept results are left out: their keys, compiled clause sets, hold
-    closures, and a copy evaluates afresh.
+    The kept results (see find_violations and kept) are left out: their keys
+    are clauses and functions compared by identity, which a copy would not
+    share, so a copy evaluates afresh.
     """
 
     __slots__ = ()
 
     def __getstate__(self):
-        return {s: getattr(self, s) for s in type(self).__slots__ if s != "_violations"}
+        return {s: getattr(self, s) for s in type(self).__slots__ if s != "_kept"}
 
     def __setstate__(self, state):
         for name, value in state.items():
             setattr(self, name, value)
-        self._violations = {}
+        self._kept = {}
 
 
 class FiniteNearSemiring(_Structure):
@@ -191,7 +203,7 @@ class FiniteNearSemiring(_Structure):
     as ``add[x, y] == x + y`` (row = left argument).
     """
 
-    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels", "_violations")
+    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels", "_kept")
 
     def __init__(self, add, mul, zero, one, inv=None, name="R", labels=None):
         self.add = _square_table(add, "sum")
@@ -201,14 +213,14 @@ class FiniteNearSemiring(_Structure):
         self.zero, self.one = _constants(zero, one, n)
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._violations = {}
+        self._kept = {}
 
     @classmethod
     def _validated(cls, add, mul, zero: int, one: int, inv, name: str) -> "FiniteNearSemiring":
         """An algebra on read-only tables that a TableStack has validated, taken as they are."""
         self = cls.__new__(cls)
         self.add, self.mul, self.inv, self.zero, self.one = add, mul, inv, zero, one
-        self.name, self.labels, self._violations = name, _plain_labels(len(add)), {}
+        self.name, self.labels, self._kept = name, _plain_labels(len(add)), {}
         return self
 
     @property
@@ -338,13 +350,25 @@ class TableStack:
                                              self.name if name is None else str(name))
 
 
+def _parse_json(source, what: str = "document"):
+    """The JSON value of a document's text, given as str or as bytes.
+
+    Bytes are decoded as json.loads decodes them (UTF-8, -16 or -32).  Text
+    that is not JSON, bytes in none of those encodings and nesting too deep
+    for the parser raise DocumentError, what naming the document.
+    """
+    try:
+        return json.loads(source)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DocumentError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"{what} is nested too deeply to parse") from exc
+
+
 def load_algebra(source) -> FiniteNearSemiring:
-    """Load an algebra from a JSON document (text or already-parsed dict)."""
+    """Load an algebra from a JSON document (text, bytes or an already-parsed dict)."""
     if isinstance(source, (str, bytes)):
-        try:
-            source = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"not valid JSON: {exc}") from exc
+        source = _parse_json(source)
     return FiniteNearSemiring.from_document(source)
 
 
@@ -813,21 +837,56 @@ def _first_true(mask: np.ndarray):
 def find_violations(structure, clauses: ClauseSet, pinned=None, carrier=None) -> dict:
     """ClauseSet.violations over a structure's own tables, rendered with its labels.
 
-    The result over the whole universe is kept on the structure, keyed by the
-    clause set, so checkers that reach the same profile again (a require
-    before a check, a suite after its variety check) evaluate it once.  This
-    is exact because a structure's tables, constants and labels are read-only
-    after construction.  Each call returns a fresh dict; calls with pinned or
-    carrier are evaluated every time.
+    Over the whole universe, each clause's verdict (its Violation, or None
+    when it passes) is kept on the structure, so a clause that checkers
+    reach again (a require before a check, the near-semiring axioms of four
+    profiles, a suite after its variety check) is evaluated once per
+    structure.  A call evaluates only the clauses not kept yet, as one
+    clause set compiled for them, and returns a fresh dict in clause order.
+    This is exact because a structure's tables, constants and labels are
+    read-only after construction, and a clause's least witness and rendered
+    equation do not depend on the other clauses of its set.  Calls with
+    pinned or carrier are evaluated every time.
     """
     if pinned is not None or carrier is not None:
         return clauses.violations(structure.ops(), structure.n, structure.labels,
                                   pinned=pinned, carrier=carrier)
-    found = structure._violations.get(clauses)
-    if found is None:
-        found = structure._violations[clauses] = clauses.violations(
-            structure.ops(), structure.n, structure.labels)
-    return dict(found)
+    memo = structure._kept
+    missing = tuple(c for c in clauses.clauses if c not in memo)
+    if missing:
+        subset = clauses if len(missing) == len(clauses.clauses) else _clause_subset(missing)
+        found = subset.violations(structure.ops(), structure.n, structure.labels)
+        for c in missing:
+            memo[c] = found.get(c.name)
+    return {c.name: memo[c] for c in clauses.clauses if memo[c] is not None}
+
+
+@functools.lru_cache(maxsize=256)
+def _clause_subset(clauses: tuple) -> ClauseSet:
+    """The clause set of clauses some structure has not kept yet, compiled once."""
+    return ClauseSet(clauses)
+
+
+def kept(checker):
+    """checker(structure, *args), computed at most once per structure and arguments.
+
+    The result is kept in the structure's _kept slot under (checker, args),
+    beside find_violations' clause verdicts, and every later call returns
+    the same object; so checker must be a pure function of the structure's
+    read-only tables, constants, name and labels, and its result immutable.
+    An exception is not kept: a failing precondition raises again.  An
+    object without the slot, such as a TableStack, is checked every time.
+    """
+    @functools.wraps(checker)
+    def keeper(structure, *args, **kwargs):
+        memo = getattr(structure, "_kept", None)
+        if memo is None:
+            return checker(structure, *args, **kwargs)
+        key = (checker, args, tuple(kwargs.items()))
+        if key not in memo:
+            memo[key] = checker(structure, *args, **kwargs)
+        return memo[key]
+    return keeper
 
 
 def clause_results(clauses: ClauseSet, found: dict) -> list:
@@ -984,6 +1043,7 @@ class PartialOrderReport:
         }
 
 
+@kept
 def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrderReport:
     """Order induced by sum (x<=y iff x+y=y) or by product (x<=y iff x·y=x).
 

@@ -17,7 +17,7 @@ from .core import (
     DocumentError, FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z,
     _Structure, _add, _constant, _document_size, _first_true, _inv, _labels, _mul, _op,
     _sized, _square_table, _unary_table, check_axioms, clause, clause_results,
-    find_violations, require,
+    find_violations, kept, require,
 )
 
 
@@ -28,7 +28,7 @@ from .core import (
 class BasicAlgebra(_Structure):
     """Finite algebra <A, ⊕, ', 0> with 1 = 0'; tables structural only."""
 
-    __slots__ = ("oplus", "neg", "zero", "name", "labels", "_violations")
+    __slots__ = ("oplus", "neg", "zero", "name", "labels", "_kept")
 
     def __init__(self, oplus, neg, zero, name="B", labels=None):
         self.oplus = _square_table(oplus, "oplus")
@@ -37,7 +37,7 @@ class BasicAlgebra(_Structure):
         self.zero = _constant(zero, n, "zero")
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._violations = {}
+        self._kept = {}
 
     @property
     def n(self) -> int:
@@ -85,7 +85,7 @@ class OrthoLattice(_Structure):
     tables actually form an orthomodular lattice is the job of check_oml.
     """
 
-    __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels", "_violations")
+    __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels", "_kept")
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):
         self.join = _square_table(join, "join")
@@ -100,7 +100,7 @@ class OrthoLattice(_Structure):
         self.meet = meet
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._violations = {}
+        self._kept = {}
 
     @property
     def n(self) -> int:
@@ -153,6 +153,7 @@ def _required(report: CheckReport, what: str, context: str) -> CheckReport:
 _EXCHANGE = ClauseSet([IDENTITIES["lukasiewicz"]])
 
 
+@kept
 def check_lukasiewicz(algebra: FiniteNearSemiring) -> CheckReport:
     """Check the exchange identity α(x·α(y))·α(y) = α(y·α(x))·α(x).
 
@@ -261,6 +262,7 @@ _ORTHOMODULAR = ClauseSet([
 ])
 
 
+@kept
 def check_orthomodular_ns(algebra: FiniteNearSemiring) -> CheckReport:
     """Check x = x·(x+y) plus its standard consequences on a Łukasiewicz near semiring.
 
@@ -299,6 +301,7 @@ _BASIC = ClauseSet([
 ])
 
 
+@kept
 def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
     """Check the four basic-algebra axioms and the induced bounded-lattice order.
 
@@ -401,6 +404,7 @@ _OML = ClauseSet([
 ])
 
 
+@kept
 def check_oml(lattice: OrthoLattice) -> CheckReport:
     """Check bounded-lattice axioms, orthocomplementation, and the orthomodular law."""
     violations = find_violations(lattice, _OML).values()

@@ -277,6 +277,44 @@ def test_find_violations_evaluates_a_clause_set_once_per_structure(monkeypatch):
     assert nsr.check_axioms(apxb, "near-semiring").violations == tuple(
         sorted(first.values(), key=lambda v: (v.clause, v.witness)))
     assert calls == [clauses]
+    # every clause's verdict is kept, a passing one as None
+    assert all(apxb._kept[c] == first.get(c.name) for c in clauses.clauses)
+    assert None in (apxb._kept[c] for c in clauses.clauses)
+
+
+def _mutant(name, table, x, y, value):
+    a = fixtures.fixture(name)
+    tables = {"add": a.add.copy(), "mul": a.mul.copy()}
+    tables[table][x, y] = value
+    return nsr.FiniteNearSemiring(tables["add"], tables["mul"], a.zero, a.one, inv=a.inv,
+                                  labels=a.labels)
+
+
+def test_find_violations_evaluates_only_the_clauses_not_kept(monkeypatch):
+    profiles = ("near-semiring", "semiring", "involutive", "involutive-integral", "integral")
+    sets = [core._PROFILE_CLAUSES[p] for p in profiles]
+    mutant = _mutant("MV3", "mul", 2, 1, 2)       # 1·h=1 breaks the unit and more
+    other = fixtures.mv3()
+    fresh = [c.violations(mutant.ops(), mutant.n, mutant.labels) for c in sets]
+    calls = _count_evaluations(monkeypatch)
+    got = [core.find_violations(mutant, c) for c in sets]
+    # equal to a whole-set evaluation, in clause order
+    assert [list(g.items()) for g in got] == [list(f.items()) for f in fresh]
+    assert got[1] and got[2] != got[1]
+    assert [tuple(c.name for c in s.clauses) for s in calls] == [
+        core.PROFILES["near-semiring"],
+        ("mul-associativity", "left-distributivity"),
+        ("add-idempotence", "involution-period-two", "involution-antitone"),
+        ("integrality",),
+    ]
+    assert calls[0] is sets[0]
+    for c in sets:                                # everything is kept now
+        core.find_violations(mutant, c)
+    assert len(calls) == 4
+    # a compiled subset is cached: another structure missing the same clauses reuses it
+    for c in sets[:2]:
+        core.find_violations(other, c)
+    assert calls[4:] == [sets[0], calls[1]] and calls[5] is calls[1]
 
 
 def test_find_violations_result_is_a_fresh_dict():
@@ -296,7 +334,9 @@ def test_find_violations_with_pinned_or_carrier_always_evaluates(monkeypatch):
         core.find_violations(mv3, lemmas, pinned={"e": 1})
         core.find_violations(mv3, lemmas, carrier=(0, 2))
     assert calls == [lemmas] * 4
-    assert lemmas not in mv3._violations
+    # no clause of the set is kept, and nothing else is either
+    assert not any(c in mv3._kept for c in lemmas.clauses)
+    assert mv3._kept == {}
 
 
 def test_equal_tables_in_a_new_object_are_evaluated_again(monkeypatch):
@@ -312,8 +352,11 @@ def test_equal_tables_in_a_new_object_are_evaluated_again(monkeypatch):
 def test_pickled_structures_leave_kept_results_behind():
     mv3 = fixtures.mv3()
     basic = nsr.basic_from_lns(mv3)
-    assert mv3._violations and basic._violations
+    assert mv3._kept and basic._kept
+    # clause verdicts and checker reports alike
+    assert any(isinstance(key, core.Clause) for key in mv3._kept)
+    assert any(isinstance(key, tuple) for key in mv3._kept)
     for structure in (mv3, basic, nsr.oml_from_ons(fixtures.mo2())):
         again = pickle.loads(pickle.dumps(structure))
         assert again.same_tables(structure) and again.labels == structure.labels
-        assert again._violations == {}
+        assert again._kept == {}

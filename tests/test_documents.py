@@ -121,3 +121,47 @@ def test_mutated_documents_never_raise(doc, profile, tmp_path, capsys):
     argv = () if ("oplus" in doc or "join" in doc) else ("--profile", profile)
     assert _run(tmp_path, doc, *argv) in (0, 1, 2)
     capsys.readouterr()
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "0" + "]" * depth
+
+
+@pytest.mark.parametrize("depth", [900, 100_000])
+def test_deeply_nested_tables_exit_two(depth, tmp_path, capsys):
+    text = ('{"name": "R", "size": 1, "zero": 0, "one": 0, "add": %s, "mul": [[0]]}'
+            % _nested(depth))
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        nsr.load_algebra(text)
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_deeply_nested_table_objects_are_document_errors():
+    # parsed already, so only the table scan sees the nesting
+    table = [0]
+    for _ in range(2_000):
+        table = [table]
+    for args in ((table, [[0]]), ([[0]], table)):
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            nsr.FiniteNearSemiring(*args, 0, 0)
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        nsr.BasicAlgebra([[0]], table, 0)
+    # a boolean at the bottom is still found, however deep
+    table = [True]
+    for _ in range(2_000):
+        table = [table]
+    with pytest.raises(DocumentError, match="integers"):
+        nsr.FiniteNearSemiring(table, [[0]], 0, 0)
+
+
+def test_non_utf8_files_exit_two(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    for data in (b"\xff\xfe{}", b'{"name": "\xff"}'):
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
+        with pytest.raises(DocumentError):
+            nsr.load_algebra(data)
