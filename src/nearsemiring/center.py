@@ -18,15 +18,15 @@ import numpy as np
 from .core import (
     IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseSet, FiniteNearSemiring,
     PreconditionError, PropertyReport, X, Y, Z, _add, _inv, _mul, check_axioms, clause,
-    clause_results, find_violations, require,
+    _in_universe, _needs_inv, clause_results, find_violations, require,
 )
 from .congruences import is_factor_pair, principal_congruence
 
 
 def church_q(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> int:
     """Selector term q(x,y,z) = (x·y) + (α(x)·z)."""
-    if algebra.inv is None:
-        raise PreconditionError(f"{algebra.name} has no involution table")
+    _needs_inv(algebra)
+    _in_universe(algebra, x, y, z)
     add, mul, inv = algebra.add, algebra.mul, algebra.inv
     return int(add[mul[x, y], mul[inv[x], z]])
 
@@ -64,10 +64,8 @@ def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
     (x, z, y, u).  Returns the lexicographically first violating tuple, or
     None when the identity holds everywhere at e.
     """
-    if algebra.inv is None:
-        raise PreconditionError(f"{algebra.name} has no involution table")
-    if not 0 <= e < algebra.n:
-        raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
+    _needs_inv(algebra)
+    _in_universe(algebra, e)
     if which not in _CENTRAL:
         raise AlgebraError(f"which must be '1' or '2', got {which!r}")
     found = _CENTRAL[which].violations(algebra.ops(), algebra.n, pinned={"e": e})
@@ -88,8 +86,7 @@ def is_central_equational(algebra: FiniteNearSemiring, e: int) -> bool:
 
 
 def _require_central(algebra: FiniteNearSemiring, e: int) -> None:
-    if not 0 <= e < algebra.n:
-        raise AlgebraError(f"element {e} out of range [0, {algebra.n})")
+    _in_universe(algebra, e)
     w = _central_equational_witness(algebra, e)
     if w is not None:
         raise PreconditionError(

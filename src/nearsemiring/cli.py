@@ -33,7 +33,11 @@ from .search import enumerate_models, find_model, parse_constraint
 
 
 def _load_document(source: str):
-    """A path to a JSON document, or fixtures:NAME."""
+    """A path to a JSON document, or fixtures:NAME.
+
+    A document is a basic algebra or a lattice when it holds that kind's
+    first table, and a near semiring otherwise.
+    """
     if source.startswith("fixtures:"):
         return fixture_catalog.fixture(source[len("fixtures:"):])
     try:
@@ -43,11 +47,9 @@ def _load_document(source: str):
     doc = _parse_json(data, source)
     if not isinstance(doc, dict):
         raise DocumentError(f"{source} must hold a JSON object")
-    if "oplus" in doc:
-        return BasicAlgebra.from_document(doc)
-    if "join" in doc:
-        return OrthoLattice.from_document(doc)
-    return FiniteNearSemiring.from_document(doc)
+    cls = next((c for c in (BasicAlgebra, OrthoLattice) if c._kind.tables[0] in doc),
+               FiniteNearSemiring)
+    return cls.from_document(doc)
 
 
 def _need_ns(obj) -> FiniteNearSemiring:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .core import (
     AlgebraError, ClauseResult, ClauseSet, FiniteNearSemiring, PropertyReport, X, Y, Z,
-    WitnessTermReport, _add, _first_true, _inv, _mul, clause, clause_results, find_violations,
+    WitnessTermReport, _add, _first_true, _in_universe, _inv, _mul, _needs_inv, clause,
+    clause_results, find_violations,
 )
 from .varieties import _join, _meet, require_lukasiewicz
 
@@ -233,6 +234,8 @@ def quotient_algebra(algebra: FiniteNearSemiring, theta: Congruence) -> FiniteNe
 
 def regularity_terms(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> tuple:
     """The two ternary terms whose joint fixing of z characterizes x = y."""
+    _needs_inv(algebra)
+    _in_universe(algebra, x, y, z)
     add, mul, inv = algebra.add, algebra.mul, algebra.inv
     d = add[mul[x, inv[y]], mul[y, inv[x]]]
     return int(add[d, z]), int(mul[inv[d], z])

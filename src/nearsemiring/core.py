@@ -7,6 +7,12 @@ ranges, the involution being a permutation).  Axiom conformance is never a
 construction invariant: broken candidate tables must be loadable so they
 can be audited, with every failure reported as an explicit witness.
 
+The three structure kinds (near semirings here, basic algebras and
+ortholattices in varieties) each declare once, as a _Kind, their document
+kind and their constants and tables in document order.  Their size, labels,
+ops dict, table equality, documents, repr and pickling are derived from it
+in _Structure; each class keeps only its constructor and what is its own.
+
 All check results are deterministic: each failing clause is reported once,
 with its lexicographically smallest witness tuple, and violation lists are
 sorted by clause id and witness.
@@ -17,6 +23,7 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,6 +116,17 @@ def _constants(zero, one, n: int) -> tuple:
     return zero, one
 
 
+def _needs_inv(algebra) -> None:
+    if algebra.inv is None:
+        raise PreconditionError(f"{algebra.name} has no involution table")
+
+
+def _in_universe(structure, *elements) -> None:
+    for x in elements:
+        if not 0 <= x < structure.n:
+            raise AlgebraError(f"element {x} out of range [0, {structure.n})")
+
+
 @functools.lru_cache(maxsize=None)
 def _plain_labels(n: int) -> tuple:
     return tuple(str(i) for i in range(n))
@@ -121,28 +139,6 @@ def _labels(labels, n: int) -> tuple:
             or not all(isinstance(s, str) for s in labels) or len(set(labels)) != n):
         raise DocumentError(f"labels must be {n} distinct strings")
     return tuple(labels)
-
-
-def _document_size(doc, kind: str, keys) -> int:
-    """The declared size of a document holding every key, a string name and an integer size."""
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{kind} document must be a JSON object")
-    for key in keys:
-        if key not in doc:
-            raise DocumentError(f"{kind} document lacks required field {key!r}")
-    if not isinstance(doc["name"], str):
-        raise DocumentError(f"name must be a string, got {doc['name']!r}")
-    n = doc["size"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DocumentError(f"size must be a positive integer, got {n!r}")
-    return n
-
-
-def _sized(structure, n: int):
-    """The structure, if its tables have the size its document declares."""
-    if structure.n != n:
-        raise DocumentError(f"size {n} does not match the {structure.n}x{structure.n} tables")
-    return structure
 
 
 def _unary_table(obj, n: int, what: str, permutation: bool = False,
@@ -177,23 +173,108 @@ def relabel_table(table, p, q, arity=None) -> np.ndarray:
     return np.take_along_axis(p, flat, -1).reshape(inner.shape)
 
 
-class _Structure:
-    """Pickling for a slotted structure that keeps its whole-universe results.
+class _Kind(NamedTuple):
+    """A structure kind, declared once.
 
-    The kept results (see find_violations and kept) are left out: their keys
-    are clauses and functions compared by identity, which a copy would not
-    share, so a copy evaluates afresh.
+    document names the kind in document errors.  constants and tables are
+    its fields in document order, constants first; a table named in
+    optional may be None, and its document may leave it out.  A document
+    is of the kind whose first table it holds.  derived names the values
+    ops() adds to the fields, which the structure computes from them.
+    """
+    document: str
+    constants: tuple
+    tables: tuple
+    optional: tuple = ()
+    derived: tuple = ()
+
+    @property
+    def fields(self) -> tuple:
+        return self.constants + self.tables
+
+    def ops(self, structure) -> dict:
+        """The structure's fields and derived values by name, a missing table left out."""
+        return {name: value for name in self.fields + self.derived
+                if (value := getattr(structure, name)) is not None}
+
+
+class _Structure:
+    """What the three structure kinds share, derived from each kind's _kind declaration.
+
+    A subclass declares its fields as slots and keeps its constructor, whose
+    parameters are named after the fields.  A pickle holds the document, so
+    a copy is validated again and keeps none of the kept results (see
+    find_violations and kept): their keys are clauses and functions compared
+    by identity, which a copy would not share.
     """
 
-    __slots__ = ()
+    __slots__ = ("name", "labels", "_kept", "_ops")
+    _kind: _Kind
 
-    def __getstate__(self):
-        return {s: getattr(self, s) for s in type(self).__slots__ if s != "_kept"}
+    def __new__(cls, *args, **kwargs):
+        """A structure with nothing kept yet, however it is then filled in."""
+        self = super().__new__(cls)
+        self._kept, self._ops = {}, None
+        return self
 
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._kept = {}
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def label(self, x: int) -> str:
+        return self.labels[x]
+
+    def ops(self) -> dict:
+        """Tables and constants by name, as the clause evaluator looks them up.
+
+        The dict is built on the first call; every call returns a copy.
+        """
+        if self._ops is None:
+            self._ops = self._kind.ops(self)
+        return dict(self._ops)
+
+    def __repr__(self):
+        extra = "".join(f", {name}={getattr(self, name) is not None}"
+                        for name in self._kind.optional)
+        return f"{type(self).__name__}({self.name!r}, n={self.n}{extra})"
+
+    def same_tables(self, other) -> bool:
+        """Pointwise equality of every table and constant; a missing table equals only another."""
+        pairs = ((getattr(self, name), getattr(other, name)) for name in self._kind.fields)
+        return all(a is b if a is None or b is None else np.array_equal(a, b) for a, b in pairs)
+
+    def to_document(self) -> dict:
+        kind = self._kind
+        doc = {"name": self.name, "size": self.n}
+        doc.update((name, getattr(self, name)) for name in kind.constants)
+        doc.update((name, table.tolist()) for name in kind.tables
+                   if (table := getattr(self, name)) is not None)
+        if self.labels != _plain_labels(self.n):
+            doc["labels"] = list(self.labels)
+        return doc
+
+    @classmethod
+    def from_document(cls, doc: dict):
+        """The structure a document holds, whose declared size must match its tables."""
+        kind = cls._kind
+        if not isinstance(doc, dict):
+            raise DocumentError(f"{kind.document} document must be a JSON object")
+        for key in ("name", "size") + kind.fields:
+            if key not in doc and key not in kind.optional:
+                raise DocumentError(f"{kind.document} document lacks required field {key!r}")
+        if not isinstance(doc["name"], str):
+            raise DocumentError(f"name must be a string, got {doc['name']!r}")
+        n = doc["size"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise DocumentError(f"size must be a positive integer, got {n!r}")
+        structure = cls(**{name: doc.get(name) for name in kind.fields},
+                        name=doc["name"], labels=doc.get("labels"))
+        if structure.n != n:
+            raise DocumentError(f"size {n} does not match the {structure.n}x{structure.n} tables")
+        return structure
+
+    def __reduce__(self):
+        return type(self).from_document, (self.to_document(),)
 
 
 class FiniteNearSemiring(_Structure):
@@ -203,7 +284,8 @@ class FiniteNearSemiring(_Structure):
     as ``add[x, y] == x + y`` (row = left argument).
     """
 
-    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "labels", "_kept")
+    _kind = _Kind("algebra", ("zero", "one"), ("add", "mul", "inv"), optional=("inv",))
+    __slots__ = _kind.fields
 
     def __init__(self, add, mul, zero, one, inv=None, name="R", labels=None):
         self.add = _square_table(add, "sum")
@@ -213,46 +295,18 @@ class FiniteNearSemiring(_Structure):
         self.zero, self.one = _constants(zero, one, n)
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._kept = {}
 
     @classmethod
     def _validated(cls, add, mul, zero: int, one: int, inv, name: str) -> "FiniteNearSemiring":
         """An algebra on read-only tables that a TableStack has validated, taken as they are."""
         self = cls.__new__(cls)
         self.add, self.mul, self.inv, self.zero, self.one = add, mul, inv, zero, one
-        self.name, self.labels, self._kept = name, _plain_labels(len(add)), {}
+        self.name, self.labels = name, _plain_labels(len(add))
         return self
-
-    @property
-    def n(self) -> int:
-        return self.add.shape[0]
 
     @property
     def has_inv(self) -> bool:
         return self.inv is not None
-
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
-    def ops(self) -> dict:
-        """Tables and constants by name, as the clause evaluator looks them up."""
-        ops = {"add": self.add, "mul": self.mul, "zero": self.zero, "one": self.one}
-        if self.inv is not None:
-            ops["inv"] = self.inv
-        return ops
-
-    def __repr__(self):
-        return f"FiniteNearSemiring({self.name!r}, n={self.n}, inv={self.has_inv})"
-
-    def same_tables(self, other: "FiniteNearSemiring") -> bool:
-        """Pointwise equality of every table and both constants."""
-        if self.n != other.n or self.zero != other.zero or self.one != other.one:
-            return False
-        if self.has_inv != other.has_inv:
-            return False
-        if not np.array_equal(self.add, other.add) or not np.array_equal(self.mul, other.mul):
-            return False
-        return self.inv is None or np.array_equal(self.inv, other.inv)
 
     def relabel(self, perm, name=None) -> "FiniteNearSemiring":
         """Apply a carrier permutation: element x becomes perm[x]."""
@@ -265,29 +319,6 @@ class FiniteNearSemiring(_Structure):
             int(p[self.zero]), int(p[self.one]), inv=inv,
             name=self.name if name is None else name, labels=labels,
         )
-
-    def to_document(self) -> dict:
-        doc = {
-            "name": self.name,
-            "size": self.n,
-            "zero": self.zero,
-            "one": self.one,
-            "add": self.add.tolist(),
-            "mul": self.mul.tolist(),
-        }
-        if self.inv is not None:
-            doc["inv"] = self.inv.tolist()
-        if self.labels != tuple(str(i) for i in range(self.n)):
-            doc["labels"] = list(self.labels)
-        return doc
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "FiniteNearSemiring":
-        n = _document_size(doc, "algebra", ("name", "size", "zero", "one", "add", "mul"))
-        return _sized(cls(
-            doc["add"], doc["mul"], doc["zero"], doc["one"],
-            inv=doc.get("inv"), name=doc["name"], labels=doc.get("labels"),
-        ), n)
 
 
 class TableStack:
@@ -328,10 +359,7 @@ class TableStack:
 
     def ops(self) -> dict:
         """Tables and constants by name, stacked tables keeping their stack axis."""
-        ops = {"add": self.add, "mul": self.mul, "zero": self.zero, "one": self.one}
-        if self.inv is not None:
-            ops["inv"] = self.inv
-        return ops
+        return FiniteNearSemiring._kind.ops(self)
 
     def _tables(self, index):
         """add, mul and inv of the slices a basic or array index picks."""
@@ -1111,8 +1139,7 @@ def _bounded(leq: np.ndarray) -> bool:
 
 def check_involution(algebra: FiniteNearSemiring) -> CheckReport:
     """Check period two and antitonicity against the sum order."""
-    if algebra.inv is None:
-        raise PreconditionError(f"{algebra.name} has no involution table")
+    _needs_inv(algebra)
     order = induced_order(algebra, "sum")
     if not order.is_partial_order:
         raise PreconditionError(

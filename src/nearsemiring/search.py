@@ -44,8 +44,8 @@ from itertools import permutations
 import numpy as np
 
 from .core import (
-    _AXIOMS, _STACK_CELLS, IDENTITIES, AlgebraError, Clause, ClauseSet, FiniteNearSemiring,
-    PROFILES, TableStack, check_axioms, relabel_table,
+    _AXIOMS, _PROFILE_CLAUSES, _STACK_CELLS, IDENTITIES, AlgebraError, Clause, ClauseSet,
+    FiniteNearSemiring, PROFILES, TableStack, check_axioms, relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -103,30 +103,30 @@ class SearchConstraint:
 
     @property
     def needs_inv(self) -> bool:
-        if any(p.startswith("involutive") for p in self.profiles):
-            return True
-        return any(_compiled(IDENTITIES[i]).needs_inv for i in self.require + self.forbid)
+        return (any(_PROFILE_CLAUSES[p].needs_inv for p in self.profiles)
+                or any(_compiled(IDENTITIES[i]).needs_inv for i in self.require + self.forbid))
 
     @property
     def idempotent_add(self) -> bool:
-        return any(p in ("idempotent-add", "involutive", "involutive-integral")
-                   for p in self.profiles)
+        return any("add-idempotence" in PROFILES[p] for p in self.profiles)
 
     @property
     def integral(self) -> bool:
-        return any(p in ("integral", "involutive-integral") for p in self.profiles)
+        return any("integrality" in PROFILES[p] for p in self.profiles)
 
     @property
     def antitone_inv(self) -> bool:
-        return any(p in ("involutive", "involutive-integral") for p in self.profiles)
+        return any("involution-antitone" in PROFILES[p] for p in self.profiles)
+
+
+def _names(names) -> tuple:
+    """Names given as a comma-separated string or as a sequence."""
+    return tuple(s for s in names.split(",") if s) if isinstance(names, str) else tuple(names)
 
 
 def parse_constraint(names, forbid=()) -> SearchConstraint:
     """Split a mixed list of profile and identity names into a constraint."""
-    if isinstance(names, str):
-        names = [s for s in names.split(",") if s]
-    if isinstance(forbid, str):
-        forbid = [s for s in forbid.split(",") if s]
+    names, forbid = _names(names), _names(forbid)
     profiles, require = [], []
     for name in names:
         if name in PROFILES:
@@ -138,7 +138,7 @@ def parse_constraint(names, forbid=()) -> SearchConstraint:
     bad = [name for name in forbid if name not in IDENTITIES]
     if bad:
         raise AlgebraError(f"unknown identities in violate set: {bad}")
-    return SearchConstraint(tuple(profiles), tuple(require), tuple(forbid))
+    return SearchConstraint(tuple(profiles), tuple(require), forbid)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +670,7 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
     exhaustive-none result if the whole bounded space is traversed.
     """
     if isinstance(satisfy, SearchConstraint):
-        constraint = SearchConstraint(satisfy.profiles, satisfy.require,
-                                      tuple(violate) if not isinstance(violate, str)
-                                      else (violate,))
+        constraint = SearchConstraint(satisfy.profiles, satisfy.require, _names(violate))
     else:
         constraint = parse_constraint(satisfy, violate)
     if n_max < 1:

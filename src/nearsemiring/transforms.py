@@ -19,6 +19,13 @@ from .varieties import (
 )
 
 
+def _translated(out, report, source, what: str):
+    """The translation of source, unless the report of its re-check failed."""
+    if not report.passed:
+        raise AlgebraError(f"translation of {source.name} {what}: {report.violations[0].equation}")
+    return out
+
+
 def basic_from_lns(algebra: FiniteNearSemiring) -> BasicAlgebra:
     """Basic algebra on the same carrier: x⊕y = α((α(x)+y)·α(y)), ' = α."""
     require_lukasiewicz(algebra, "translation to basic algebra")
@@ -27,12 +34,8 @@ def basic_from_lns(algebra: FiniteNearSemiring) -> BasicAlgebra:
     oplus = inv[mul[t, np.broadcast_to(inv, (n, n))]]
     basic = BasicAlgebra(oplus, inv.copy(), algebra.zero,
                          name=f"B({algebra.name})", labels=algebra.labels)
-    rep = check_basic_algebra(basic)
-    if not rep.passed:
-        raise AlgebraError(
-            f"translation of {algebra.name} violates the basic-algebra axioms: "
-            f"{rep.violations[0].equation}")
-    return basic
+    return _translated(basic, check_basic_algebra(basic), algebra,
+                       "violates the basic-algebra axioms")
 
 
 def lns_from_basic(basic: BasicAlgebra) -> FiniteNearSemiring:
@@ -45,10 +48,7 @@ def lns_from_basic(basic: BasicAlgebra) -> FiniteNearSemiring:
         add, mul, basic.zero, basic.one, inv=neg.copy(),
         name=f"R({basic.name})", labels=basic.labels)
     out = check_lukasiewicz(algebra)
-    if not out.passed:
-        raise AlgebraError(
-            f"translation of {basic.name} is not a Łukasiewicz near semiring: "
-            f"{out.violations[0].equation}")
+    _translated(algebra, out, basic, "is not a Łukasiewicz near semiring")
     if rep.tag("mv") and not out.tag("semiring"):
         raise AlgebraError(
             f"{basic.name} has associative ⊕ but its translation is not a semiring")
@@ -63,12 +63,8 @@ def ons_from_oml(lattice: OrthoLattice) -> FiniteNearSemiring:
     algebra = FiniteNearSemiring(
         jn.copy(), mul, lattice.zero, lattice.one, inv=oc.copy(),
         name=f"R({lattice.name})", labels=lattice.labels)
-    rep = check_orthomodular_ns(algebra)
-    if not rep.passed:
-        raise AlgebraError(
-            f"translation of {lattice.name} is not an orthomodular near semiring: "
-            f"{rep.violations[0].equation}")
-    return algebra
+    return _translated(algebra, check_orthomodular_ns(algebra), lattice,
+                       "is not an orthomodular near semiring")
 
 
 def oml_from_ons(algebra: FiniteNearSemiring) -> OrthoLattice:
@@ -77,12 +73,7 @@ def oml_from_ons(algebra: FiniteNearSemiring) -> OrthoLattice:
     lattice = OrthoLattice(
         algebra.add.copy(), algebra.inv.copy(), algebra.zero, algebra.one,
         name=f"L({algebra.name})", labels=algebra.labels)
-    rep = check_oml(lattice)
-    if not rep.passed:
-        raise AlgebraError(
-            f"translation of {algebra.name} is not an orthomodular lattice: "
-            f"{rep.violations[0].equation}")
-    return lattice
+    return _translated(lattice, check_oml(lattice), algebra, "is not an orthomodular lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +133,8 @@ def roundtrip_check(structure, via: str, verbose: bool = False) -> RoundTripRepo
 
     For a near semiring, via='basic' checks lns -> basic -> lns and
     via='oml' checks ons -> oml -> ons; for a BasicAlgebra or OrthoLattice
-    input the composition runs in the opposite order.
+    input the composition runs in the opposite order.  Every field the
+    structure's kind declares is compared.
     """
     if isinstance(structure, FiniteNearSemiring):
         if via == "basic":
@@ -151,28 +143,16 @@ def roundtrip_check(structure, via: str, verbose: bool = False) -> RoundTripRepo
             back = ons_from_oml(oml_from_ons(structure))
         else:
             raise AlgebraError(f"via must be 'basic' or 'oml', got {via!r}")
-        return _compare(
-            f"lns-via-{via}",
-            [("add", structure.add, back.add), ("mul", structure.mul, back.mul),
-             ("inv", structure.inv, back.inv),
-             ("zero", structure.zero, back.zero), ("one", structure.one, back.one)],
-            verbose)
-    if isinstance(structure, BasicAlgebra):
+        direction = f"lns-via-{via}"
+    elif isinstance(structure, BasicAlgebra):
         if via != "basic":
             raise AlgebraError("a basic algebra only round-trips via 'basic'")
-        back = basic_from_lns(lns_from_basic(structure))
-        return _compare(
-            "basic-via-lns",
-            [("oplus", structure.oplus, back.oplus), ("neg", structure.neg, back.neg),
-             ("zero", structure.zero, back.zero)],
-            verbose)
-    if isinstance(structure, OrthoLattice):
+        back, direction = basic_from_lns(lns_from_basic(structure)), "basic-via-lns"
+    elif isinstance(structure, OrthoLattice):
         if via != "oml":
             raise AlgebraError("an ortholattice only round-trips via 'oml'")
-        back = oml_from_ons(ons_from_oml(structure))
-        return _compare(
-            "oml-via-lns",
-            [("join", structure.join, back.join), ("ortho", structure.ortho, back.ortho),
-             ("zero", structure.zero, back.zero), ("one", structure.one, back.one)],
-            verbose)
-    raise AlgebraError(f"cannot round-trip object of type {type(structure).__name__}")
+        back, direction = oml_from_ons(ons_from_oml(structure)), "oml-via-lns"
+    else:
+        raise AlgebraError(f"cannot round-trip object of type {type(structure).__name__}")
+    return _compare(direction, [(op, getattr(structure, op), getattr(back, op))
+                                for op in structure._kind.fields], verbose)

@@ -14,9 +14,9 @@ import numpy as np
 
 from .core import (
     _AXIOMS, IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseResult, ClauseSet,
-    DocumentError, FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z,
-    _Structure, _add, _constant, _document_size, _first_true, _inv, _labels, _mul, _op,
-    _sized, _square_table, _unary_table, check_axioms, clause, clause_results,
+    FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z, _Kind,
+    _Structure, _add, _constant, _constants, _first_true, _in_universe, _inv, _labels, _mul,
+    _needs_inv, _op, _square_table, _unary_table, check_axioms, clause, clause_results,
     find_violations, kept, require,
 )
 
@@ -28,7 +28,8 @@ from .core import (
 class BasicAlgebra(_Structure):
     """Finite algebra <A, ⊕, ', 0> with 1 = 0'; tables structural only."""
 
-    __slots__ = ("oplus", "neg", "zero", "name", "labels", "_kept")
+    _kind = _Kind("basic-algebra", ("zero",), ("oplus", "neg"), derived=("one",))
+    __slots__ = _kind.fields
 
     def __init__(self, oplus, neg, zero, name="B", labels=None):
         self.oplus = _square_table(oplus, "oplus")
@@ -37,44 +38,10 @@ class BasicAlgebra(_Structure):
         self.zero = _constant(zero, n, "zero")
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._kept = {}
-
-    @property
-    def n(self) -> int:
-        return self.oplus.shape[0]
 
     @property
     def one(self) -> int:
         return int(self.neg[self.zero])
-
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
-    def ops(self) -> dict:
-        return {"oplus": self.oplus, "neg": self.neg, "zero": self.zero, "one": self.one}
-
-    def __repr__(self):
-        return f"BasicAlgebra({self.name!r}, n={self.n})"
-
-    def same_tables(self, other: "BasicAlgebra") -> bool:
-        return (self.n == other.n and self.zero == other.zero
-                and np.array_equal(self.oplus, other.oplus)
-                and np.array_equal(self.neg, other.neg))
-
-    def to_document(self) -> dict:
-        doc = {
-            "name": self.name, "size": self.n, "zero": self.zero,
-            "oplus": self.oplus.tolist(), "neg": self.neg.tolist(),
-        }
-        if self.labels != tuple(str(i) for i in range(self.n)):
-            doc["labels"] = list(self.labels)
-        return doc
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "BasicAlgebra":
-        n = _document_size(doc, "basic-algebra", ("name", "size", "zero", "oplus", "neg"))
-        return _sized(cls(doc["oplus"], doc["neg"], doc["zero"],
-                          name=doc["name"], labels=doc.get("labels")), n)
 
 
 class OrthoLattice(_Structure):
@@ -85,56 +52,19 @@ class OrthoLattice(_Structure):
     tables actually form an orthomodular lattice is the job of check_oml.
     """
 
-    __slots__ = ("join", "meet", "ortho", "zero", "one", "name", "labels", "_kept")
+    _kind = _Kind("lattice", ("zero", "one"), ("join", "ortho"), derived=("meet",))
+    __slots__ = _kind.fields + ("meet",)
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):
         self.join = _square_table(join, "join")
         n = self.join.shape[0]
         self.ortho = _unary_table(ortho, n, "orthocomplement", permutation=True)
-        self.zero = _constant(zero, n, "zero")
-        self.one = _constant(one, n, "one")
-        if n >= 2 and self.zero == self.one:
-            raise DocumentError("zero and one must differ when the universe has >= 2 elements")
+        self.zero, self.one = _constants(zero, one, n)
         meet = self.ortho[self.join[np.ix_(self.ortho, self.ortho)]]
         meet.setflags(write=False)
         self.meet = meet
         self.name = str(name)
         self.labels = _labels(labels, n)
-        self._kept = {}
-
-    @property
-    def n(self) -> int:
-        return self.join.shape[0]
-
-    def label(self, x: int) -> str:
-        return self.labels[x]
-
-    def ops(self) -> dict:
-        return {"join": self.join, "meet": self.meet, "ortho": self.ortho,
-                "zero": self.zero, "one": self.one}
-
-    def __repr__(self):
-        return f"OrthoLattice({self.name!r}, n={self.n})"
-
-    def same_tables(self, other: "OrthoLattice") -> bool:
-        return (self.n == other.n and self.zero == other.zero and self.one == other.one
-                and np.array_equal(self.join, other.join)
-                and np.array_equal(self.ortho, other.ortho))
-
-    def to_document(self) -> dict:
-        doc = {
-            "name": self.name, "size": self.n, "zero": self.zero, "one": self.one,
-            "join": self.join.tolist(), "ortho": self.ortho.tolist(),
-        }
-        if self.labels != tuple(str(i) for i in range(self.n)):
-            doc["labels"] = list(self.labels)
-        return doc
-
-    @classmethod
-    def from_document(cls, doc: dict) -> "OrthoLattice":
-        n = _document_size(doc, "lattice", ("name", "size", "zero", "one", "join", "ortho"))
-        return _sized(cls(doc["join"], doc["ortho"], doc["zero"], doc["one"],
-                          name=doc["name"], labels=doc.get("labels")), n)
 
 
 def _required(report: CheckReport, what: str, context: str) -> CheckReport:
@@ -161,8 +91,7 @@ def check_lukasiewicz(algebra: FiniteNearSemiring) -> CheckReport:
     'semiring' tag recording whether the product is also associative and
     left-distributive, i.e. whether the algebra is a full semiring.
     """
-    if algebra.inv is None:
-        raise PreconditionError(f"{algebra.name} has no involution table")
+    _needs_inv(algebra)
     require(algebra, "involutive", "Łukasiewicz check")
     semiring = check_axioms(algebra, "semiring").passed
     return CheckReport.of(algebra.name, "lukasiewicz", find_violations(algebra, _EXCHANGE).values(),
@@ -229,8 +158,7 @@ class SectionalInvolution:
 
 def sectional_involution(algebra: FiniteNearSemiring, a: int) -> SectionalInvolution:
     """Build and verify the involution x -> α(x·α(a)) on [a, 1]."""
-    if not 0 <= a < algebra.n:
-        raise AlgebraError(f"element {a} out of range [0, {algebra.n})")
+    _in_universe(algebra, a)
     require_lukasiewicz(algebra, "sectional involution")
     add, mul, inv, l = algebra.add, algebra.mul, algebra.inv, algebra.label
     carrier = tuple(x for x in range(algebra.n) if add[a, x] == x)

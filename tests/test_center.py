@@ -26,6 +26,15 @@ def test_selector_diagonal_holds_for_every_element():
             assert nsr.church_q(algebra, e, algebra.one, algebra.zero) == e
 
 
+def test_church_q_checks_its_arguments():
+    mv3 = fixtures.mv3()
+    for args, bad in (((-1, 0, 0), -1), ((3, 0, 0), 3), ((0, 0, 7), 7), ((0, -2, 5), -2)):
+        with pytest.raises(nsr.AlgebraError, match=rf"^element {bad} out of range \[0, 3\)$"):
+            nsr.church_q(mv3, *args)
+    with pytest.raises(PreconditionError, match="EX24 has no involution table"):
+        nsr.church_q(fixtures.ex24(), 0, 0, 0)
+
+
 def test_check_church_requires_integral():
     with pytest.raises(PreconditionError):
         nsr.check_church(fixtures.ex28())

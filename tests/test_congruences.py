@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import naive
 import nearsemiring as nsr
 from nearsemiring import fixtures
-from nearsemiring.congruences import Congruence, compose_relations
+from nearsemiring.congruences import Congruence, compose_relations, regularity_terms
+from nearsemiring.core import PreconditionError
 
 
 def all_partitions(n):
@@ -236,3 +237,13 @@ def test_lattice_properties_reject_a_lattice_missing_a_join():
     cons = nsr.all_congruences(algebra)
     with pytest.raises(nsr.AlgebraError, match="not in the lattice"):
         nsr.congruence_lattice_properties(algebra, cons[1:])
+
+
+def test_regularity_terms_check_their_arguments():
+    mv3 = fixtures.mv3()
+    assert regularity_terms(mv3, 0, 0, 1) == (1, 1)
+    for args, bad in (((-1, 0, 0), -1), ((0, 3, 0), 3), ((0, 0, 9), 9)):
+        with pytest.raises(nsr.AlgebraError, match=rf"^element {bad} out of range \[0, 3\)$"):
+            regularity_terms(mv3, *args)
+    with pytest.raises(PreconditionError, match="EX24 has no involution table"):
+        regularity_terms(fixtures.ex24(), 0, 0, 0)

@@ -206,6 +206,25 @@ def test_find_model_witness_has_recorded_violation():
     assert mul[inv[mul[x, inv[y]]], inv[y]] != mul[inv[mul[y, inv[x]]], inv[x]]
 
 
+@pytest.mark.parametrize("satisfy, violate", [
+    ("involutive-integral,central-1", ""),
+    ("involutive-integral,central-1", "central-2"),
+    ("involutive-integral,central-1", "central-2,lukasiewicz"),
+    ("involutive-integral", "orthomodular"),
+    ("involutive-integral", "lukasiewicz,mv-semiring"),
+])
+def test_find_model_splits_the_violate_set_for_both_constraint_forms(satisfy, violate):
+    given_str = nsr.find_model(3, satisfy, violate)
+    given_obj = nsr.find_model(3, nsr.parse_constraint(satisfy), violate)
+    assert given_obj.exhaustive == given_str.exhaustive
+    assert given_obj.sizes == given_str.sizes
+    assert given_obj.violations == given_str.violations
+    assert [m.to_document() for m in given_obj.models] \
+        == [m.to_document() for m in given_str.models]
+    if given_str.models:
+        assert [name for name, _ in given_str.violations] == [s for s in violate.split(",") if s]
+
+
 def test_enumerated_models_pass_independent_checkers():
     constraint = nsr.parse_constraint("involutive,lukasiewicz")
     for model in nsr.enumerate_models(3, constraint).models:
@@ -274,6 +293,32 @@ def test_search_constraint_validation():
     assert c.profiles == ("involutive",)
     assert c.require == ("lukasiewicz",)
     assert c.forbid == ("central-2",)
+
+
+# per profile: idempotent_add, integral, antitone_inv, needs_inv
+PROFILE_FLAGS = {
+    "near-semiring": (False, False, False, False),
+    "idempotent-add": (True, False, False, False),
+    "commutative-mul": (False, False, False, False),
+    "associative-mul": (False, False, False, False),
+    "integral": (False, True, False, False),
+    "semiring": (False, False, False, False),
+    "involutive": (True, False, True, True),
+    "involutive-integral": (True, True, True, True),
+}
+
+
+def test_search_constraint_flags_follow_the_profiles():
+    assert set(PROFILE_FLAGS) == set(nsr.PROFILES)
+    for profile, flags in PROFILE_FLAGS.items():
+        c = SearchConstraint(profiles=(profile,))
+        assert (c.idempotent_add, c.integral, c.antitone_inv, c.needs_inv) == flags, profile
+    both = SearchConstraint(profiles=("idempotent-add", "integral"))
+    assert (both.idempotent_add, both.integral, both.antitone_inv, both.needs_inv) \
+        == (True, True, False, False)
+    assert SearchConstraint(require=("lukasiewicz",)).needs_inv
+    assert SearchConstraint(forbid=("central-1",)).needs_inv
+    assert not SearchConstraint().needs_inv
 
 
 @pytest.mark.parametrize("names", sorted(nsr.PROFILES) + sorted(nsr.IDENTITIES))
