@@ -146,8 +146,7 @@ def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congrue
     The result is re-validated independently.
     """
     n = algebra.n
-    if not (0 <= a < n and 0 <= b < n):
-        raise AlgebraError(f"elements ({a},{b}) out of range [0, {n})")
+    _in_universe(algebra, a, b)
     labels, merged = np.arange(n), _coarsen(np.arange(n), np.array([a]), np.array([b]))
     while not np.array_equal(merged, labels):
         labels = merged

@@ -122,7 +122,10 @@ def _needs_inv(algebra) -> None:
 
 
 def _in_universe(structure, *elements) -> None:
+    """Each element an integer (numpy integers too, bools not) in range(n)."""
     for x in elements:
+        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+            raise AlgebraError(f"element {x!r} is not an integer")
         if not 0 <= x < structure.n:
             raise AlgebraError(f"element {x} out of range [0, {structure.n})")
 
@@ -611,9 +614,11 @@ def _view(args, k: int):
 
 
 def _at(value, point):
-    """Entry of an open-grid value at a grid point."""
+    """Entry of an open-grid value at a grid point, aligned on the point's last axes."""
     shape = getattr(value, "shape", ())
-    return value[tuple(p if s > 1 else 0 for p, s in zip(point, shape))] if shape else value
+    if not shape:
+        return value
+    return value[tuple(p if s > 1 else 0 for p, s in zip(point[-len(shape):], shape))]
 
 
 # stacked algebras x grid cells of one chunk of a stacked ClauseSet.violations call
@@ -630,14 +635,15 @@ class ClauseSet:
     a subterm's array is only as large as the variables it reads; a table
     applied straight to variables is read as a view of the table, and over
     large grids a table applied to two subterms on disjoint axes is read as
-    two block takes.
+    two block takes.  A stacked table is read with the stack index (slot 0 of
+    a call's values) as its first index; only values that read one get a stack axis.
     """
 
     def __init__(self, clauses):
         self.clauses = tuple(clauses)
         self._arity = k = max((len(c.variables) for c in self.clauses), default=0)
         self._nodes, self._parts, slots = [], [], {}
-        self._axes = []                 # per node, the grid axes of the variables it reads
+        self._axes = [frozenset()]      # per slot, the grid axes of the variables it reads
 
         def slot(term):
             if term not in slots:
@@ -647,9 +653,9 @@ class ClauseSet:
                 else:
                     node = (head, tuple(slot(t) for t in args), _view(args, k))
                     axes = frozenset().union(*(self._axes[s] for s in node[1]))
-                slots[term] = len(self._nodes)
                 self._nodes.append(node)
                 self._axes.append(axes)
+                slots[term] = len(self._nodes)
             return slots[term]
 
         for c in self.clauses:
@@ -660,6 +666,10 @@ class ClauseSet:
         # each table read, with its arity: a table with one axis more is a stack
         self._tables = tuple({head: len(args) for head, args, _view in self._nodes
                               if head != "var" and args}.items())
+        self._viewed = tuple({head for head, _args, view in self._nodes if view is not None})
+        # the variables a call may pin: each at one position in every clause
+        self._pinnable = {v: i for i, v in enumerate(self.clauses[0].variables if k else ())
+                          if all(v in c.variables[i:i + 1] for c in self.clauses)}
         # a binary table whose length tells padded partial tables from complete ones
         self._probe = next((head for head, arity in self._tables if arity == 2), None)
 
@@ -676,126 +686,119 @@ class ClauseSet:
         A table with one leading axis more than its arity is a stack of k
         tables, one per algebra; a table without it is shared by all k.
         When the clauses read a stacked table, the call returns a list of k
-        dicts, each equal to the dict a call on that algebra's own tables
-        returns, and is evaluated in chunks of at most about _STACK_CELLS
-        grid cells.
+        dicts, each equal to the dict the same call on that algebra's own
+        tables returns, pinned variables and carrier included.  It is
+        evaluated in chunks of at most about _STACK_CELLS grid cells; a call
+        without a stacked table is one chunk of one algebra.
         """
-        for head, arity in self._tables:
-            if ops[head].ndim > arity:
-                if pinned is not None or carrier is not None:
-                    raise AlgebraError("stacked tables take neither pinned variables nor a carrier")
-                return self._stacked_violations(ops, n, labels)
         k = self._arity
         if carrier is None:
-            elems, grids = range(n), list(_open_grid(n, k))
+            elems, grids = range(n), _open_grid(n, k)
         else:
             elems = np.asarray(carrier, dtype=int)
             grids = [elems.reshape((1,) * i + (-1,) + (1,) * (k - i - 1)) for i in range(k)]
         held = set()
-        for name, value in (pinned or {}).items():
-            where = {c.variables.index(name) if name in c.variables else None for c in self.clauses}
-            if len(where) != 1 or None in where:
-                raise AlgebraError(f"cannot pin {name!r}: not at one position in every clause")
-            pos = where.pop()
-            held.add(pos)
-            grids[pos] = value
-        sentinel = self._probe is not None and len(ops[self._probe]) > n
-        # views read the tables over the grid itself, without padding
-        views = None if held or carrier is not None else ops if not sentinel else {
-            name: t[:n, :n] if np.ndim(t) == 2 else t for name, t in ops.items()}
-        nodes, narrow = self._nodes, None
-        if len(elems) ** (k - len(held)) >= _OUTER_CELLS:
-            nodes = self._outer_nodes(held, len(elems))
-            narrow = {head: _narrow(ops[head]) for head, arity in self._tables if arity == 2}
-        vals = []
-        for head, args, view in nodes:
-            if head == "var":
-                vals.append(grids[args])
-            elif view is not None and views is not None:
-                vals.append(view(views[head], ops))
-            elif not args:
-                vals.append(ops[head])
-            elif len(args) == 1:
-                vals.append(ops[head][vals[args[0]]])
-            elif len(args) == 2:
-                vals.append(ops[head][vals[args[0]], vals[args[1]]])
-            else:
-                vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]], *args[2:], k))
-        found = {}
-        for c, parts, bad in zip(self.clauses, self._parts,
-                                 _failures(self._parts, vals, sentinel, n)):
-            if not np.count_nonzero(bad):
-                continue
-            # an axis the mask does not span stays at its least element
-            point = np.unravel_index(int(bad.argmax()), bad.shape) if bad.ndim else (0,) * k
-            values = [int(grids[i]) if i in held else int(elems[point[i]])
-                      for i in range(len(c.variables))]
-            witness = tuple(v for i, v in enumerate(values) if i not in held)
-            text = None if labels is None else _render(
-                c, parts, vals, point, values, ops, labels, n if sentinel else None)
-            found[c.name] = Violation(c.name, witness, text)
-        return found
-
-    def _outer_nodes(self, held: set, size: int) -> list:
-        """The nodes, each binary read that _outer_read serves carrying two more args.
-
-        That is a table applied to two subterms whose free grid axes are
-        disjoint, over a grid of at least _OUTER_CELLS cells; the extra args
-        are the two subterms' free axes.
-        """
-        nodes = []
-        for head, args, view in self._nodes:
-            if head != "var" and len(args) == 2:
-                a, b = (tuple(sorted(self._axes[s] - held)) for s in args)
-                if not set(a) & set(b) and size ** (len(a) + len(b)) >= _OUTER_CELLS:
-                    args = args + (a, b)
-            nodes.append((head, args, view))
-        return nodes
-
-    def _stacked_violations(self, ops, n, labels) -> list:
-        """violations over stacked tables: one dict per algebra of the stack.
-
-        Every table is read by indexing, the stack axis leading the grid axes.
-        """
-        k = self._arity
+        if pinned:
+            grids = list(grids)
+            for name, value in pinned.items():
+                if name not in self._pinnable:
+                    raise AlgebraError(f"cannot pin {name!r}: not at one position in every clause")
+                held.add(self._pinnable[name])
+                grids[self._pinnable[name]] = value
         stacked = [head for head, arity in self._tables if ops[head].ndim > arity]
-        length = len(ops[stacked[0]])
-        if any(len(ops[head]) != length for head in stacked):
-            raise AlgebraError("stacked tables of different lengths")
         sentinel = self._probe is not None and ops[self._probe].shape[-1] > n
-        grids = [g[None] for g in _open_grid(n, k)]
-        found = [{} for _ in range(length)]
-        step = max(1, _STACK_CELLS // n ** k)
-        for lo in range(0, length, step):
-            part = {name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()}
-            m = len(part[stacked[0]])
-            which = np.arange(m).reshape((m,) + (1,) * k)      # each value's algebra
-            vals = []
-            for head, args, _view in self._nodes:
+        # views read the shared tables over the grid itself, without padding
+        views = None if held or carrier is not None else ops if not sentinel else {
+            head: ops[head][:n, :n] for head in self._viewed if head not in stacked}
+        cells = len(elems) ** (k - len(held))
+        nodes = self._nodes
+        if stacked or cells >= _OUTER_CELLS:
+            nodes = self._call_nodes(held, len(elems), stacked)
+        narrow = cells >= _OUTER_CELLS and {head: _narrow(ops[head]) for head, arity in self._tables
+                                            if arity == 2 and head not in stacked}
+        chunks = ((ops, None),)         # (tables, stack index) per chunk of the stack
+        if stacked:
+            length = len(ops[stacked[0]])
+            if any(len(ops[head]) != length for head in stacked):
+                raise AlgebraError("stacked tables of different lengths")
+            step = max(1, _STACK_CELLS // max(1, cells))
+            chunks = (({name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()},
+                       np.arange(min(step, length - lo)).reshape((-1,) + (1,) * k))
+                      for lo in range(0, length, step))
+        found = []
+        for part, which in chunks:
+            vals = [which]
+            for head, args, view in nodes:
                 if head == "var":
                     vals.append(grids[args])
+                elif view is not None and views is not None:
+                    vals.append(view(views[head], ops))
                 elif not args:
-                    vals.append(part[head])
-                elif head in stacked:
-                    vals.append(part[head][(which,) + tuple(vals[a] for a in args)])
+                    vals.append(ops[head])
+                elif len(args) == 1:
+                    vals.append(part[head][vals[args[0]]])
+                elif len(args) == 2:
+                    vals.append(part[head][vals[args[0]], vals[args[1]]])
+                elif len(args) == 3:
+                    vals.append(part[head][vals[args[0]], vals[args[1]], vals[args[2]]])
                 else:
-                    vals.append(part[head][tuple(vals[a] for a in args)])
-            for c, parts, bad in zip(self.clauses, self._parts,
-                                     _failures(self._parts, vals, sentinel, n)):
-                bad = np.broadcast_to(bad, (m,) + (bad.shape[1:] if bad.ndim else (1,) * k))
-                rows = bad.reshape(m, -1)
-                hits = np.flatnonzero(rows.any(axis=1))
-                if not len(hits):
+                    vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]],
+                                            *args[2:], k))
+            out = [{}] if which is None else [{} for _ in which]
+            for c, parts in zip(self.clauses, self._parts):
+                bad = None              # the mask of the clause's failing instances
+                for lhs, rhs, guard in parts:
+                    fails = vals[lhs] != vals[rhs]
+                    if guard:
+                        fails = fails & (vals[guard[0]] == vals[guard[1]])
+                    if sentinel:
+                        for side in (lhs, rhs) + (guard or ()):
+                            fails = fails & (vals[side] != n)
+                    bad = fails if bad is None else bad | fails
+                if not np.count_nonzero(bad):
                     continue
-                points = np.unravel_index(rows[hits].argmax(axis=1), bad.shape[1:])
-                for j, s in enumerate(hits.tolist()):
-                    point = tuple(int(p[j]) for p in points)
-                    witness = point[:len(c.variables)]
+                # each failing algebra's least failing point; unspanned axes at their least element
+                if which is None:
+                    firsts = ((0, np.unravel_index(int(bad.argmax()), bad.shape)
+                               if bad.ndim else (0,) * k),)
+                else:           # a mask without the stack axis holds in every algebra
+                    grid = bad.shape[-k:] if bad.ndim else (1,) * k
+                    rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
+                    hits = np.flatnonzero(rows.any(axis=1)).tolist()
+                    firsts = zip(hits, zip(*(p.tolist() for p in np.unravel_index(
+                        rows[hits].argmax(axis=1), grid))))
+                for s, point in firsts:
+                    values = [int(grids[i]) if i in held else int(elems[point[i]])
+                              for i in range(len(c.variables))]
+                    witness = tuple(v for i, v in enumerate(values) if i not in held)
                     text = None if labels is None else _render(
-                        c, parts, vals, (s,) + point, witness, part, labels,
-                        n if sentinel else None)
-                    found[lo + s][c.name] = Violation(c.name, witness, text)
-        return found
+                        c, parts, vals, point if which is None else (s, *point), values, part,
+                        labels, n if sentinel else None)
+                    out[s][c.name] = Violation(c.name, witness, text)
+            found += out
+        return found if stacked else found[0]
+
+    def _call_nodes(self, held: set, size: int, stacked) -> list:
+        """The nodes as one call reads them, size being the elements per grid axis.
+
+        A stacked table's read takes slot 0 as its first arg, and no view.  A
+        shared table applied to two subterms that read no stacked table, with
+        disjoint free grid axes spanning at least _OUTER_CELLS cells, takes
+        those axes as two more args, for _outer_read.
+        """
+        nodes, varying = [], {0}
+        for slot, (head, args, view) in enumerate(self._nodes, 1):
+            if head != "var":
+                if head in stacked:
+                    args, view = (0,) + args, None
+                if stacked and varying.intersection(args):
+                    varying.add(slot)
+                elif len(args) == 2:
+                    a, b = (tuple(sorted(self._axes[s] - held)) for s in args)
+                    if not set(a) & set(b) and size ** (len(a) + len(b)) >= _OUTER_CELLS:
+                        args = args + (a, b)
+            nodes.append((head, args, view))
+        return nodes
 
 
 def _narrow(table: np.ndarray) -> np.ndarray:
@@ -817,28 +820,11 @@ def _outer_read(table, a, b, axes_a: tuple, axes_b: tuple, k: int) -> np.ndarray
     return block.reshape(shape).transpose(np.argsort(axes))[_spread(k, *axes)]
 
 
-def _failures(clause_parts, vals, sentinel: bool, n: int) -> list:
-    """Per clause, the grid mask of its failing instances, given every node's value."""
-    masks = []
-    for parts in clause_parts:
-        bad = None
-        for lhs, rhs, guard in parts:
-            fails = vals[lhs] != vals[rhs]
-            if guard:
-                fails = fails & (vals[guard[0]] == vals[guard[1]])
-            if sentinel:
-                for side in (lhs, rhs) + (guard or ()):
-                    fails = fails & (vals[side] != n)
-            bad = fails if bad is None else bad | fails
-        masks.append(bad)
-    return masks
-
-
 def _render(c: Clause, parts, vals, point, values, ops, labels, unfilled) -> str:
     """The equation of a clause failing at a grid point, its variables being values.
 
     unfilled is the sentinel value of padded tables, or None.  The part
-    rendered is the first that fails as _failures counts it: its sides are
+    rendered is the first that fails as violations counts it: its sides are
     filled and differ, and its guard holds.  An unfilled side renders as "?".
     """
     at = {s: int(_at(vals[s], point))

@@ -667,10 +667,12 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
 
     Returns the witness model together with an explicit violating
     instantiation for every identity in the violate set, or an
-    exhaustive-none result if the whole bounded space is traversed.
+    exhaustive-none result if the whole bounded space is traversed.  A
+    SearchConstraint's own forbidden identities join the violate set.
     """
     if isinstance(satisfy, SearchConstraint):
-        constraint = SearchConstraint(satisfy.profiles, satisfy.require, _names(violate))
+        forbid = tuple(dict.fromkeys(satisfy.forbid + _names(violate)))
+        constraint = SearchConstraint(satisfy.profiles, satisfy.require, forbid)
     else:
         constraint = parse_constraint(satisfy, violate)
     if n_max < 1:

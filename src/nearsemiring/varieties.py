@@ -8,7 +8,6 @@ property suites for their standard arithmetical consequences.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import product as iproduct
 
 import numpy as np
 
@@ -343,6 +342,21 @@ def require_oml(lattice: OrthoLattice, context: str = "") -> CheckReport:
     return _required(check_oml(lattice), "an orthomodular lattice", context)
 
 
+def _commutator(a, b):
+    """The term (a∧b)∨(a∧b'), which equals a exactly when a commutes with b (aCb)."""
+    return _join(_meet(a, b), _meet(a, _ortho(b)))
+
+
+_COMMUTES = ClauseSet([
+    clause("commutation-symmetric", "ab", (_commutator(Y, X), Y, (_commutator(X, Y), X)),
+           render="{a}C{b} but not {b}C{a}"),
+    clause("comparable-commute", "ab", (_commutator(X, Y), X, (_join(X, Y), Y)),
+           render="{a}≤{b} but not {a}C{b}"),
+    clause("commute-with-complement", "ab", (_commutator(X, _ortho(Y)), X, (_commutator(X, Y), X)),
+           render="{a}C{b} but not {a}C{b}'"),
+])
+
+
 def oml_commutes_suite(lattice: OrthoLattice) -> PropertyReport:
     """Commutation facts: aCb iff a = (a∧b)∨(a∧b').
 
@@ -352,45 +366,14 @@ def oml_commutes_suite(lattice: OrthoLattice) -> PropertyReport:
     """
     require_oml(lattice, "commutation suite")
     jn, mt, oc, n, l = lattice.join, lattice.meet, lattice.ortho, lattice.n, lattice.label
-
-    def commutes(a, b):
-        return jn[mt[a, b], mt[a, oc[b]]] == a
-
-    clauses = []
-    res = None
-    for a, b in iproduct(range(n), repeat=2):
-        if commutes(a, b) and not commutes(b, a):
-            res = ClauseResult("commutation-symmetric", False, (a, b),
-                               f"{l(a)}C{l(b)} but not {l(b)}C{l(a)}")
-            break
-    clauses.append(res or ClauseResult("commutation-symmetric", True))
-
-    res = None
-    for a, b in iproduct(range(n), repeat=2):
-        if jn[a, b] == b and not commutes(a, b):
-            res = ClauseResult("comparable-commute", False, (a, b),
-                               f"{l(a)}≤{l(b)} but not {l(a)}C{l(b)}")
-            break
-    clauses.append(res or ClauseResult("comparable-commute", True))
-
-    res = None
-    for a, b in iproduct(range(n), repeat=2):
-        if commutes(a, b) and not commutes(a, oc[b]):
-            res = ClauseResult("commute-with-complement", False, (a, b),
-                               f"{l(a)}C{l(b)} but not {l(a)}C{l(b)}'")
-            break
-    clauses.append(res or ClauseResult("commute-with-complement", True))
-
-    res = None
-    hits = 0
-    for a, b, c in iproduct(range(n), repeat=3):
-        if commutes(a, c) and commutes(b, c):
-            hits += 1
-            ok = (mt[jn[a, b], c] == jn[mt[a, c], mt[b, c]]
-                  and jn[mt[a, b], c] == mt[jn[a, c], jn[b, c]])
-            if not ok and res is None:
-                res = ClauseResult("restricted-distributivity", False, (a, b, c),
-                                   f"distributivity fails at ({l(a)},{l(b)},{l(c)})")
-    clauses.append(res or ClauseResult("restricted-distributivity", True,
-                                       detail=f"checked {hits} commuting triples"))
+    clauses = clause_results(_COMMUTES, find_violations(lattice, _COMMUTES))
+    commutes = jn[mt, mt[:, oc]] == np.arange(n)[:, None]          # commutes[a, b]: aCb
+    a, b, c = np.ogrid[:n, :n, :n]
+    wanted = commutes[a, c] & commutes[b, c]
+    bad = wanted & ((mt[jn[a, b], c] != jn[mt[a, c], mt[b, c]])
+                    | (jn[mt[a, b], c] != mt[jn[a, c], jn[b, c]]))
+    w = _first_true(bad)
+    detail = f"checked {np.count_nonzero(wanted)} commuting triples" if w is None \
+        else "distributivity fails at ({},{},{})".format(*map(l, w))
+    clauses.append(ClauseResult("restricted-distributivity", w is None, w, detail))
     return PropertyReport(lattice.name, "oml-commutation", tuple(clauses))

@@ -327,6 +327,44 @@ def regularity_failure(add, mul, inv):
     return None
 
 
+def oml_commutation(jn, mt, oc, labels):
+    """The commutation suite's clauses by loops over lists: (clause, passed, witness, detail).
+
+    aCb iff a = (a∧b)∨(a∧b').  Each clause reports its first failing tuple in
+    product order; restricted distributivity, when it passes, the number of
+    commuting triples it checked.
+    """
+    n = len(jn)
+
+    def commutes(a, b):
+        return jn[mt[a][b]][mt[a][oc[b]]] == a
+
+    out = []
+    for name, fails, text in (
+            ("commutation-symmetric", lambda a, b: commutes(a, b) and not commutes(b, a),
+             "{a}C{b} but not {b}C{a}"),
+            ("comparable-commute", lambda a, b: jn[a][b] == b and not commutes(a, b),
+             "{a}≤{b} but not {a}C{b}"),
+            ("commute-with-complement", lambda a, b: commutes(a, b) and not commutes(a, oc[b]),
+             "{a}C{b} but not {a}C{b}'")):
+        w = next(((a, b) for a, b in product(range(n), repeat=2) if fails(a, b)), None)
+        out.append((name, True, None, "") if w is None else
+                   (name, False, w, text.format(a=labels[w[0]], b=labels[w[1]])))
+    first, hits = None, 0
+    for a, b, c in product(range(n), repeat=3):
+        if commutes(a, c) and commutes(b, c):
+            hits += 1
+            ok = (mt[jn[a][b]][c] == jn[mt[a][c]][mt[b][c]]
+                  and jn[mt[a][b]][c] == mt[jn[a][c]][jn[b][c]])
+            if not ok and first is None:
+                first = (a, b, c)
+    out.append(("restricted-distributivity", True, None, f"checked {hits} commuting triples")
+               if first is None else ("restricted-distributivity", False, first,
+                                      "distributivity fails at ({},{},{})".format(
+                                          *(labels[x] for x in first))))
+    return out
+
+
 def _entry(table, args):
     for i in args:
         table = table[i]

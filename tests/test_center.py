@@ -33,6 +33,12 @@ def test_church_q_checks_its_arguments():
             nsr.church_q(mv3, *args)
     with pytest.raises(PreconditionError, match="EX24 has no involution table"):
         nsr.church_q(fixtures.ex24(), 0, 0, 0)
+    for bad in (1.5, True, np.bool_(False), np.float64(1.0), "1", None):
+        with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
+            nsr.church_q(mv3, bad, 0, 0)
+        with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
+            nsr.central_identity_violation(mv3, bad, "1")
+    assert nsr.church_q(mv3, np.int64(1), np.uint8(2), 0) == nsr.church_q(mv3, 1, 2, 0)
 
 
 def test_check_church_requires_integral():

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -247,3 +248,16 @@ def test_regularity_terms_check_their_arguments():
             regularity_terms(mv3, *args)
     with pytest.raises(PreconditionError, match="EX24 has no involution table"):
         regularity_terms(fixtures.ex24(), 0, 0, 0)
+    with pytest.raises(nsr.AlgebraError, match=r"^element True is not an integer$"):
+        regularity_terms(mv3, True, 0, 0)
+
+
+def test_principal_congruence_checks_its_arguments():
+    mv3 = fixtures.mv3()
+    for args, bad in (((-1, 0), -1), ((0, 3), 3)):
+        with pytest.raises(nsr.AlgebraError, match=rf"^element {bad} out of range \[0, 3\)$"):
+            nsr.principal_congruence(mv3, *args)
+    for args in ((1.5, 0), (0, True), (np.float64(0), 1)):
+        with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
+            nsr.principal_congruence(mv3, *args)
+    assert nsr.principal_congruence(mv3, np.int64(0), 1).is_full()

@@ -225,6 +225,35 @@ def test_find_model_splits_the_violate_set_for_both_constraint_forms(satisfy, vi
         assert [name for name, _ in given_str.violations] == [s for s in violate.split(",") if s]
 
 
+@pytest.mark.parametrize("forbid, violate", [
+    ("lukasiewicz", ""),
+    ("lukasiewicz", "orthomodular"),
+    ("lukasiewicz", "orthomodular,lukasiewicz"),
+    ("", "lukasiewicz"),
+    ("", ""),
+])
+def test_find_model_keeps_a_constraints_own_forbid_set(forbid, violate):
+    names = list(dict.fromkeys(s for s in f"{forbid},{violate}".split(",") if s))
+    given_str = nsr.find_model(3, "involutive-integral", ",".join(names))
+    given_obj = nsr.find_model(3, nsr.parse_constraint("involutive-integral", forbid), violate)
+    assert given_obj.exhaustive == given_str.exhaustive
+    assert given_obj.violations == given_str.violations
+    assert [m.to_document() for m in given_obj.models] \
+        == [m.to_document() for m in given_str.models]
+    assert [name for name, _ in given_obj.violations] == (names if given_obj.models else [])
+    for model in given_obj.models:
+        for name in names:
+            assert not nsr.identity_holds(nsr.IDENTITIES[name], model), name
+
+
+def test_find_model_with_a_forbidding_constraint_skips_models_that_satisfy_it():
+    constraint = nsr.SearchConstraint(("involutive-integral",), (), ("lukasiewicz",))
+    result = nsr.find_model(3, constraint, "")
+    model, = result.models
+    assert model.n == 3
+    assert [name for name, _ in result.violations] == ["lukasiewicz"]
+
+
 def test_enumerated_models_pass_independent_checkers():
     constraint = nsr.parse_constraint("involutive,lukasiewicz")
     for model in nsr.enumerate_models(3, constraint).models:

@@ -38,9 +38,11 @@ def _slice(table, arity, i):
     return table if table.ndim == arity else table[i]
 
 
-@settings(max_examples=60, deadline=None)
-@given(stacks(), st.booleans(), st.sampled_from([1 << 18, 64]), st.data())
-def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, data):
+@settings(max_examples=80, deadline=None)
+@given(stacks(), st.booleans(), st.sampled_from([1 << 18, 64]), st.sampled_from([1 << 14, 1]),
+       st.booleans(), st.booleans(), st.data())
+def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, pin, restrict,
+                                                  data):
     n, add, mul, inv = drawn
     k = len(mul)
     labels = data.draw(st.sampled_from([None, tuple(str(x) for x in range(n))]))
@@ -53,19 +55,24 @@ def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, data):
         mul = np.where(unfilled, n, mul)
         inv = np.pad(inv, [(0, 0)] * (inv.ndim - 1) + [(0, 1)], constant_values=n)
     ops = {"add": add, "mul": mul, "inv": inv, "zero": 0, "one": min(n - 1, 1)}
-    saved = core._STACK_CELLS
-    core._STACK_CELLS = cells            # small chunks split the stack
+    carrier = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))) if restrict else None
+    saved = core._STACK_CELLS, core._OUTER_CELLS
+    # small chunks split the stack; one outer cell makes every eligible shared read a block take
+    core._STACK_CELLS, core._OUTER_CELLS = cells, outer
     try:
         for name, clauses in CLAUSE_SETS:
-            got = clauses.violations(ops, n, labels)
+            pinned = {clauses.clauses[0].variables[0]: data.draw(st.integers(0, n - 1))} \
+                if pin else None
+            got = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
             if isinstance(got, dict):        # the clauses read only shared tables
                 got = [got] * k
             for i in range(k):
                 single = {"add": _slice(add, 2, i), "mul": mul[i], "inv": _slice(inv, 1, i),
                           "zero": ops["zero"], "one": ops["one"]}
-                assert got[i] == clauses.violations(single, n, labels), (name, i)
+                assert got[i] == clauses.violations(single, n, labels, pinned=pinned,
+                                                     carrier=carrier), (name, i)
     finally:
-        core._STACK_CELLS = saved
+        core._STACK_CELLS, core._OUTER_CELLS = saved
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import naive
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import core, fixtures, varieties
 from nearsemiring.core import PreconditionError
 from nearsemiring.varieties import BasicAlgebra, OrthoLattice
 
@@ -207,6 +211,50 @@ def test_oml_commutes_suite_bool4_all_pairs_commute():
 
 def test_oml_commutes_suite_chain2():
     assert nsr.oml_commutes_suite(fixtures.chain2_ortholattice()).passed
+
+
+def _commutation_matches_loops(lat):
+    """The three commutation clauses, evaluated straight through the clause set, and the
+    whole suite with its OML precondition bypassed, against the loops in naive.py."""
+    loops = naive.oml_commutation(lat.join.tolist(), lat.meet.tolist(), lat.ortho.tolist(),
+                                  lat.labels)
+    found = core.find_violations(lat, varieties._COMMUTES)
+    assert [(c.name, c.name not in found, found[c.name].witness if c.name in found else None,
+             found[c.name].equation if c.name in found else "")
+            for c in varieties._COMMUTES.clauses] == loops[:3]
+    with mock.patch.object(varieties, "require_oml", lambda *args: None):
+        report = varieties.oml_commutes_suite(lat)
+    assert [(r.clause, r.passed, r.counterexample, r.detail) for r in report.clauses] == loops
+    return loops
+
+
+@pytest.mark.parametrize("lat", [MO2_LAT, fixtures.chain2_ortholattice(),
+                                 fixtures.bool4_ortholattice(), _pentagon_with_fake_complement()],
+                         ids=lambda lat: lat.name)
+def test_commutation_clauses_match_the_loops_on_the_fixtures(lat):
+    loops = _commutation_matches_loops(lat)
+    assert all(passed for _name, passed, _w, _d in loops) == (lat.name != "N5fake")
+
+
+@st.composite
+def join_ortho_tables(draw):
+    """A join table (arbitrary, or the join of a random chain) and an ortho permutation."""
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        rank = draw(st.permutations(range(n)))
+        join = [[x if rank[x] >= rank[y] else y for y in range(n)] for x in range(n)]
+    else:
+        join = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    zero, one = draw(st.permutations(range(n)))[:2] if n >= 2 else (0, 0)
+    return OrthoLattice(join, draw(st.permutations(range(n))), zero, one,
+                        labels=tuple(f"<{x}>" for x in range(n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(join_ortho_tables())
+def test_commutation_clauses_match_the_loops_on_drawn_tables(lat):
+    _commutation_matches_loops(lat)
 
 
 def test_lukasiewicz_implies_integral_on_fixtures():
