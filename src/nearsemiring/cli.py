@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import fixtures as fixture_catalog
@@ -212,18 +213,27 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _report_search(args, result, start: float) -> None:
+    """A search's stderr lines; with --stats, its stats, writing stdout counted as output."""
+    if not args.json:
+        print(f"nodes explored: {result.nodes}", file=sys.stderr)
+    if args.stats:
+        result.stats["seconds"]["output"] += time.perf_counter() - start
+        print(json.dumps(result.stats), file=sys.stderr)
+
+
 def _cmd_enumerate(args) -> int:
     constraint = parse_constraint(args.constraint or "", args.violate or "")
     result = enumerate_models(args.size, constraint,
                               allow_large=args.allow_large, workers=args.workers)
+    start = time.perf_counter()
+    header = (f"models of size {args.size} under [{args.constraint or 'near-semiring'}]"
+              + (f" violating [{args.violate}]" if args.violate else "")
+              + f": {len(result.models)}")
     if args.json:
         print(json.dumps(result.to_dict(), indent=1))
-        return 0
-    print(f"models of size {args.size} "
-          f"under [{args.constraint or 'near-semiring'}]"
-          + (f" violating [{args.violate}]" if args.violate else "")
-          + f": {len(result.models)}")
-    if args.out:
+    elif args.out:
+        print(header)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         for i, model in enumerate(result.models):
@@ -231,31 +241,30 @@ def _cmd_enumerate(args) -> int:
             path.write_text(json.dumps(model.to_document(), indent=1), encoding="utf-8")
         print(f"wrote {len(result.models)} documents to {outdir}")
     else:
-        for model in result.models:
-            print(json.dumps(model.to_document()))
-    print(f"nodes explored: {result.nodes}", file=sys.stderr)
+        print(header)
+        sys.stdout.writelines(result.models.json_lines())
+    _report_search(args, result, start)
     return 0
 
 
 def _cmd_find(args) -> int:
     result = find_model(args.max, args.satisfy or "", args.violate or "",
                         allow_large=args.allow_large)
+    start = time.perf_counter()
     if args.json:
         print(json.dumps(result.to_dict(), indent=1))
-        return 0 if result.models else 1
-    if result.models:
+    elif result.models:
         model = result.models[0]
         print(f"witness of size {model.n} found")
         print(json.dumps(model.to_document(), indent=1))
         for name, witness in result.violations:
             inst = ", ".join(f"{v}={model.label(x)}" for v, x in witness)
             print(f"violates {name} at {inst}")
-        print(f"nodes explored: {result.nodes}", file=sys.stderr)
-        return 0
-    print(f"exhaustive-none: no model up to size {args.max} "
-          f"satisfies [{args.satisfy}] while violating [{args.violate}]")
-    print(f"nodes explored: {result.nodes}", file=sys.stderr)
-    return 1
+    else:
+        print(f"exhaustive-none: no model up to size {args.max} "
+              f"satisfies [{args.satisfy}] while violating [{args.violate}]")
+    _report_search(args, result, start)
+    return 0 if result.models else 1
 
 
 def _cmd_fixtures(args) -> int:
@@ -327,24 +336,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("enumerate", help="all models of one size, up to isomorphism")
+    search_options = argparse.ArgumentParser(add_help=False)     # of enumerate and find
+    search_options.add_argument("--allow-large", action="store_true")
+    search_options.add_argument("--json", action="store_true")
+    search_options.add_argument("--stats", action="store_true",
+                                help="print counts and seconds per search phase as JSON on stderr")
+    p = sub.add_parser("enumerate", help="all models of one size, up to isomorphism",
+                       parents=[search_options])
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--constraint", default="",
                    help="comma-separated profiles and identity names")
     p.add_argument("--violate", default="",
                    help="identities every emitted model must violate")
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None, help="directory for model documents")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("find", help="first model satisfying/violating identities")
+    p = sub.add_parser("find", help="first model satisfying/violating identities",
+                       parents=[search_options])
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--satisfy", default="")
     p.add_argument("--violate", default="")
-    p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_find)
 
     p = sub.add_parser("fixtures", help="list built-in algebras or emit one")

@@ -673,7 +673,7 @@ class ClauseSet:
         # a binary table whose length tells padded partial tables from complete ones
         self._probe = next((head for head, arity in self._tables if arity == 2), None)
 
-    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None):
+    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None, mask=False):
         """Failing clauses by name, each as a Violation with its least witness.
 
         Variables range over range(n), or over the ascending carrier.
@@ -690,6 +690,9 @@ class ClauseSet:
         tables returns, pinned variables and carrier included.  It is
         evaluated in chunks of at most about _STACK_CELLS grid cells; a call
         without a stacked table is one chunk of one algebra.
+
+        With mask, the call returns only whether some clause fails: a bool,
+        or for stacked tables a (k,) bool array, and finds no witness.
         """
         k = self._arity
         if carrier is None:
@@ -745,6 +748,8 @@ class ClauseSet:
                     vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]],
                                             *args[2:], k))
             out = [{}] if which is None else [{} for _ in which]
+            if mask:
+                out = np.zeros(len(out), dtype=bool)
             for c, parts in zip(self.clauses, self._parts):
                 bad = None              # the mask of the clause's failing instances
                 for lhs, rhs, guard in parts:
@@ -757,14 +762,20 @@ class ClauseSet:
                     bad = fails if bad is None else bad | fails
                 if not np.count_nonzero(bad):
                     continue
+                bad = np.asarray(bad)   # a bool where every side is a constant
+                if which is not None:   # a mask without the stack axis holds in every algebra
+                    grid = bad.shape[-k:] if bad.ndim else (1,) * k
+                    rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
+                    hit = rows.any(axis=1)
+                if mask:
+                    out |= True if which is None else hit
+                    continue
                 # each failing algebra's least failing point; unspanned axes at their least element
                 if which is None:
                     firsts = ((0, np.unravel_index(int(bad.argmax()), bad.shape)
                                if bad.ndim else (0,) * k),)
-                else:           # a mask without the stack axis holds in every algebra
-                    grid = bad.shape[-k:] if bad.ndim else (1,) * k
-                    rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
-                    hits = np.flatnonzero(rows.any(axis=1)).tolist()
+                else:
+                    hits = np.flatnonzero(hit).tolist()
                     firsts = zip(hits, zip(*(p.tolist() for p in np.unravel_index(
                         rows[hits].argmax(axis=1), grid))))
                 for s, point in firsts:
@@ -775,7 +786,9 @@ class ClauseSet:
                         c, parts, vals, point if which is None else (s, *point), values, part,
                         labels, n if sentinel else None)
                     out[s][c.name] = Violation(c.name, witness, text)
-            found += out
+            found += [out] if mask else out
+        if mask:
+            return np.concatenate(found) if stacked else bool(found[0][0])
         return found if stacked else found[0]
 
     def _call_nodes(self, held: set, size: int, stacked) -> list:

@@ -1,44 +1,40 @@
 """Bounded exhaustive enumeration of finite near semirings up to isomorphism.
 
-Models are generated with the constants pinned at indices zero=0, one=1 and
-emitted in canonical form: the lexicographically minimal concatenation of
-the sum, product and involution tables over all carrier permutations fixing
-the constants.  That minimum starts with the least relabelling of the sum
-table alone, so it is taken over the permutations reaching that relabelling
-only: one of them composed with the sum table's automorphisms.  The
-(n-2)! permutations come in stacks of at most 7! rows, one cached stack for
-n <= 9, and ``core.relabel_table`` relabels a stack of tables by a stack of
-permutations at once.  Past 10! permutations (n >= 13) the canonical form is
-refused.
+Models have the constants at zero=0, one=1, and each is emitted once, as its
+canonical form: the least concatenation of the sum, product and involution
+tables over the carrier permutations fixing the constants.  That starts with
+the least relabelling of the sum table, so it is taken over the permutations
+reaching that relabelling only.  Past 10! permutations (n >= 13) the
+canonical form is refused.
 
-The sum table is filled first (commutative-monoid and semilattice
-constraints prune hard), then the involution, then the product column by
-column; required identities and the product clauses of the requested
-profiles (commutativity, associativity, left-distributivity) are re-checked
-incrementally on the partially filled product table.  By
-right-distributivity, (x + y).z = x.z + y.z, each product column x -> x.z is
-an endomorphism of (A, +) fixing 0 and sending 1 to z: the candidates are
-found in one vectorised sweep per sum table, in chunks of at most
-_SWEEP_CELLS cells, and grouped by the image of 1.
+Both ends of the search work on arrays.  The sum tables (commutative monoids,
+optionally semilattices) are grown breadth first as a stack of padded partial
+tables, one cell at a time, each step one stacked engine call that keeps the
+survivors; their least relabellings are taken in one stacked pass.  A
+TableStack's canonical forms are uint8 rows, deduplicated and sorted as bytes,
+and the models are one validated TableStack (``Models``) that builds an
+algebra only for an item that is read.
 
-Nothing is trusted at the leaves.  Each sum table's completed tables are
-collected into TableStacks, and every leaf is re-checked against every
-clause of its constraint through the ordinary checkers, one stacked engine
-call per clause set.  The canonical forms of the survivors are taken per
-stack, and algebra objects are built only for the models emitted.  A leaf
-that fails re-verification is counted as rejected: with no forbidden
+In between, a DFS fills the involution, then the product column by column.
+Each column x -> x.z is an endomorphism of (A, +) fixing 0 and sending 1 to
+z (right-distributivity): the candidates come from one vectorised sweep per
+sum table.  Required identities and the product clauses of the profiles are
+re-checked on each partial product table.  Involutions are period-two
+permutations, one per orbit of the sum table's automorphisms, antitone when
+an involutive profile asks for it.  Nothing is trusted at the leaves: every
+leaf is re-checked through the ordinary checkers, one stacked call per
+clause set, and one that fails is counted as rejected; with no forbidden
 identities, that is a table the DFS should have pruned.
-
-The involution slot ranges over period-two permutations, one per orbit of
-the sum table's automorphisms; order-antitonicity is additionally enforced
-exactly when an involutive profile is part of the constraint.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import time
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -49,6 +45,7 @@ from .core import (
 )
 
 DEFAULT_SIZE_CAP = 6
+_LINES = 4096                   # models per chunk of Models.json_lines
 
 
 # ---------------------------------------------------------------------------
@@ -183,22 +180,11 @@ def _blocks(n: int):
         yield p, np.argsort(p, axis=1)
 
 
-def _least_sum_form(add: np.ndarray) -> tuple:
-    """The least relabelling of a sum table, as ints, and one permutation reaching it."""
-    best = None
-    for p, q in _middle_perms(add.shape[0]):
-        rows = relabel_table(add, p, q).reshape(len(p), -1)
-        i = np.lexsort(rows.T[::-1])[0]
-        row = tuple(rows[i].tolist())
-        if best is None or row < best[0]:
-            best = (row, p[i])
-    return best
-
-
-def _automorphisms(add: np.ndarray) -> tuple:
-    """The permutations fixing 0, 1 and a sum table, as one (p, q) stack in ascending order."""
+def _reaching(add: np.ndarray, target: np.ndarray) -> tuple:
+    """The permutations fixing 0 and 1 that relabel a sum table into target, as one (p, q)
+    stack in ascending order: with the table itself as target, its automorphisms."""
     kept = [(p[m], q[m]) for p, q in _middle_perms(add.shape[0])
-            for m in [(relabel_table(add, p, q) == add).all(axis=(1, 2))] if m.any()]
+            for m in [(relabel_table(add, p, q) == target).all(axis=(1, 2))] if m.any()]
     return np.concatenate([p for p, _q in kept]), np.concatenate([q for _p, q in kept])
 
 
@@ -214,46 +200,48 @@ def _least_rows(keys: np.ndarray) -> np.ndarray:
     return rows[order[first]]
 
 
-def _canonical_keys(add, mul, inv) -> list:
-    """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
-    involutions, constants at 0 and 1.
+def _least_forms(tables, perms) -> np.ndarray:
+    """The least concatenation of each slice's relabelled tables, as (k, width) uint8 rows.
 
-    The least concatenation starts with the least relabelling of the sum table,
-    so it is the least over the permutations reaching that: one of them composed
-    with the table's automorphisms.
-    """
-    n = add.shape[0]
-    least, sigma = _least_sum_form(add)
-    autos, _ = _automorphisms(add)
-    p = sigma[autos]
-    q = np.argsort(p, axis=1)
-    head = (n, inv is not None) + least
-    # chunks of about _STACK_CELLS key cells: slices by blocks of permutations
-    block = max(1, _STACK_CELLS // (n * n + n))
-    step = max(1, _STACK_CELLS // (min(len(p), block) * (n * n + n)))
-    keys = []
-    for lo in range(0, len(mul), step):
-        least_rows = []
+    tables are (k, n, n) and (k, n) stacks; perms yields (p, q) stacks of permutations
+    and their inverses, taken in chunks of about _STACK_CELLS cells."""
+    k, width = len(tables[0]), sum(t[0].size for t in tables)
+    block = max(1, _STACK_CELLS // width)
+    least = None
+    for p, q in perms:
         for at in range(0, len(p), block):
-            pp, qq = p[at:at + block], q[at:at + block]
-            parts = [relabel_table(mul[lo:lo + step], pp, qq, 2)]
-            if inv is not None:
-                parts.append(relabel_table(inv[lo:lo + step], pp, qq, 1))
-            least_rows.append(_least_rows(np.concatenate(
-                [t.reshape(*t.shape[:2], -1) for t in parts], axis=2)))
-        rows = least_rows[0] if len(least_rows) == 1 else _least_rows(np.stack(least_rows, 1))
-        keys.extend(head + tuple(row) for row in rows.tolist())
-    return keys
+            pp, qq = p[at:at + block].astype(np.uint8), q[at:at + block]  # so rows are uint8
+            step = max(1, _STACK_CELLS // (len(pp) * width))
+            rows = np.concatenate([_least_rows(np.concatenate(
+                [relabel_table(t[lo:lo + step], pp, qq, t.ndim - 1).reshape(
+                    len(t[lo:lo + step]), len(pp), -1) for t in tables], axis=2))
+                for lo in range(0, k, step)])
+            least = rows if least is None else _least_rows(np.stack([least, rows], 1))
+    return least
+
+
+def _canonical_keys(add, mul, inv) -> np.ndarray:
+    """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
+    involutions, constants at 0 and 1, as (k, width) uint8 rows: the least concatenation
+    starts with the least relabelling of the sum table, so only the permutations reaching
+    that are tried."""
+    n = add.shape[0]
+    least = _least_forms([add[None]], _middle_perms(n))
+    rows = _least_forms([mul] if inv is None else [mul, inv], [_reaching(add, least.reshape(n, n))])
+    head = np.append(np.uint8([n, inv is not None]), least)
+    return np.hstack([np.broadcast_to(head, (len(rows), len(head))), rows])
 
 
 def canonical_form(algebra):
     """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1.
 
-    A TableStack gets the list of its slices' forms.
+    An algebra gets a tuple of ints, a TableStack its slices' forms as uint8 rows:
+    every entry is below 256, so the byte order of two rows is the tuples' order.
     """
     stacked = isinstance(algebra, TableStack)
     if stacked and algebra.add.ndim == 3:          # a sum table per slice
-        return [canonical_form(algebra.algebra(i)) for i in range(len(algebra))]
+        return np.array([canonical_form(algebra.algebra(i)) for i in range(len(algebra))],
+                        dtype=np.uint8)
     n = algebra.n
     add, mul, inv = algebra.add, algebra.mul, algebra.inv
     if (algebra.zero, algebra.one) != (0, min(n - 1, 1)):
@@ -263,30 +251,71 @@ def canonical_form(algebra):
         p = np.argsort(q)
         add, mul = relabel_table(add, p, q, 2), relabel_table(mul, p, q, 2)
         inv = None if inv is None else relabel_table(inv, p, q, 1)
-    if not stacked:
-        return _canonical_keys(add, mul[None], None if inv is None else inv[None])[0]
-    k = len(algebra)
-    return _canonical_keys(add, np.broadcast_to(mul, (k, n, n)),
+    k = len(algebra) if stacked else 1
+    keys = _canonical_keys(add, np.broadcast_to(mul, (k, n, n)),
                            None if inv is None else np.broadcast_to(inv, (k, n)))
+    return keys if stacked else tuple(keys[0].tolist())
+
+
+def _unique_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows of a uint8 array, in ascending order (byte order is row order)."""
+    void = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1])))
+    return np.unique(void.ravel()).view(np.uint8).reshape(-1, rows.shape[1])
+
+
+def _model_stack(keys: np.ndarray, n: int, has_inv: bool) -> TableStack:
+    """The canonical models of key rows of one size and signature, as one TableStack."""
+    add, mul, inv = np.split(keys[:, 2:], [n * n, 2 * n * n], axis=1)
+    return TableStack(add.reshape(-1, n, n), mul.reshape(-1, n, n), 0, min(n - 1, 1),
+                      inv=inv if has_inv else None)
 
 
 def canonicalize(algebra: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
     """Relabel onto the canonical form (constants at 0 and 1)."""
-    return _models_from_keys([canonical_form(algebra)],
-                             [algebra.name if name is None else name])[0]
+    keys = np.array([canonical_form(algebra)], dtype=np.uint8)
+    return _model_stack(keys, algebra.n, algebra.has_inv).algebra(
+        0, algebra.name if name is None else name)
 
 
-def _models_from_keys(keys: list, names: list) -> list:
-    """The canonical models of canonical-form keys of one signature and size, one per name.
+class Models(Sequence):
+    """A search's models, read-only, over one validated TableStack of canonical tables.
 
-    Their tables are validated once, as one TableStack.
+    Item i is built only when it is read, named name.format(i).
     """
-    n, has_inv = keys[0][:2]
-    rows = np.array([key[2:] for key in keys], dtype=np.int8)      # n <= 12
-    add, mul, inv = rows[:, :n * n], rows[:, n * n:2 * n * n], rows[:, 2 * n * n:]
-    stack = TableStack(add.reshape(-1, n, n), mul.reshape(-1, n, n), 0, 1 if n >= 2 else 0,
-                       inv=inv if has_inv else None)
-    return [stack.algebra(i, name) for i, name in enumerate(names)]
+
+    def __init__(self, stack: TableStack, name: str):
+        self.stack, self.name = stack, name
+
+    def __len__(self) -> int:
+        return len(self.stack)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]             # IndexError when out of range
+        return self.stack.algebra(i, self.name.format(i))
+
+    def json_lines(self):
+        """Each model's json.dumps(model.to_document()) and a newline, joined in chunks of
+        _LINES models; no document is built, and each distinct table row is written once."""
+        stack, n, kind = self.stack, self.stack.n, FiniteNearSemiring._kind
+        tables = {name: t for name in kind.tables if (t := getattr(stack, name)) is not None}
+        fields = ['"name": "%s"', f'"size": {n}'] + [
+            f'"{name}": {getattr(stack, name)}' for name in kind.constants] + [
+            f'"{name}": ' + ("%s" if t.ndim == 2 else f"[{', '.join(['%s'] * n)}]")
+            for name, t in tables.items()]
+        line = "{" + ", ".join(fields) + "}\n"
+        # a row's code is the number its entries are the base-n digits of
+        weights = n ** np.arange(n)
+        codes = np.concatenate([(t[:, None] if t.ndim == 2 else t) @ weights
+                                for t in tables.values()], axis=1)
+        distinct, which = np.unique(codes, return_inverse=True)
+        tokens = np.array([f"[{', '.join(map(str, row))}]"
+                           for row in (distinct[:, None] // weights % n).tolist()], dtype=object)
+        for lo in range(0, len(stack), _LINES):
+            cells = tokens[which.reshape(codes.shape)[lo:lo + _LINES]].tolist()
+            yield "".join(line % (self.name.format(i), *row)
+                          for i, row in enumerate(cells, lo))
 
 
 def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
@@ -342,43 +371,37 @@ def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
 # sum-table generation
 
 
-def _generic_add_tables(n: int, idempotent: bool, integral: bool):
-    """DFS over commutative-monoid tables (zero=0 neutral, optional extras)."""
-    add = np.full((n + 1, n + 1), n)        # n marks an unfilled cell
-    add[0, :n] = np.arange(n)
-    add[:n, 0] = np.arange(n)
+def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
+    """Commutative-monoid tables (zero=0 neutral, optional extras), as a (k, n, n) stack.
+
+    Breadth first over partial tables padded with the sentinel n (unfilled): each free
+    cell takes every value in every partial table, and a stacked add-associativity call
+    on chunks of about _STACK_CELLS cells keeps the survivors, in depth-first order.
+    """
+    add = np.full((1, n + 1, n + 1), n, dtype=np.uint8)
+    add[0, 0, :n] = add[0, :n, 0] = np.arange(n)
     if idempotent:
-        for x in range(n):
-            add[x, x] = x
+        add[0, range(n), range(n)] = range(n)
     if integral and n >= 2:
-        add[:n, 1] = 1
-        add[1, :n] = 1
-    cells = [(i, j) for i in range(1, n) for j in range(i, n) if add[i, j] == n]
+        add[0, :n, 1] = add[0, 1, :n] = 1
     assoc = _compiled(_AXIOMS["add-associativity"])
-    out = []
-
-    def dfs(i):
-        if i == len(cells):
-            out.append(add[:n, :n].copy())
-            return
-        x, y = cells[i]
-        for v in range(n):
-            add[x, y] = v
-            add[y, x] = v
-            if not assoc.violations({"add": add}, n):
-                dfs(i + 1)
-        add[x, y] = n
-        add[y, x] = n
-
-    dfs(0)
-    return out
+    step = max(1, _STACK_CELLS // (n * (n + 1) ** 2))
+    for x, y in zip(*np.nonzero(np.triu(add[0, :n, :n] == n))):
+        kept = []
+        for lo in range(0, len(add), step):
+            grown = np.repeat(add[lo:lo + step], n, axis=0)
+            grown[:, x, y] = grown[:, y, x] = np.tile(np.arange(n), len(grown) // n)
+            kept.append(grown[~assoc.violations({"add": grown}, n, mask=True)])
+        add = np.concatenate(kept)
+    return add[:, :n, :n]
 
 
-def _canonical_add_tables(n: int, constraint: SearchConstraint):
-    """Sum tables for the constraint, one per orbit of middle-permutations."""
+def _canonical_add_tables(n: int, constraint: SearchConstraint) -> list:
+    """Sum tables for the constraint, one per orbit of middle-permutations, each the least
+    relabelling of its orbit, in ascending order."""
     raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
-    keys = {_least_sum_form(add)[0] for add in raw}
-    return [np.array(key, dtype=int).reshape(n, n) for key in sorted(keys)]
+    forms = _unique_rows(_least_forms([raw], _middle_perms(n)))
+    return list(forms.reshape(-1, n, n).astype(int))
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +411,11 @@ def _canonical_add_tables(n: int, constraint: SearchConstraint):
 @functools.lru_cache(maxsize=None)
 def _involutions(n: int) -> np.ndarray:
     """Every permutation of range(n) of period at most two, as read-only rows."""
-    def pairings(free):
-        if not free:
-            yield {}
-            return
-        x, rest = free[0], free[1:]
-        for m in pairings(rest):
-            yield {x: x, **m}
-        for y in rest:
-            for m in pairings([z for z in rest if z != y]):
-                yield {x: y, y: x, **m}
-
-    rows = np.array([[m[x] for x in range(n)] for m in pairings(list(range(n)))])
+    rows = [[]]
+    for x in range(n):          # x is fixed, or swapped with a fixed point below it
+        rows = [r + [x] for r in rows] + [
+            r[:y] + [x] + r[y + 1:] + [y] for r in rows for y in range(x) if r[y] == y]
+    rows = np.array(rows).reshape(-1, n)
     rows.setflags(write=False)
     return rows
 
@@ -413,11 +429,11 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     n = add.shape[0]
     invs = _involutions(n)
     if constraint.antitone_inv:
-        found = _compiled(_AXIOMS["involution-antitone"]).violations({"add": add, "inv": invs}, n)
-        invs = invs[[not f for f in found]]
+        invs = invs[~_compiled(_AXIOMS["involution-antitone"]).violations(
+            {"add": add, "inv": invs}, n, mask=True)]
     if not len(invs):
         return []
-    p, q = _automorphisms(add)
+    p, q = _reaching(add, add)
     return list(np.unique(_least_rows(relabel_table(invs, p, q, 1)), axis=0))
 
 
@@ -451,19 +467,10 @@ def _column_candidates(add: np.ndarray) -> dict:
 
 def _column_order(n: int, inv) -> list:
     """Middle columns, dual pairs adjacent when an involution is present."""
-    middle = list(range(2, n))
-    if inv is None:
-        return middle
-    order, seen = [], set()
-    for z in middle:
-        if z in seen:
-            continue
-        order.append(z)
-        seen.add(z)
-        mate = int(inv[z])
-        if mate in middle and mate not in seen:
-            order.append(mate)
-            seen.add(mate)
+    order = []
+    for z in range(2, n):
+        pair = dict.fromkeys((z, z if inv is None else int(inv[z])))
+        order += [w for w in pair if w >= 2 and w not in order]
     return order
 
 
@@ -473,14 +480,15 @@ def _column_order(n: int, inv) -> list:
 
 @dataclass
 class SearchResult:
-    models: list
+    models: Sequence              # a Models sequence, or () for none
     exhaustive: bool
     nodes: int
     elapsed: float
     sizes: tuple = ()
     violations: tuple = ()        # for find: ((identity, witness-dict), ...)
-    leaves: int = 0               # completed tables that reached verification
-    rejected: int = 0             # leaves that failed it; with no forbid set, missed prunes
+    stats: dict = field(default_factory=dict)      # _Counter.stats()
+    leaves = property(lambda self: self.stats["counts"]["leaves"])     # reached verification
+    rejected = property(lambda self: self.stats["counts"]["rejected"])  # leaves that failed it
 
     def to_dict(self) -> dict:
         return {
@@ -493,10 +501,23 @@ class SearchResult:
 
 
 class _Counter:
-    __slots__ = ("nodes", "leaves", "rejected")
+    """DFS nodes, counts and seconds per search phase, summed over sum tables and workers."""
 
     def __init__(self):
-        self.nodes = self.leaves = self.rejected = 0
+        self.nodes = 0
+        self.counts = Counter(dict.fromkeys(
+            ("roots", "leaves", "rejected", "models", "duplicate_keys"), 0))
+        self.seconds = Counter(dict.fromkeys(("sum_tables", "involutions", "column_candidates",
+                                              "dfs", "verify", "canonical_keys", "output"), 0.0))
+
+    @contextlib.contextmanager
+    def timed(self, phase: str):
+        start = time.perf_counter()
+        yield
+        self.seconds[phase] += time.perf_counter() - start
+
+    def stats(self) -> dict:
+        return {"counts": dict(self.counts), "seconds": dict(self.seconds)}
 
 
 # product clauses of the profiles that the DFS checks on partial tables
@@ -511,18 +532,17 @@ def _prunes(constraint: SearchConstraint) -> list:
         _AXIOMS[c] for c in _PRUNED_AXIOMS if c in wanted]
 
 
-def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, counter: _Counter):
+def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, invs: list,
+                 columns: dict, counter: _Counter):
     """One sum table's completed (inv, mul) tables, unverified, in DFS order.
 
-    They come as TableStacks sharing the sum table, each of at most about
-    _STACK_CELLS product cells.
+    invs are the involution candidates ([None] without one), columns the
+    product column candidates.  The tables come as TableStacks sharing the
+    sum table, each of at most about _STACK_CELLS product cells.
     """
     prunes = _prunes(constraint)
-    invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
-    columns = _column_candidates(add)
     # tables padded with the absorbing sentinel n, which marks an unfilled product cell
-    padded_add = np.full((n + 1, n + 1), n)
-    padded_add[:n, :n] = add
+    padded_add = np.pad(add, (0, 1), constant_values=n)
     size = max(1, _STACK_CELLS // (n * n))
     muls, which, count = np.empty((size, n, n), dtype=int), np.empty(size, dtype=int), 0
 
@@ -535,11 +555,9 @@ def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, counter:
         order = _column_order(n, inv)
         padded_inv = None if inv is None else np.append(inv, n)
         mul = np.full((n + 1, n + 1), n)
-        mul[:n, 0] = 0
-        mul[0, :n] = 0
+        mul[:n, 0] = mul[0, :n] = 0
         if n >= 2:
-            mul[:n, 1] = np.arange(n)
-            mul[1, :n] = np.arange(n)
+            mul[:n, 1] = mul[1, :n] = np.arange(n)
 
         def passes():
             # the prunes cannot reject what a completed table would accept:
@@ -573,15 +591,9 @@ def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, counter:
 
 def _effective_profiles(constraint: SearchConstraint) -> tuple:
     """Requested profiles plus the near-semiring base, minus subsumed ones."""
-    wanted = ("near-semiring",) + constraint.profiles
-    keep = []
-    for p in wanted:
-        mine = set(PROFILES[p])
-        if any(q != p and mine < set(PROFILES[q]) for q in wanted):
-            continue
-        if p not in keep:
-            keep.append(p)
-    return tuple(keep)
+    wanted = tuple(dict.fromkeys(("near-semiring",) + constraint.profiles))
+    return tuple(p for p in wanted
+                 if not any(set(PROFILES[p]) < set(PROFILES[q]) for q in wanted))
 
 
 def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
@@ -605,22 +617,35 @@ def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
 def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Counter):
     """The leaves of each sum table that pass _verify, as TableStacks in generation order."""
     for add in roots:
-        for stack in _leaf_stacks(n, constraint, add, counter):
-            ok = _verify(stack, constraint)
+        with counter.timed("involutions"):
+            invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
+        with counter.timed("column_candidates"):
+            columns = _column_candidates(add)
+        leaves = _leaf_stacks(n, constraint, add, invs, columns, counter)
+        while True:
+            with counter.timed("dfs"):
+                stack = next(leaves, None)
+            if stack is None:
+                break
+            with counter.timed("verify"):
+                ok = _verify(stack, constraint)
             passed = int(np.count_nonzero(ok))
-            counter.leaves += len(stack)
-            counter.rejected += len(stack) - passed
+            counter.counts["leaves"] += len(stack)
+            counter.counts["rejected"] += len(stack) - passed
             if passed:
                 yield stack if passed == len(stack) else stack.take(ok)
 
 
-def _search_worker(args):
+def _root_keys(args):
+    """The distinct canonical keys of one sum table's models, ascending, with the counter."""
     n, constraint, add = args
     counter = _Counter()
-    keys = set()
+    keys = [np.empty((0, 2 + n * (2 * n + constraint.needs_inv)), dtype=np.uint8)]
     for stack in _verified_stacks(n, constraint, [add], counter):
-        keys.update(canonical_form(stack))
-    return keys, counter
+        with counter.timed("canonical_keys"):
+            keys.append(canonical_form(stack))
+    with counter.timed("canonical_keys"):
+        return _unique_rows(np.concatenate(keys)), counter
 
 
 def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
@@ -630,8 +655,8 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     Output is canonically sorted, so serial and parallel runs emit the same
     list in the same order.  Sizes above the default cap require
     allow_large=True.  A pool of at most one process per sum table takes the
-    tables one at a time; keys from different tables never collide, since a
-    key starts with its table.
+    tables one at a time.  A key starts with its table, and the tables ascend:
+    so the keys of each table, deduplicated and sorted, are concatenated.
     """
     if n < 1:
         raise AlgebraError("size must be at least 1")
@@ -641,25 +666,30 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
         raise AlgebraError(
             f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
     start = time.perf_counter()
-    roots = _canonical_add_tables(n, constraint)
-    keys = set()
     counter = _Counter()
+    with counter.timed("sum_tables"):
+        roots = _canonical_add_tables(n, constraint)
+    counter.counts["roots"] = len(roots)
+    units = [(n, constraint, add) for add in roots]
     if workers and workers > 1 and len(roots) > 1:
         import multiprocessing as mp
         ctx = mp.get_context("fork")
         with ctx.Pool(min(workers, len(roots))) as pool:
-            for part, part_counter in pool.imap(
-                    _search_worker, [(n, constraint, add) for add in roots], chunksize=1):
-                keys |= part
-                for name in _Counter.__slots__:
-                    setattr(counter, name, getattr(counter, name) + getattr(part_counter, name))
+            parts = list(pool.imap(_root_keys, units, chunksize=1))
     else:
-        for stack in _verified_stacks(n, constraint, roots, counter):
-            keys.update(canonical_form(stack))
-    keys = sorted(keys)
-    models = _models_from_keys(keys, [f"n{n}#{i}" for i in range(len(keys))]) if keys else []
+        parts = [_root_keys(unit) for unit in units]
+    for _keys, part in parts:
+        counter.nodes += part.nodes
+        counter.counts.update(part.counts)
+        counter.seconds.update(part.seconds)
+    with counter.timed("output"):
+        keys = np.concatenate([keys for keys, _part in parts])
+        models = Models(_model_stack(keys, n, constraint.needs_inv), f"n{n}#{{}}")
+    counter.counts["models"] = len(models)
+    counter.counts["duplicate_keys"] = counter.counts["leaves"] - counter.counts["rejected"] \
+        - len(models)
     return SearchResult(models, True, counter.nodes, time.perf_counter() - start, sizes=(n,),
-                        leaves=counter.leaves, rejected=counter.rejected)
+                        stats=counter.stats())
 
 
 def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> SearchResult:
@@ -684,19 +714,24 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
     counter = _Counter()
     searched = []
     for n in range(1, n_max + 1):
-        roots = _canonical_add_tables(n, constraint)
+        with counter.timed("sum_tables"):
+            roots = _canonical_add_tables(n, constraint)
+        counter.counts["roots"] += len(roots)
         for stack in _verified_stacks(n, constraint, roots, counter):
-            model, = _models_from_keys(canonical_form(stack.take([0])), [f"witness-n{n}"])
-            # witnesses are recomputed on the canonical labelling
-            witnesses = []
-            for name in constraint.forbid:
-                w = identity_first_violation(
-                    IDENTITIES[name], model.add, model.mul, model.inv, model.n)
-                witnesses.append((name, tuple(zip(IDENTITIES[name].variables, w))))
-            return SearchResult([model], False, counter.nodes,
-                                time.perf_counter() - start,
+            with counter.timed("canonical_keys"):
+                keys = canonical_form(stack.take([0]))
+            with counter.timed("output"):
+                models = Models(_model_stack(keys, n, constraint.needs_inv), f"witness-n{n}")
+                # witnesses are recomputed on the canonical labelling
+                model, witnesses = models[0], []
+                for name in constraint.forbid:
+                    w = identity_first_violation(
+                        IDENTITIES[name], model.add, model.mul, model.inv, model.n)
+                    witnesses.append((name, tuple(zip(IDENTITIES[name].variables, w))))
+            counter.counts["models"] = 1
+            return SearchResult(models, False, counter.nodes, time.perf_counter() - start,
                                 sizes=tuple(searched), violations=tuple(witnesses),
-                                leaves=counter.leaves, rejected=counter.rejected)
+                                stats=counter.stats())
         searched.append(n)
-    return SearchResult([], True, counter.nodes, time.perf_counter() - start,
-                        sizes=tuple(searched), leaves=counter.leaves, rejected=counter.rejected)
+    return SearchResult((), True, counter.nodes, time.perf_counter() - start,
+                        sizes=tuple(searched), stats=counter.stats())

@@ -6,12 +6,14 @@ isomorphism with a canonical form written over plain lists, without numpy
 or the package's relabelling.  Feasible for n <= 3 only.  The congruence,
 lattice and term checks are loops over plain lists; the full-conditions
 centrality check reads numpy tables with index arrays over whole grids.
+The depth-first sum-table generator is the search's former one, kept as the
+oracle of its breadth-first stacked generator.
 """
 from itertools import permutations, product
 
 import numpy as np
 
-from nearsemiring.core import PROFILES
+from nearsemiring.core import _AXIOMS, PROFILES, ClauseSet
 
 
 def relabel(add, mul, inv, perm):
@@ -85,6 +87,39 @@ def right_distributive_columns(add, z):
         if all(col[add[x][y]] == add[col[x]][col[y]] for x in range(n) for y in range(n)):
             cols.append(col)
     return cols
+
+
+def dfs_add_tables(n, idempotent, integral):
+    """Commutative-monoid tables (zero=0 neutral, optional extras), depth first, each
+    partial table checked by one single-table add-associativity call."""
+    add = np.full((n + 1, n + 1), n)        # n marks an unfilled cell
+    add[0, :n] = np.arange(n)
+    add[:n, 0] = np.arange(n)
+    if idempotent:
+        for x in range(n):
+            add[x, x] = x
+    if integral and n >= 2:
+        add[:n, 1] = 1
+        add[1, :n] = 1
+    cells = [(i, j) for i in range(1, n) for j in range(i, n) if add[i, j] == n]
+    assoc = ClauseSet([_AXIOMS["add-associativity"]])
+    out = []
+
+    def dfs(i):
+        if i == len(cells):
+            out.append(add[:n, :n].copy())
+            return
+        x, y = cells[i]
+        for v in range(n):
+            add[x, y] = v
+            add[y, x] = v
+            if not assoc.violations({"add": add}, n):
+                dfs(i + 1)
+        add[x, y] = n
+        add[y, x] = n
+
+    dfs(0)
+    return out
 
 
 def is_congruence(add, mul, inv, blocks):

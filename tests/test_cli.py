@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -258,3 +259,67 @@ def test_exit_code_contract_over_fixture_matrix(capsys):
     for argv, expected in cases:
         code, _, _ = run(capsys, *argv)
         assert code == expected, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--size", "4", "--constraint", "involutive-integral"),
+    ("enumerate", "--size", "3", "--constraint", "near-semiring", "--json"),
+    ("find", "--max", "3", "--satisfy", "involutive-integral", "--violate", "lukasiewicz"),
+    ("find", "--max", "3", "--satisfy", "involutive-integral,central-2", "--violate",
+     "central-1", "--json"),
+])
+def test_stats_go_to_stderr_and_leave_stdout_alone(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    stats_code, stats_out, stats_err = run(capsys, *argv, "--stats")
+    assert (stats_code, stats_out.encode()) == (code, out.encode())
+    assert stats_err.startswith(err)
+    stats = json.loads(stats_err[len(err):])
+    assert set(stats) == {"counts", "seconds"} and stats["counts"]["roots"] >= 1
+    assert stats["counts"]["models"] == (1 - code if argv[0] == "find" else
+                                         len(out.splitlines()) - 1 if "--json" not in argv
+                                         else len(json.loads(out)["models"]))
+
+
+# stdout digests and exit codes, and for --out the digest of the documents written, recorded
+# before the models became one table stack written row by row
+RECORDED = {
+    "enumerate --size 1 --constraint near-semiring":
+        (0, "0f831a0bb3f37cb744d11819a43800cb38d69cdf1667ef2f276fd54e0f76320b"),
+    "enumerate --size 3 --constraint semiring,integral":
+        (0, "ddddd4189c965c7a24de7aca63c39f4646b0e723f42758d24339d2cd2e882444"),
+    "enumerate --size 4 --constraint idempotent-add,commutative-mul":
+        (0, "14b28b2ff7f7f074c75766553fb6e56c7b7d1c07abb0eef4c746b9d0d0033c95"),
+    "enumerate --size 4 --constraint involutive,lukasiewicz --violate mv-semiring":
+        (0, "39cd9bf8aeab5c2e97375b1d13134d0f3dea1533ba241829d65cf4fe03f0d0f2"),
+    "enumerate --size 4 --constraint involutive --workers 2":
+        (0, "e16384ecb1af006a2ff98e34a940df98b5c4da5cd73e020e3776ca47e1866a34"),
+    "enumerate --size 1 --constraint involutive-integral --json":
+        (0, "8128671db78c10f044394c2c6dea82824034bdcc260970c5ca52882061e0aa18"),
+    "enumerate --size 3 --constraint near-semiring --json":
+        (0, "632a650c7b6996cb2178cde6188d26cff22a66eda00faf39baf1cc1c8c3d6992"),
+    "enumerate --size 4 --constraint involutive-integral --json":
+        (0, "c72354fa614b65e531914c2a2dc0151b41d5bdb8d95818dee61c53b4299bcef3"),
+    "find --max 3 --satisfy involutive-integral --violate lukasiewicz --json":
+        (0, "a7f29bab0a62455840be00634c216172ade5bcda026c57d1e8f7d2fc3cb06f24"),
+    "find --max 2 --satisfy involutive-integral --violate lukasiewicz --json":
+        (1, "1f1b568d3cbfc0d53ae4f173ce6883e78fc2df42edc44d253ffd598c4edf2b66"),
+    "enumerate --size 1 --constraint near-semiring --out":
+        (0, "07000729f7207689d808230560dcd95b4d970d8d94359bb395f7527c6a5d3823"),
+    "enumerate --size 4 --constraint involutive-integral --out":
+        (0, "137bde1bbdd9f7581db27753825de8c93a94c35cc0251f041135f7d3acb1b594"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED))
+def test_search_output_matches_the_recorded_digests(capsys, tmp_path, command):
+    argv = command.split()
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "models"))
+    code, out, _ = run(capsys, *argv)
+    digest = hashlib.sha256()
+    if argv[-2] == "--out":
+        for path in sorted((tmp_path / "models").iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    else:
+        digest.update(out.encode())
+    assert (code, digest.hexdigest()) == RECORDED[command]

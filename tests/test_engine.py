@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
 from nearsemiring import center, core, fixtures
-from nearsemiring.core import IDENTITIES, PROFILES, ClauseSet, X, Y, _add, _mul, clause
+from nearsemiring.core import (
+    IDENTITIES, ONE, PROFILES, ZERO, ClauseSet, Violation, X, Y, _add, _mul, clause,
+)
 
 ENGINE_SETS = [(p, core._PROFILE_CLAUSES[p]) for p in sorted(PROFILES)] + [
     (name, ClauseSet([c])) for name, c in sorted(IDENTITIES.items())] + [
@@ -141,3 +143,33 @@ def test_an_unfilled_side_renders_as_a_question_mark():
     assert found["both-commute"].equation == "b·c=a but c·b=b, b+c=? and c+b=c"
     stacked = clauses.violations({"add": add, "mul": np.stack([mul, mul])}, 3, labels)
     assert stacked == [found, found]
+
+
+def test_a_clause_whose_sides_read_only_constants():
+    # both sides are the constants themselves, so the failure mask has no grid axis
+    mv3 = fixtures.mv3()
+    failing = ClauseSet([clause("zero-is-one", "x", (ZERO, ONE), render="{zero}={one}")])
+    passing = ClauseSet([clause("one-is-one", "x", (ONE, ONE), render="{one}={one}")])
+    ops, labels = mv3.ops(), mv3.labels
+    single = {"zero-is-one": Violation(
+        "zero-is-one", (0,), f"{mv3.label(mv3.zero)}={mv3.label(mv3.one)}")}
+    assert failing.violations(ops, 3, labels) == single
+    assert passing.violations(ops, 3, labels) == {}
+    assert failing.violations(ops, 3, labels, mask=True) is True
+    assert passing.violations(ops, 3, labels, mask=True) is False
+    # stacked: beside a clause that reads the stacked sum table, whose slices commute
+    comm = (core._AXIOMS["add-commutativity"],)
+    stacked = dict(ops, add=np.stack([mv3.add] * 3))
+    assert ClauseSet(failing.clauses + comm).violations(stacked, 3, labels) == [single] * 3
+    assert ClauseSet(passing.clauses + comm).violations(stacked, 3, labels) == [{}] * 3
+    assert ClauseSet(failing.clauses + comm).violations(
+        stacked, 3, mask=True).tolist() == [True] * 3
+    assert ClauseSet(passing.clauses + comm).violations(
+        stacked, 3, mask=True).tolist() == [False] * 3
+    # on sentinel-padded tables, the second of which does not commute
+    add = np.array([mv3.add, [[0, 1, 2], [0, 1, 2], [0, 1, 2]]])
+    padded = dict(ops, add=np.pad(add, [(0, 0), (0, 1), (0, 1)], constant_values=3))
+    found = ClauseSet(passing.clauses + comm).violations(padded, 3)
+    assert [sorted(f) for f in found] == [[], ["add-commutativity"]]
+    assert ClauseSet(passing.clauses + comm).violations(
+        padded, 3, mask=True).tolist() == [False, True]

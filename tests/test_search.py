@@ -409,3 +409,117 @@ def test_model_counts_match_the_representation_theorems(names, counts):
     constraint = nsr.parse_constraint(names)
     got = tuple(len(nsr.enumerate_models(n, constraint).models) for n in range(1, 7))
     assert got == counts
+
+
+# ---------------------------------------------------------------------------
+# sum tables: the breadth-first stacked generator against the depth-first oracle
+
+
+def _least_sum_tables(raw, n):
+    """The least relabelling of each raw table, over plain lists, distinct and ascending."""
+    keys = {naive.canonical_form(a, a, None, 0, min(n - 1, 1))[2:2 + n * n]
+            for a in (t.tolist() for t in raw)}
+    return [list(key) for key in sorted(keys)]
+
+
+@pytest.mark.parametrize("idempotent, integral", [
+    (False, False), (False, True), (True, False), (True, True)])
+def test_stacked_sum_tables_equal_the_depth_first_oracle(monkeypatch, idempotent, integral):
+    profiles = ("idempotent-add",) * idempotent + ("integral",) * integral
+    constraint = SearchConstraint(profiles)
+    for n in range(1, 7 if idempotent else 6):
+        raw = naive.dfs_add_tables(n, idempotent, integral)
+        roots = _least_sum_tables(raw, n)
+        # the default chunks, then chunks small enough to split every stack
+        for cells in (search._STACK_CELLS, 1 << 12):
+            monkeypatch.setattr(search, "_STACK_CELLS", cells)
+            got = search._generic_add_tables(n, idempotent, integral)
+            assert got.shape == (len(raw), n, n), (n, cells)
+            assert [t.tolist() for t in got] == [t.tolist() for t in raw], (n, cells)
+            assert [t.ravel().tolist() for t in search._canonical_add_tables(n, constraint)] \
+                == roots, (n, cells)
+
+
+# ---------------------------------------------------------------------------
+# models as one stack, keys as uint8 rows
+
+
+def _eager_model(key, name):
+    """The model of a canonical-form key, built directly from the tuple."""
+    n, has_inv = key[:2]
+    rows = np.array(key[2:])
+    return nsr.FiniteNearSemiring(rows[:n * n].reshape(n, n), rows[n * n:2 * n * n].reshape(n, n),
+                                  0, min(n - 1, 1), inv=rows[2 * n * n:] if has_inv else None,
+                                  name=name)
+
+
+@pytest.mark.parametrize("n, names", [(1, "near-semiring"), (3, "near-semiring"),
+                                      (4, "involutive-integral")])
+def test_models_are_a_lazy_read_only_sequence(monkeypatch, n, names):
+    models = nsr.enumerate_models(n, nsr.parse_constraint(names)).models
+    keys = [canonical_form(m) for m in models]
+    eager = [_eager_model(key, f"n{n}#{i}") for i, key in enumerate(keys)]
+    count = len(eager)
+    assert len(models) == count and bool(models) and count == len(set(keys))
+    for i in range(count):
+        assert models[i].to_document() == eager[i].to_document()
+        assert models[i - count].to_document() == eager[i].to_document()
+    assert [m.name for m in models[1:3]] == [m.name for m in eager[1:3]]
+    for i in (count, -count - 1):
+        with pytest.raises(IndexError):
+            models[i]
+    model = models[-1]
+    for table in (model.add, model.mul, model.inv):
+        if table is not None:
+            with pytest.raises(ValueError):
+                table[0] = 0
+    monkeypatch.setattr(search, "_LINES", 2)        # chunks of lines split the models
+    lines = "".join(models.json_lines()).splitlines()
+    assert lines == [json.dumps(m.to_document()) for m in eager]
+
+
+def test_no_models_is_an_empty_sequence():
+    result = nsr.enumerate_models(3, nsr.parse_constraint("involutive-integral,orthomodular,"
+                                                          "lukasiewicz"))
+    assert len(result.models) == 0 and not result.models and list(result.models) == []
+    assert list(result.models.json_lines()) == []
+    with pytest.raises(IndexError):
+        result.models[0]
+
+
+def test_stacked_keys_are_uint8_rows_of_the_slice_tuples():
+    constraint = nsr.parse_constraint("involutive-integral")
+    roots = search._canonical_add_tables(5, constraint)
+    shared = next(search._verified_stacks(5, constraint, roots[-1:], search._Counter()))
+    models = list(nsr.enumerate_models(4, constraint).models)[:3]
+    mixed = nsr.core.TableStack(np.stack([m.add for m in models]),
+                                np.stack([m.mul for m in models]), 0, 1,
+                                inv=np.stack([m.inv for m in models]))
+    for stack in (shared, mixed):          # one shared sum table, and one per slice
+        keys = canonical_form(stack)
+        assert keys.dtype == np.uint8 and keys.shape == (len(stack), 2 + 2 * stack.n ** 2
+                                                         + stack.n)
+        for i, row in enumerate(keys):
+            key = canonical_form(stack.algebra(i))
+            assert isinstance(key, tuple) and tuple(row.tolist()) == key
+
+
+def test_search_stats_count_and_time_every_phase():
+    constraint = nsr.parse_constraint("involutive")
+    serial = nsr.enumerate_models(5, constraint)
+    counts = {"roots": 16, "leaves": 11863, "rejected": 0, "models": 10317,
+              "duplicate_keys": 1546}
+    assert serial.stats["counts"] == counts
+    assert set(serial.stats["seconds"]) == {"sum_tables", "involutions", "column_candidates",
+                                            "dfs", "verify", "canonical_keys", "output"}
+    assert all(s >= 0 for s in serial.stats["seconds"].values())
+    assert nsr.enumerate_models(5, constraint, workers=2).stats["counts"] == counts
+    # with a forbid set, the leaves that satisfy it are rejected
+    forbidding = nsr.enumerate_models(4, nsr.parse_constraint("involutive-integral",
+                                                              "lukasiewicz"))
+    assert forbidding.stats["counts"] == {"roots": 2, "leaves": 36, "rejected": 3, "models": 27,
+                                          "duplicate_keys": 6}
+    found = nsr.find_model(3, "involutive-integral", "lukasiewicz").stats["counts"]
+    assert found["models"] == 1 and found["roots"] == 3 and found["duplicate_keys"] == 0
+    none = nsr.find_model(2, "involutive-integral", "lukasiewicz")
+    assert none.stats["counts"]["models"] == 0 and none.leaves == 2

@@ -66,11 +66,16 @@ def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, p
             got = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
             if isinstance(got, dict):        # the clauses read only shared tables
                 got = [got] * k
+            # a mask-only request flags exactly the algebras with a violation
+            failing = clauses.violations(ops, n, pinned=pinned, carrier=carrier, mask=True)
+            assert np.broadcast_to(failing, k).tolist() == [bool(g) for g in got], name
             for i in range(k):
                 single = {"add": _slice(add, 2, i), "mul": mul[i], "inv": _slice(inv, 1, i),
                           "zero": ops["zero"], "one": ops["one"]}
                 assert got[i] == clauses.violations(single, n, labels, pinned=pinned,
                                                      carrier=carrier), (name, i)
+                assert clauses.violations(single, n, pinned=pinned, carrier=carrier,
+                                          mask=True) is bool(got[i]), (name, i)
     finally:
         core._STACK_CELLS, core._OUTER_CELLS = saved
 
@@ -99,10 +104,10 @@ def test_stacked_canonical_form_matches_plain_lists(drawn, with_inv, cells, data
         keys = canonical_form(stack)
     finally:
         search._STACK_CELLS = saved
-    assert len(keys) == len(stack)
+    assert keys.dtype == np.uint8 and keys.shape[0] == len(stack)
     for i, key in enumerate(keys):
         a = stack.algebra(i)
-        assert key == naive.canonical_form(
+        assert tuple(key.tolist()) == naive.canonical_form(
             a.add.tolist(), a.mul.tolist(), None if a.inv is None else a.inv.tolist(), zero, one)
 
 
