@@ -747,9 +747,8 @@ class ClauseSet:
                 else:
                     vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]],
                                             *args[2:], k))
-            out = [{}] if which is None else [{} for _ in which]
-            if mask:
-                out = np.zeros(len(out), dtype=bool)
+            count = 1 if which is None else len(which)
+            out = np.zeros(count, dtype=bool) if mask else [{} for _ in range(count)]
             for c, parts in zip(self.clauses, self._parts):
                 bad = None              # the mask of the clause's failing instances
                 for lhs, rhs, guard in parts:
@@ -787,8 +786,8 @@ class ClauseSet:
                         labels, n if sentinel else None)
                     out[s][c.name] = Violation(c.name, witness, text)
             found += [out] if mask else out
-        if mask:
-            return np.concatenate(found) if stacked else bool(found[0][0])
+        if mask:                        # an empty stack has no chunk
+            return np.concatenate(found or [np.zeros(0, bool)]) if stacked else bool(found[0][0])
         return found if stacked else found[0]
 
     def _call_nodes(self, held: set, size: int, stacked) -> list:
@@ -1005,7 +1004,9 @@ def check_axioms(algebra, profile: str):
     Each failing clause contributes one violation, carrying the
     lexicographically smallest witness; the list is sorted by clause id
     and witness, so reports are reproducible.  A TableStack gets one report
-    per slice, each equal to the report on that slice as an algebra.
+    per slice, each equal to the report on that slice as an algebra: one
+    mask-only call picks the failing slices, only they are searched for
+    witnesses, and the passing slices share one report.
     """
     if profile not in PROFILES:
         raise AlgebraError(f"unknown profile {profile!r}; known: {', '.join(sorted(PROFILES))}")
@@ -1014,10 +1015,18 @@ def check_axioms(algebra, profile: str):
         raise PreconditionError(
             f"profile {profile!r} requires an involution table, but {algebra.name} has none")
     if isinstance(algebra, TableStack):
-        found = clauses.violations(algebra.ops(), algebra.n, algebra.labels)
-        if isinstance(found, dict):          # the profile reads only shared tables
-            found = [found] * len(algebra)
-        return [CheckReport.of(algebra.name, profile, f.values()) for f in found]
+        reports = [CheckReport(algebra.name, profile, True, ())] * len(algebra)
+        # a bool when the profile reads only shared tables
+        failing = np.broadcast_to(clauses.violations(algebra.ops(), algebra.n, mask=True),
+                                  len(algebra))
+        if failing.any():
+            which = np.flatnonzero(failing)
+            stack = algebra.take(which)
+            found = clauses.violations(stack.ops(), stack.n, stack.labels)
+            for i, f in zip(which.tolist(), [found] * len(stack) if isinstance(found, dict)
+                            else found):
+                reports[i] = CheckReport.of(algebra.name, profile, f.values())
+        return reports
     return CheckReport.of(algebra.name, profile, find_violations(algebra, clauses).values())
 
 

@@ -4,27 +4,24 @@ Models have the constants at zero=0, one=1, and each is emitted once, as its
 canonical form: the least concatenation of the sum, product and involution
 tables over the carrier permutations fixing the constants.  That starts with
 the least relabelling of the sum table, so it is taken over the permutations
-reaching that relabelling only.  Past 10! permutations (n >= 13) the
-canonical form is refused.
+reaching that relabelling only.  Past 10! permutations (n >= 13) a size is
+refused before any table is grown.
 
-Both ends of the search work on arrays.  The sum tables (commutative monoids,
-optionally semilattices) are grown breadth first as a stack of padded partial
-tables, one cell at a time, each step one stacked engine call that keeps the
-survivors; their least relabellings are taken in one stacked pass.  A
-TableStack's canonical forms are uint8 rows, deduplicated and sorted as bytes,
-and the models are one validated TableStack (``Models``) that builds an
-algebra only for an item that is read.
-
-In between, a DFS fills the involution, then the product column by column.
-Each column x -> x.z is an endomorphism of (A, +) fixing 0 and sending 1 to
-z (right-distributivity): the candidates come from one vectorised sweep per
-sum table.  Required identities and the product clauses of the profiles are
-re-checked on each partial product table.  Involutions are period-two
-permutations, one per orbit of the sum table's automorphisms, antitone when
-an involutive profile asks for it.  Nothing is trusted at the leaves: every
-leaf is re-checked through the ordinary checkers, one stacked call per
-clause set, and one that fails is counted as rejected; with no forbidden
-identities, that is a table the DFS should have pruned.
+The search grows stacks of partial tables, padded with the sentinel n
+(unfilled), breadth first; each step is one stacked mask-only engine call
+that keeps the survivors.  Sum tables (commutative monoids, optionally
+semilattices) grow one cell at a time.  Product columns x -> x.z, the
+endomorphisms of (A, +) fixing 0 and sending 1 to z (right-distributivity),
+grow one value at a time.  For each involution, product tables grow one
+column at a time, pruned by the required identities and the product clauses
+of the profiles.  Involutions are period-two permutations, one per orbit of
+the sum table's automorphisms, antitone when an involutive profile asks for
+it.  Nothing is trusted at the leaves: every leaf is re-checked through the
+ordinary checkers, and one that fails is counted as rejected; with no
+forbidden identities, that is a table the search should have pruned.  A
+TableStack's canonical forms are uint8 rows, deduplicated and sorted as
+bytes, and the models are one validated TableStack (``Models``) that builds
+an algebra only for an item that is read.
 """
 from __future__ import annotations
 
@@ -40,8 +37,8 @@ from itertools import permutations
 import numpy as np
 
 from .core import (
-    _AXIOMS, _PROFILE_CLAUSES, _STACK_CELLS, IDENTITIES, AlgebraError, Clause, ClauseSet,
-    FiniteNearSemiring, PROFILES, TableStack, check_axioms, relabel_table,
+    _AXIOMS, _PROFILE_CLAUSES, _STACK_CELLS, IDENTITIES, X, Y, AlgebraError, Clause, ClauseSet,
+    FiniteNearSemiring, PROFILES, TableStack, _add, check_axioms, clause, relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -57,16 +54,19 @@ def _compiled(identity: Clause) -> ClauseSet:
     return ClauseSet([identity])
 
 
-def identity_first_violation(identity: Clause, add, mul, inv, n: int):
+def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False):
     """Lexicographically first instantiation where both sides differ.
 
     Tables padded to n+1, as the search's partial product tables are, mark
     an unfilled cell with the sentinel n; instances reaching one are skipped.
     Stacked tables, as ClauseSet.violations takes them, give a list with one
-    witness or None per algebra.
+    witness or None per algebra.  With mask, only whether the identity fails:
+    a bool, or a (k,) bool array for stacked tables.
     """
     ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
-    found = _compiled(identity).violations(ops, n)
+    found = _compiled(identity).violations(ops, n, mask=mask)
+    if mask:
+        return found
     if isinstance(found, list):
         return [f[identity.name].witness if f else None for f in found]
     return found[identity.name].witness if found else None
@@ -399,8 +399,9 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
 def _canonical_add_tables(n: int, constraint: SearchConstraint) -> list:
     """Sum tables for the constraint, one per orbit of middle-permutations, each the least
     relabelling of its orbit, in ascending order."""
+    perms = _middle_perms(n)            # refuses a size too large before any table is grown
     raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
-    forms = _unique_rows(_least_forms([raw], _middle_perms(n)))
+    forms = _unique_rows(_least_forms([raw], perms))
     return list(forms.reshape(-1, n, n).astype(int))
 
 
@@ -437,32 +438,32 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     return list(np.unique(_least_rows(relabel_table(invs, p, q, 1)), axis=0))
 
 
-# rows x n^2 cells of one sweep chunk: its int64 temporaries stay near 8 MB each at any n
-_SWEEP_CELLS = 1 << 20
+# right-distributivity at a column c: x -> x.z, read as a unary table
+_ENDOMORPHISM = ClauseSet([clause(
+    "endomorphism", "xy", (("col", _add(X, Y)), _add(("col", X), ("col", Y))),
+    render="c({x}+{y})={lhs} but c({x})+c({y})={rhs}")])
 
 
 def _column_candidates(add: np.ndarray) -> dict:
     """Right-distributive product columns x -> x.z for each z in 2..n-1.
 
-    They are the endomorphisms col of (A, +) with col[0] = 0 and col[1] = z,
-    found by one sweep over every such map, grouped by z, each group in
+    They are the endomorphisms col of (A, +) with col[0] = 0 and col[1] = z.
+    Maps padded with the sentinel n (unfilled) grow breadth first from one per
+    z, col[2], col[3], ... in turn taking every value, and a stacked mask-only
+    endomorphism call keeps the survivors: grouped by z, each group in
     itertools.product order over col[2:].
     """
     n = add.shape[0]
     if n < 3:
         return {}
-    # row r is the map whose values col[1], ..., col[n-1] are the base-n digits of r
-    weights = n ** np.arange(n - 2, -1, -1)
-    step = max(1, _SWEEP_CELLS // (n * n))
-    kept = []
-    for start in range(2 * n ** (n - 2), n ** (n - 1), step):
-        rows = np.arange(start, min(start + step, n ** (n - 1)))
-        cols = np.zeros((len(rows), n), dtype=int)
-        cols[:, 1:] = rows[:, None] // weights % n
-        ok = (cols[:, add] == add[cols[:, :, None], cols[:, None, :]]).all(axis=(1, 2))
-        kept.append(cols[ok])
-    found = np.concatenate(kept)
-    return {z: found[found[:, 1] == z] for z in range(2, n)}
+    padded = np.pad(add, (0, 1), constant_values=n)
+    cols = np.full((n - 2, n + 1), n, dtype=np.uint8)
+    cols[:, 0], cols[:, 1] = 0, range(2, n)
+    for x in range(2, n):
+        cols = np.repeat(cols, n, axis=0)
+        cols[:, x] = np.tile(np.arange(n, dtype=np.uint8), len(cols) // n)
+        cols = cols[~_ENDOMORPHISM.violations({"add": padded, "col": cols}, n, mask=True)]
+    return {z: cols[cols[:, 1] == z, :n] for z in range(2, n)}
 
 
 def _column_order(n: int, inv) -> list:
@@ -501,10 +502,12 @@ class SearchResult:
 
 
 class _Counter:
-    """DFS nodes, counts and seconds per search phase, summed over sum tables and workers."""
+    """DFS nodes and prunes, counts and seconds per search phase, summed over sum tables and
+    workers."""
 
     def __init__(self):
         self.nodes = 0
+        self.pruned = Counter()         # DFS rows pruned, by the first clause they fail
         self.counts = Counter(dict.fromkeys(
             ("roots", "leaves", "rejected", "models", "duplicate_keys"), 0))
         self.seconds = Counter(dict.fromkeys(("sum_tables", "involutions", "column_candidates",
@@ -517,7 +520,8 @@ class _Counter:
         self.seconds[phase] += time.perf_counter() - start
 
     def stats(self) -> dict:
-        return {"counts": dict(self.counts), "seconds": dict(self.seconds)}
+        return {"counts": dict(self.counts), "seconds": dict(self.seconds),
+                "pruned": dict(self.pruned)}
 
 
 # product clauses of the profiles that the DFS checks on partial tables
@@ -537,54 +541,60 @@ def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, invs: li
     """One sum table's completed (inv, mul) tables, unverified, in DFS order.
 
     invs are the involution candidates ([None] without one), columns the
-    product column candidates.  The tables come as TableStacks sharing the
-    sum table, each of at most about _STACK_CELLS product cells.
+    product column candidates.  For each involution, partial product tables
+    padded with the absorbing sentinel n grow in _column_order: each takes
+    every candidate of the column, and the prunes, one stacked mask-only call
+    each, narrow the survivors; a chunk of survivors is grown to its leaves
+    before the next.  The leaves come as TableStacks sharing the sum table,
+    each of about _STACK_CELLS product cells or a few more.
     """
     prunes = _prunes(constraint)
-    # tables padded with the absorbing sentinel n, which marks an unfilled product cell
+    counter.pruned.update(dict.fromkeys((c.name for c in prunes), 0))
     padded_add = np.pad(add, (0, 1), constant_values=n)
-    size = max(1, _STACK_CELLS // (n * n))
-    muls, which, count = np.empty((size, n, n), dtype=int), np.empty(size, dtype=int), 0
+    root = np.full((1, n + 1, n + 1), n, dtype=np.uint8)
+    root[0, :n, 0] = root[0, 0, :n] = 0
+    if n >= 2:
+        root[0, :n, 1] = root[0, 1, :n] = range(n)
+
+    def kept(tables, inv):
+        # the prunes cannot reject what a completed table would accept:
+        # instances that read an unfilled cell are skipped
+        for c in prunes:
+            bad = identity_first_violation(c, padded_add, tables, inv, n, mask=True)
+            counter.pruned[c.name] += int(np.count_nonzero(bad))
+            tables = tables[~bad]
+        return tables
+
+    def grown(tables, order, inv):
+        if not order:
+            yield tables
+            return
+        cols = columns[order[0]]
+        step = max(1, _STACK_CELLS // max(1, len(cols) * (n + 1) ** 2))
+        for lo in range(0, len(tables), step):
+            parents = tables[lo:lo + step]
+            rows = np.repeat(parents, len(cols), axis=0)
+            rows[:, :n, order[0]] = np.tile(cols, (len(parents), 1))
+            counter.nodes += len(rows)
+            yield from grown(kept(rows, inv), order[1:], inv)
 
     def stack():
-        inv = None if invs[0] is None else np.array(invs)[which[:count]]
-        return TableStack(add, muls[:count], 0, 1 if n >= 2 else 0, inv=inv, name="candidate")
+        muls, which = map(np.concatenate, zip(*pending))
+        inv = None if invs[0] is None else np.array(invs)[which]
+        return TableStack(add, muls, 0, 1 if n >= 2 else 0, inv=inv, name="candidate")
 
+    pending, count = [], 0                  # leaves not stacked yet, with their involutions
     for j, inv in enumerate(invs):
         counter.nodes += 1
         order = _column_order(n, inv)
         padded_inv = None if inv is None else np.append(inv, n)
-        mul = np.full((n + 1, n + 1), n)
-        mul[:n, 0] = mul[0, :n] = 0
-        if n >= 2:
-            mul[:n, 1] = mul[1, :n] = np.arange(n)
-
-        def passes():
-            # the prunes cannot reject what a completed table would accept:
-            # instances that read an unfilled cell are skipped
-            return all(identity_first_violation(c, padded_add, mul, padded_inv, n) is None
-                       for c in prunes)
-
-        def dfs(i):
-            if i == len(order):
-                yield
-                return
-            z = order[i]
-            saved = mul[:n, z].copy()
-            for col in columns[z]:
-                counter.nodes += 1
-                mul[:n, z] = col
-                if passes():
-                    yield from dfs(i + 1)
-            mul[:n, z] = saved
-
         # with no column to fill (n <= 2) the product table is complete already
-        for _leaf in dfs(0) if order or passes() else ():
-            muls[count], which[count] = mul[:n, :n], j
-            count += 1
-            if count == size:
+        for leaves in grown(root if order else kept(root, padded_inv), order, padded_inv):
+            pending.append((leaves[:, :n, :n], np.full(len(leaves), j)))
+            count += len(leaves) * n * n
+            if count >= _STACK_CELLS:
                 yield stack()
-                count = 0
+                pending, count = [], 0
     if count:
         yield stack()
 
@@ -606,11 +616,9 @@ def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
     for profile in _effective_profiles(constraint):
         ok &= [report.passed for report in check_axioms(stack, profile)]
     for names, wanted in ((constraint.require, True), (constraint.forbid, False)):
-        for name in names:
-            found = identity_first_violation(
-                IDENTITIES[name], stack.add, stack.mul, stack.inv, stack.n)
-            holds = [w is None for w in found] if isinstance(found, list) else found is None
-            ok &= np.equal(holds, wanted)
+        for name in names:      # a required identity must not fail, a forbidden one must
+            ok &= wanted != identity_first_violation(
+                IDENTITIES[name], stack.add, stack.mul, stack.inv, stack.n, mask=True)
     return ok
 
 
@@ -682,6 +690,7 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
         counter.nodes += part.nodes
         counter.counts.update(part.counts)
         counter.seconds.update(part.seconds)
+        counter.pruned.update(part.pruned)
     with counter.timed("output"):
         keys = np.concatenate([keys for keys, _part in parts])
         models = Models(_model_stack(keys, n, constraint.needs_inv), f"n{n}#{{}}")

@@ -6,9 +6,10 @@ isomorphism with a canonical form written over plain lists, without numpy
 or the package's relabelling.  Feasible for n <= 3 only.  The congruence,
 lattice and term checks are loops over plain lists; the full-conditions
 centrality check reads numpy tables with index arrays over whole grids.
-The depth-first sum-table generator is the search's former one, kept as the
-oracle of its breadth-first stacked generator.
+The depth-first sum-table and product-table generators are the search's
+former ones, kept as the oracles of its breadth-first stacked generators.
 """
+from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
@@ -120,6 +121,58 @@ def dfs_add_tables(n, idempotent, integral):
 
     dfs(0)
     return out
+
+
+def dfs_product_tables(n, prunes, add, invs, columns):
+    """One sum table's completed (mul, inv) tables in DFS order, one partial table at a time.
+
+    For each involution (None without one), the product columns are filled in
+    the search's column order, each taking its candidates in turn, and every
+    partial table is checked by one single-table call per prune clause, in
+    order.  Returns the leaves, the nodes (one per involution and per column
+    tried) and the rows pruned by each clause, the first one they fail.
+    """
+    compiled = [ClauseSet([c]) for c in prunes]
+    padded_add = np.pad(add, (0, 1), constant_values=n)
+    leaves, nodes, pruned = [], 0, Counter(dict.fromkeys((c.name for c in prunes), 0))
+    for inv in invs:
+        nodes += 1
+        order = []          # middle columns, dual pairs adjacent when inv is given
+        for z in range(2, n):
+            order += [w for w in dict.fromkeys((z, z if inv is None else int(inv[z])))
+                      if w not in order]
+        ops = {"add": padded_add, "mul": np.full((n + 1, n + 1), n)}
+        if inv is not None:
+            ops["inv"] = np.append(inv, n)
+        mul = ops["mul"]
+        mul[:n, 0] = mul[0, :n] = 0
+        if n >= 2:
+            mul[:n, 1] = mul[1, :n] = np.arange(n)
+
+        def passes():
+            for c in compiled:
+                if c.violations(ops, n):
+                    pruned[c.clauses[0].name] += 1
+                    return False
+            return True
+
+        def dfs(i):
+            nonlocal nodes
+            if i == len(order):
+                leaves.append((mul[:n, :n].tolist(), None if inv is None else list(inv)))
+                return
+            z = order[i]
+            saved = mul[:n, z].copy()
+            for col in columns[z]:
+                nodes += 1
+                mul[:n, z] = col
+                if passes():
+                    dfs(i + 1)
+            mul[:n, z] = saved
+
+        if order or passes():
+            dfs(0)
+    return leaves, nodes, pruned
 
 
 def is_congruence(add, mul, inv, blocks):

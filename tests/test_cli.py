@@ -274,7 +274,9 @@ def test_stats_go_to_stderr_and_leave_stdout_alone(capsys, argv):
     assert (stats_code, stats_out.encode()) == (code, out.encode())
     assert stats_err.startswith(err)
     stats = json.loads(stats_err[len(err):])
-    assert set(stats) == {"counts", "seconds"} and stats["counts"]["roots"] >= 1
+    assert set(stats) == {"counts", "seconds", "pruned"} and stats["counts"]["roots"] >= 1
+    # rows pruned by each clause the DFS checks: here only a required identity
+    assert set(stats["pruned"]) == ({"central-2"} if "central-1" in argv else set())
     assert stats["counts"]["models"] == (1 - code if argv[0] == "find" else
                                          len(out.splitlines()) - 1 if "--json" not in argv
                                          else len(json.loads(out)["models"]))

@@ -173,3 +173,15 @@ def test_a_clause_whose_sides_read_only_constants():
     assert [sorted(f) for f in found] == [[], ["add-commutativity"]]
     assert ClauseSet(passing.clauses + comm).violations(
         padded, 3, mask=True).tolist() == [False, True]
+
+
+def test_a_mask_call_on_an_empty_stack_is_an_empty_mask():
+    # every table stacked, complete (side 3) or sentinel-padded (side 4)
+    ops = fixtures.mv3().ops()
+    for name, clauses in ENGINE_SETS:
+        for side in (3, 4):
+            ops.update(add=np.zeros((0, side, side), dtype=int),
+                       mul=np.zeros((0, side, side), dtype=int), inv=np.zeros((0, side), dtype=int))
+            assert clauses.violations(ops, 3) == [], name
+            empty = clauses.violations(ops, 3, mask=True)
+            assert empty.dtype == bool and empty.shape == (0,), name

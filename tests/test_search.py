@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import nearsemiring as nsr
 from nearsemiring import fixtures
 from nearsemiring import search
+from nearsemiring.cli import main
 from nearsemiring.search import SearchConstraint, canonical_form
 
 import naive
@@ -523,3 +525,104 @@ def test_search_stats_count_and_time_every_phase():
     assert found["models"] == 1 and found["roots"] == 3 and found["duplicate_keys"] == 0
     none = nsr.find_model(2, "involutive-integral", "lukasiewicz")
     assert none.stats["counts"]["models"] == 0 and none.leaves == 2
+
+
+# ---------------------------------------------------------------------------
+# product tables: the stacked DFS against the per-node oracle
+
+
+def _dfs_against_the_oracle(n, constraint, add, invs=None):
+    """The stacked DFS's leaves, nodes and prune counts on one sum table, asserted equal
+    to the per-node oracle's; returns the oracle's prune counts."""
+    if invs is None:
+        invs = search._involution_candidates(add, constraint) if constraint.needs_inv else [None]
+    columns = search._column_candidates(add)
+    counter = search._Counter()
+    got = [(mul.tolist(), None if stack.inv is None else stack.inv[i].tolist())
+           for stack in search._leaf_stacks(n, constraint, add, invs, columns, counter)
+           for i, mul in enumerate(stack.mul)]
+    want, nodes, pruned = naive.dfs_product_tables(n, search._prunes(constraint), add, invs,
+                                                   columns)
+    assert got == want and counter.nodes == nodes and counter.pruned == pruned
+    return pruned
+
+
+@pytest.mark.parametrize("names, forbid, sizes", [
+    ("near-semiring", "", range(1, 5)),
+    ("semiring", "", range(1, 5)),
+    ("involutive-integral,orthomodular", "", range(1, 6)),
+    ("involutive-integral,lukasiewicz", "", range(1, 6)),
+    ("involutive-integral,commutative-mul", "", range(1, 6)),
+    ("involutive-integral,central-1", "central-2", range(1, 5)),
+])
+@pytest.mark.parametrize("cells", [None, 1 << 9])
+def test_stacked_product_tables_equal_the_depth_first_oracle(monkeypatch, names, forbid, sizes,
+                                                             cells):
+    if cells:       # chunks of one table or a few split every frontier and every leaf stack
+        monkeypatch.setattr(search, "_STACK_CELLS", cells)
+        sizes = [n for n in sizes if n <= 4]
+    constraint = nsr.parse_constraint(names, forbid)
+    for n in sizes:
+        for add in search._canonical_add_tables(n, constraint):
+            _dfs_against_the_oracle(n, constraint, add)
+
+
+def test_a_sum_table_without_an_antitone_involution_has_no_leaves():
+    constraint = nsr.parse_constraint("involutive,lukasiewicz")
+    bare = [add for add in search._canonical_add_tables(5, constraint)
+            if search._involution_candidates(add, constraint) == []]
+    assert bare
+    for add in bare:
+        assert _dfs_against_the_oracle(5, constraint, add, invs=[]) == {"lukasiewicz": 0}
+
+
+def test_prune_counts_in_the_stats_equal_the_oracles():
+    constraint = nsr.parse_constraint("involutive-integral,orthomodular")
+    want = Counter()
+    for add in search._canonical_add_tables(5, constraint):
+        want.update(_dfs_against_the_oracle(5, constraint, add))
+    assert want["orthomodular"] > 0
+    for workers in (None, 2):
+        result = nsr.enumerate_models(5, constraint, workers=workers)
+        assert result.stats["pruned"] == dict(want)
+        assert "pruned" not in result.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# sizes past the canonical form's limit are refused before any sum table is grown
+
+
+def _record_sum_tables(monkeypatch, limit):
+    """The sizes whose sum tables are grown, in order; growing one past limit fails."""
+    grown, real = [], search._generic_add_tables
+
+    def generate(n, *flags):
+        grown.append(n)
+        assert n <= limit, f"sum tables grown at size {n}"
+        return real(n, *flags)
+    monkeypatch.setattr(search, "_generic_add_tables", generate)
+    return grown
+
+
+def test_a_size_past_ten_factorial_relabellings_is_refused_up_front(monkeypatch, capsys):
+    grown = _record_sum_tables(monkeypatch, 12)
+    with pytest.raises(nsr.AlgebraError, match="relabellings"):
+        nsr.enumerate_models(13, allow_large=True)
+    assert grown == []
+    assert main(["enumerate", "--size", "13", "--allow-large"]) == 2
+    assert "relabellings" in capsys.readouterr().err and grown == []
+    # a witness below the limit is still found
+    found = nsr.find_model(13, "involutive-integral", "lukasiewicz", allow_large=True)
+    assert len(found.models) == 1 and found.models[0].n == 3 and grown == [1, 2, 3]
+    assert main(["find", "--max", "13", "--allow-large", "--satisfy", "involutive-integral",
+                 "--violate", "lukasiewicz"]) == 0
+
+
+def test_find_model_refuses_the_first_size_past_the_limit(monkeypatch):
+    monkeypatch.setattr(search, "MAX_RELABELLINGS", 2)        # (n-2)! <= 2: sizes up to 4
+    grown = _record_sum_tables(monkeypatch, 4)
+    with pytest.raises(nsr.AlgebraError, match="relabellings"):
+        nsr.find_model(6, "involutive-integral,central-1", "central-2")
+    assert grown == [1, 2, 3, 4]
+    found = nsr.find_model(6, "involutive-integral", "lukasiewicz")
+    assert found.models[0].n == 3 and found.sizes == (1, 2)

@@ -90,6 +90,43 @@ def test_check_axioms_on_a_stack_equals_per_algebra_reports(drawn):
         assert len(reports) == len(stack)
         for i, report in enumerate(reports):
             assert report == nsr.check_axioms(stack.algebra(i), profile), (profile, i)
+        assert nsr.check_axioms(stack.take(np.arange(0)), profile) == []
+
+
+def _mutants(models):
+    """Each model, then the model with one product cell changed, alternating."""
+    out = []
+    for m in models:
+        bad = m.mul.copy()
+        bad[-1, -1] = (bad[-1, -1] + 1) % m.n
+        out += [m.mul, bad]
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("names, n", [("involutive-integral", 4), ("involutive", 3),
+                                      ("semiring", 3)])
+def test_check_axioms_on_stacks_whose_slices_partly_fail(names, n):
+    models = list(nsr.enumerate_models(n, nsr.parse_constraint(names)).models)
+    first, has_inv = models[0], models[0].inv is not None
+    stacks = [
+        # a sum table, product and involution per slice
+        TableStack(np.repeat([m.add for m in models], 2, axis=0), _mutants(models), 0, 1,
+                   inv=np.repeat([m.inv for m in models], 2, axis=0) if has_inv else None,
+                   name="S"),
+        # a shared sum table and involution
+        TableStack(first.add, _mutants([first] * 3), 0, 1, inv=first.inv, name="T"),
+    ]
+    for stack in stacks + [stacks[0].take(np.arange(len(stacks[0]))[::-1]),
+                           stacks[0].take(np.arange(0))]:
+        for profile in sorted(PROFILES):
+            if core._PROFILE_CLAUSES[profile].needs_inv and stack.inv is None:
+                continue
+            reports = nsr.check_axioms(stack, profile)
+            assert reports == [nsr.check_axioms(stack.algebra(i), profile)
+                               for i in range(len(stack))], profile
+        if len(stack):          # the mutants fail the models' profile
+            passed = [r.passed for r in nsr.check_axioms(stack, names)]
+            assert any(passed) and not all(passed)
 
 
 @settings(max_examples=80, deadline=None)
