@@ -17,8 +17,9 @@ import numpy as np
 
 from .core import (
     IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseSet, FiniteNearSemiring,
-    PreconditionError, PropertyReport, X, Y, Z, _add, _inv, _mul, check_axioms, clause,
-    _in_universe, _needs_inv, clause_results, find_violations, require,
+    PreconditionError, PropertyReport, U, Violation, X, Y, Z, _add, _central_1, _central_2,
+    _first_true, _inv, _mul, _q, check_axioms, clause, _in_universe, _needs_inv, clause_results,
+    find_violations, require,
 )
 from .congruences import is_factor_pair, principal_congruence
 
@@ -29,11 +30,6 @@ def church_q(algebra: FiniteNearSemiring, x: int, y: int, z: int) -> int:
     _in_universe(algebra, x, y, z)
     add, mul, inv = algebra.add, algebra.mul, algebra.inv
     return int(add[mul[x, y], mul[inv[x], z]])
-
-
-def _q(x, y, z):
-    """The selector as a term."""
-    return _add(_mul(x, y), _mul(_inv(x), z))
 
 
 _SELECTOR = ClauseSet([
@@ -53,7 +49,11 @@ def check_church(algebra: FiniteNearSemiring) -> CheckReport:
 # the three centrality methods
 
 CENTRALITY_METHODS = ("equational", "full-conditions", "congruence")
-_CENTRAL = {which: ClauseSet([IDENTITIES[f"central-{which}"]]) for which in "12"}
+E = ("e",)      # the element under study: a named constant of the ops dict, as zero and one are
+_CENTRAL = {which: ClauseSet([clause(f"central-{which}", variables, sides,
+                                     render=IDENTITIES[f"central-{which}"].render)])
+            for which, variables, sides in (("1", "xy", _central_1(E, X, Y)),
+                                            ("2", "xzyu", _central_2(E, X, Y, Z, U)))}
 
 
 def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
@@ -68,7 +68,7 @@ def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
     _in_universe(algebra, e)
     if which not in _CENTRAL:
         raise AlgebraError(f"which must be '1' or '2', got {which!r}")
-    found = _CENTRAL[which].violations(algebra.ops(), algebra.n, pinned={"e": e})
+    found = _CENTRAL[which].violations(dict(algebra.ops(), e=e), algebra.n)
     return found[f"central-{which}"].witness if found else None
 
 
@@ -190,10 +190,12 @@ def _normalize_methods(method) -> tuple:
     if isinstance(method, str):
         method = (method,)
     method = tuple(method)
+    known = f"known: {', '.join(CENTRALITY_METHODS)} or 'all'"
+    if not method:
+        raise AlgebraError(f"no centrality method given; {known}")
     for m in method:
         if m not in _METHOD_FNS:
-            raise AlgebraError(
-                f"unknown centrality method {m!r}; known: {', '.join(CENTRALITY_METHODS)} or 'all'")
+            raise AlgebraError(f"unknown centrality method {m!r}; {known}")
     return method
 
 
@@ -228,22 +230,21 @@ def _atoms_of(algebra: FiniteNearSemiring, centrals) -> tuple:
                  if not any(c != e and add[c, e] == e for c in nonzero))
 
 
-# e = X is pinned to the element under study; x, y = Y, Z
 _CENTRAL_LEMMAS = ClauseSet([
-    clause("shift-absorption", "ex", (_add(_mul(X, Y), _inv(X)), _add(Y, _inv(X))),
+    clause("shift-absorption", "x", (_add(_mul(E, X), _inv(E)), _add(X, _inv(E))),
            render="(e·{x})+α(e)≠{x}+α(e)"),
-    clause("projection-idempotence", "ex",
-           (_mul(X, _mul(X, Y)), _mul(X, Y)), (_mul(_mul(X, Y), X), _mul(X, Y)),
+    clause("projection-idempotence", "x",
+           (_mul(E, _mul(E, X)), _mul(E, X)), (_mul(_mul(E, X), E), _mul(E, X)),
            render="e·(e·{x})≠e·{x} or (e·{x})·e≠e·{x}"),
-    clause("complement-annihilation", "e", (_mul(X, _inv(X)), ZERO), render="e·α(e)={lhs}"),
-    clause("central-commutation", "ex", (_mul(X, Y), _mul(Y, X)), render="e·{x}≠{x}·e"),
-    clause("left-distributivity-at-e", "exy",
-           (_mul(X, _add(Y, Z)), _add(_mul(X, Y), _mul(X, Z))),
+    clause("complement-annihilation", "", (_mul(E, _inv(E)), ZERO), render="e·α(e)={lhs}"),
+    clause("central-commutation", "x", (_mul(E, X), _mul(X, E)), render="e·{x}≠{x}·e"),
+    clause("left-distributivity-at-e", "xy",
+           (_mul(E, _add(X, Y)), _add(_mul(E, X), _mul(E, Y))),
            render="e·({x}+{y})≠(e·{x})+(e·{y})"),
-    clause("left-monotonicity-at-e", "exy",
-           (_add(_mul(X, Y), _mul(X, Z)), _mul(X, Z), (_add(Y, Z), Z)),
+    clause("left-monotonicity-at-e", "xy",
+           (_add(_mul(E, X), _mul(E, Y)), _mul(E, Y), (_add(X, Y), Y)),
            render="{x}≤{y} but e·{x}≰e·{y}"),
-    clause("complement-chain-annihilation", "ex", (_mul(X, _mul(_inv(X), Y)), ZERO),
+    clause("complement-chain-annihilation", "x", (_mul(E, _mul(_inv(E), X)), ZERO),
            render="e·(α(e)·{x})={lhs}"),
 ])
 
@@ -252,12 +253,12 @@ def central_lemma_suite(algebra: FiniteNearSemiring, e: int) -> PropertyReport:
     """Derived facts about a single equationally central element."""
     require(algebra, "involutive-integral", "central-element facts")
     _require_central(algebra, e)
-    found = find_violations(algebra, _CENTRAL_LEMMAS, pinned={"e": e})
+    found = _CENTRAL_LEMMAS.violations(dict(algebra.ops(), e=e), algebra.n, algebra.labels)
     return PropertyReport(algebra.name, f"central-element {algebra.label(e)}",
                           tuple(clause_results(_CENTRAL_LEMMAS, found)))
 
 
-# checked with every variable ranging over the center
+# checked on the center as a subalgebra
 _CENTER_BOOLEAN = ClauseSet([
     clause("add-commutativity", "xy", (_add(X, Y), _add(Y, X)), render="{x}+{y}≠{y}+{x}"),
     clause("add-associativity", "xyz", (_add(_add(X, Y), Z), _add(X, _add(Y, Z))),
@@ -284,26 +285,42 @@ _CENTER_BOOLEAN = ClauseSet([
 def center_algebra(algebra: FiniteNearSemiring, method="equational") -> CenterReport:
     """The center as a structure: closure, Boolean axioms, selector agreement, atoms.
 
-    ``method`` is passed to ``central_elements``; the checks run over the
-    centrals it reports, those of the first method when several are named.
+    ``method`` is passed to ``central_elements``; the checks run on the
+    subalgebra of the centrals it reports, those of the first method when
+    several are named, and their witnesses name the parent's elements.
     """
     require(algebra, "involutive-integral", "center algebra")
     base = central_elements(algebra, method)
     cen = base.centrals
-    add, mul, inv, l = algebra.add, algebra.mul, algebra.inv, algebra.label
-    cset = set(cen)
-    for x, y in iproduct(cen, repeat=2):
-        if int(add[x, y]) not in cset or int(mul[x, y]) not in cset:
-            raise AlgebraError(
-                f"center of {algebra.name} is not closed at ({l(x)},{l(y)})")
-    for x in cen:
-        if int(inv[x]) not in cset:
-            raise AlgebraError(f"center of {algebra.name} is not closed under α at {l(x)}")
-
-    boolean_check = CheckReport.of(f"Ce({algebra.name})", "center-boolean-algebra",
-                                   find_violations(algebra, _CENTER_BOOLEAN, carrier=cen).values())
+    center = _subalgebra(algebra, cen, algebra.one, algebra.inv, f"center of {algebra.name}",
+                         f"Ce({algebra.name})")
+    # local i is cen[i], and cen ascends: the least witnesses and their order carry over
+    violations = [Violation(v.clause, tuple(cen[i] for i in v.witness), v.equation)
+                  for v in find_violations(center, _CENTER_BOOLEAN).values()]
+    boolean_check = CheckReport.of(center.name, "center-boolean-algebra", violations)
     return CenterReport(algebra.name, base.methods, cen, base.agreement,
                         base.per_method, base.atoms, boolean_check)
+
+
+def _subalgebra(algebra: FiniteNearSemiring, carrier, one: int, inv, what: str,
+                name: str) -> FiniteNearSemiring:
+    """The subalgebra on an ascending carrier with the given one and complement (a parent
+    table), re-indexed densely and labelled as in the parent.  Raises, naming what, at the
+    first pair in product order whose sum or product leaves the carrier, then where α does."""
+    carrier = list(carrier)
+    index = np.full(algebra.n, -1)
+    index[carrier] = np.arange(len(carrier))
+    add, mul = (index[table[np.ix_(carrier, carrier)]] for table in (algebra.add, algebra.mul))
+    bad = _first_true((add < 0) | (mul < 0))
+    if bad is not None:
+        x, y = (algebra.label(carrier[i]) for i in bad)
+        raise AlgebraError(f"{what} is not closed at ({x},{y})")
+    inv = index[inv[carrier]]
+    if (inv < 0).any():
+        x = algebra.label(carrier[int((inv < 0).argmax())])
+        raise AlgebraError(f"{what} is not closed under α at {x}")
+    return FiniteNearSemiring(add, mul, index[algebra.zero], index[one], inv=inv, name=name,
+                              labels=tuple(map(algebra.label, carrier)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,33 +366,24 @@ def interval_algebra(algebra: FiniteNearSemiring, e: int) -> IntervalAlgebra:
         raise AlgebraError(
             f"interval carriers differ for e={l(e)}: "
             f"{{x≤e}}={below} but {{e·b}}={image}")
-    index = {x: i for i, x in enumerate(below)}
-    k = len(below)
-    for x, y in iproduct(below, repeat=2):
-        if int(add[x, y]) not in index or int(mul[x, y]) not in index:
-            raise AlgebraError(f"interval [0,{l(e)}] is not closed at ({l(x)},{l(y)})")
-    sub_add = np.array([[index[int(add[x, y])] for y in below] for x in below])
-    sub_mul = np.array([[index[int(mul[x, y])] for y in below] for x in below])
-    sub_inv = np.array([index[int(mul[e, inv[x]])] for x in below])
-    sub = FiniteNearSemiring(
-        sub_add, sub_mul, index[algebra.zero], index[e], inv=sub_inv,
-        name=f"{algebra.name}[0,{l(e)}]", labels=tuple(l(x) for x in below))
-    if k >= 2:
+    sub = _subalgebra(algebra, below, e, mul[e, inv], f"interval [0,{l(e)}]",
+                      f"{algebra.name}[0,{l(e)}]")
+    if len(below) >= 2:
         rep = check_axioms(sub, "involutive-integral")
         if not rep.passed:
             raise AlgebraError(
                 f"interval [0,{l(e)}] of {algebra.name} fails involutive-integral: "
                 f"{rep.violations[0].equation}")
     # b -> e·b is a surjective homomorphism onto the interval
-    h = [index[int(mul[e, b])] for b in range(n)]
-    if set(h) != set(range(k)):
+    h = np.searchsorted(below, mul[e]).tolist()      # e·b is in the carrier
+    if set(h) != set(range(len(below))):
         raise AlgebraError(f"projection onto [0,{l(e)}] is not surjective")
     for x, y in iproduct(range(n), repeat=2):
-        if h[add[x, y]] != sub_add[h[x], h[y]] or h[mul[x, y]] != sub_mul[h[x], h[y]]:
+        if h[add[x, y]] != sub.add[h[x], h[y]] or h[mul[x, y]] != sub.mul[h[x], h[y]]:
             raise AlgebraError(
                 f"projection onto [0,{l(e)}] is not a homomorphism at ({l(x)},{l(y)})")
     for x in range(n):
-        if h[inv[x]] != sub_inv[h[x]]:
+        if h[inv[x]] != sub.inv[h[x]]:
             raise AlgebraError(
                 f"projection onto [0,{l(e)}] does not respect the complement at {l(x)}")
     if h[algebra.zero] != sub.zero or h[algebra.one] != sub.one:

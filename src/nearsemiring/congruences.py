@@ -157,19 +157,27 @@ def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congrue
     return out
 
 
+def _same_size(p: Congruence, q: Congruence) -> None:
+    if p.n != q.n:
+        raise AlgebraError(f"partitions of {p.n} and {q.n} elements cannot be combined")
+
+
 def join_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Smallest partition refining neither: transitive closure of the union."""
+    _same_size(p, q)
     merged = _coarsen(_least_members(p), np.arange(q.n), _least_members(q))
     return Congruence.from_blocks(merged.tolist())
 
 
 def meet_partitions(p: Congruence, q: Congruence) -> Congruence:
     """Common refinement: blocks are the nonempty pairwise intersections."""
+    _same_size(p, q)
     return Congruence.from_blocks(zip(p.blocks, q.blocks))
 
 
 def compose_relations(p: Congruence, q: Congruence) -> np.ndarray:
     """Relation matrix of p∘q: (x,z) related iff x p y q z for some y."""
+    _same_size(p, q)
     return (p.matrix() @ q.matrix()) > 0
 
 

@@ -667,56 +667,41 @@ class ClauseSet:
         self._tables = tuple({head: len(args) for head, args, _view in self._nodes
                               if head != "var" and args}.items())
         self._viewed = tuple({head for head, _args, view in self._nodes if view is not None})
-        # the variables a call may pin: each at one position in every clause
-        self._pinnable = {v: i for i, v in enumerate(self.clauses[0].variables if k else ())
-                          if all(v in c.variables[i:i + 1] for c in self.clauses)}
         # a binary table whose length tells padded partial tables from complete ones
         self._probe = next((head for head, arity in self._tables if arity == 2), None)
 
-    def violations(self, ops: dict, n: int, labels=None, pinned=None, carrier=None, mask=False):
+    def violations(self, ops: dict, n: int, labels=None, mask=False):
         """Failing clauses by name, each as a Violation with its least witness.
 
-        Variables range over range(n), or over the ascending carrier.
-        pinned maps variable names to fixed elements; they are left out of
-        the witness.  Tables padded to n+1 entries mark an unfilled cell
-        with the sentinel value n: it is absorbing, and instances that
-        reach it are skipped.  The equation is rendered only when
-        labels are given.
+        Variables range over range(n).  A fixed element, such as the e of
+        the centrality identities, is a named constant of ops, looked up as
+        zero and one are.  Tables padded to n+1 entries mark an unfilled
+        cell with the sentinel value n: it is absorbing, and instances that
+        reach it are skipped.  The equation is rendered only when labels
+        are given.
 
         A table with one leading axis more than its arity is a stack of k
         tables, one per algebra; a table without it is shared by all k.
         When the clauses read a stacked table, the call returns a list of k
         dicts, each equal to the dict the same call on that algebra's own
-        tables returns, pinned variables and carrier included.  It is
-        evaluated in chunks of at most about _STACK_CELLS grid cells; a call
-        without a stacked table is one chunk of one algebra.
+        tables returns.  It is evaluated in chunks of at most about
+        _STACK_CELLS grid cells; a call without a stacked table is one chunk
+        of one algebra.
 
         With mask, the call returns only whether some clause fails: a bool,
         or for stacked tables a (k,) bool array, and finds no witness.
         """
         k = self._arity
-        if carrier is None:
-            elems, grids = range(n), _open_grid(n, k)
-        else:
-            elems = np.asarray(carrier, dtype=int)
-            grids = [elems.reshape((1,) * i + (-1,) + (1,) * (k - i - 1)) for i in range(k)]
-        held = set()
-        if pinned:
-            grids = list(grids)
-            for name, value in pinned.items():
-                if name not in self._pinnable:
-                    raise AlgebraError(f"cannot pin {name!r}: not at one position in every clause")
-                held.add(self._pinnable[name])
-                grids[self._pinnable[name]] = value
+        grids = _open_grid(n, k)
         stacked = [head for head, arity in self._tables if ops[head].ndim > arity]
         sentinel = self._probe is not None and ops[self._probe].shape[-1] > n
         # views read the shared tables over the grid itself, without padding
-        views = None if held or carrier is not None else ops if not sentinel else {
+        views = ops if not sentinel else {
             head: ops[head][:n, :n] for head in self._viewed if head not in stacked}
-        cells = len(elems) ** (k - len(held))
+        cells = n ** k
         nodes = self._nodes
         if stacked or cells >= _OUTER_CELLS:
-            nodes = self._call_nodes(held, len(elems), stacked)
+            nodes = self._call_nodes(n, stacked)
         narrow = cells >= _OUTER_CELLS and {head: _narrow(ops[head]) for head, arity in self._tables
                                             if arity == 2 and head not in stacked}
         chunks = ((ops, None),)         # (tables, stack index) per chunk of the stack
@@ -724,7 +709,7 @@ class ClauseSet:
             length = len(ops[stacked[0]])
             if any(len(ops[head]) != length for head in stacked):
                 raise AlgebraError("stacked tables of different lengths")
-            step = max(1, _STACK_CELLS // max(1, cells))
+            step = max(1, _STACK_CELLS // cells)
             chunks = (({name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()},
                        np.arange(min(step, length - lo)).reshape((-1,) + (1,) * k))
                       for lo in range(0, length, step))
@@ -734,7 +719,7 @@ class ClauseSet:
             for head, args, view in nodes:
                 if head == "var":
                     vals.append(grids[args])
-                elif view is not None and views is not None:
+                elif view is not None:
                     vals.append(view(views[head], ops))
                 elif not args:
                     vals.append(ops[head])
@@ -763,7 +748,7 @@ class ClauseSet:
                     continue
                 bad = np.asarray(bad)   # a bool where every side is a constant
                 if which is not None:   # a mask without the stack axis holds in every algebra
-                    grid = bad.shape[-k:] if bad.ndim else (1,) * k
+                    grid = bad.shape[bad.ndim - k:] if bad.ndim else (1,) * k
                     rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
                     hit = rows.any(axis=1)
                 if mask:
@@ -771,18 +756,16 @@ class ClauseSet:
                     continue
                 # each failing algebra's least failing point; unspanned axes at their least element
                 if which is None:
-                    firsts = ((0, np.unravel_index(int(bad.argmax()), bad.shape)
+                    firsts = ((0, tuple(map(int, np.unravel_index(int(bad.argmax()), bad.shape)))
                                if bad.ndim else (0,) * k),)
                 else:
                     hits = np.flatnonzero(hit).tolist()
                     firsts = zip(hits, zip(*(p.tolist() for p in np.unravel_index(
-                        rows[hits].argmax(axis=1), grid))))
+                        rows[hits].argmax(axis=1), grid))) if k else itertools.repeat(()))
                 for s, point in firsts:
-                    values = [int(grids[i]) if i in held else int(elems[point[i]])
-                              for i in range(len(c.variables))]
-                    witness = tuple(v for i, v in enumerate(values) if i not in held)
+                    witness = point[:len(c.variables)]
                     text = None if labels is None else _render(
-                        c, parts, vals, point if which is None else (s, *point), values, part,
+                        c, parts, vals, point if which is None else (s, *point), witness, part,
                         labels, n if sentinel else None)
                     out[s][c.name] = Violation(c.name, witness, text)
             found += [out] if mask else out
@@ -790,13 +773,13 @@ class ClauseSet:
             return np.concatenate(found or [np.zeros(0, bool)]) if stacked else bool(found[0][0])
         return found if stacked else found[0]
 
-    def _call_nodes(self, held: set, size: int, stacked) -> list:
+    def _call_nodes(self, size: int, stacked) -> list:
         """The nodes as one call reads them, size being the elements per grid axis.
 
         A stacked table's read takes slot 0 as its first arg, and no view.  A
         shared table applied to two subterms that read no stacked table, with
-        disjoint free grid axes spanning at least _OUTER_CELLS cells, takes
-        those axes as two more args, for _outer_read.
+        disjoint grid axes spanning at least _OUTER_CELLS cells, takes those
+        axes as two more args, for _outer_read.
         """
         nodes, varying = [], {0}
         for slot, (head, args, view) in enumerate(self._nodes, 1):
@@ -806,7 +789,7 @@ class ClauseSet:
                 if stacked and varying.intersection(args):
                     varying.add(slot)
                 elif len(args) == 2:
-                    a, b = (tuple(sorted(self._axes[s] - held)) for s in args)
+                    a, b = (tuple(sorted(self._axes[s])) for s in args)
                     if not set(a) & set(b) and size ** (len(a) + len(b)) >= _OUTER_CELLS:
                         args = args + (a, b)
             nodes.append((head, args, view))
@@ -860,7 +843,7 @@ def _first_true(mask: np.ndarray):
     return tuple(int(v) for v in np.unravel_index(int(mask.argmax()), mask.shape))
 
 
-def find_violations(structure, clauses: ClauseSet, pinned=None, carrier=None) -> dict:
+def find_violations(structure, clauses: ClauseSet) -> dict:
     """ClauseSet.violations over a structure's own tables, rendered with its labels.
 
     Over the whole universe, each clause's verdict (its Violation, or None
@@ -871,12 +854,8 @@ def find_violations(structure, clauses: ClauseSet, pinned=None, carrier=None) ->
     clause set compiled for them, and returns a fresh dict in clause order.
     This is exact because a structure's tables, constants and labels are
     read-only after construction, and a clause's least witness and rendered
-    equation do not depend on the other clauses of its set.  Calls with
-    pinned or carrier are evaluated every time.
+    equation do not depend on the other clauses of its set.
     """
-    if pinned is not None or carrier is not None:
-        return clauses.violations(structure.ops(), structure.n, structure.labels,
-                                  pinned=pinned, carrier=carrier)
     memo = structure._kept
     missing = tuple(c for c in clauses.clauses if c not in memo)
     if missing:
@@ -955,6 +934,21 @@ _AXIOMS = {c.name: c for c in (
            render="{x}≤{y} but α({y})≰α({x})"),
 )}
 
+def _q(x, y, z):
+    """The selector q(x,y,z) = (x·y)+(α(x)·z) as a term."""
+    return _add(_mul(x, y), _mul(_inv(x), z))
+
+
+def _central_1(e, x, y):
+    """The sides of central-1 at e: q(e,α(x),α(y)) = α(q(e,x,y))."""
+    return _q(e, _inv(x), _inv(y)), _inv(_q(e, x, y))
+
+
+def _central_2(e, x, z, y, u):
+    """The sides of central-2 at e: q(e,x·z,y·u) = q(e,x,y)·q(e,z,u)."""
+    return _q(e, _mul(x, z), _mul(y, u)), _mul(_q(e, x, y), _q(e, z, u))
+
+
 # closed identities over {+, ·, α, 0, 1}: the search catalog, also used by the checkers
 IDENTITIES = {c.name: c for c in (
     clause("lukasiewicz", "xy",
@@ -963,16 +957,9 @@ IDENTITIES = {c.name: c for c in (
     clause("orthomodular", "xy", (X, _mul(X, _add(X, Y))), render="{x}·({x}+{y})={rhs}"),
     clause("mv-semiring", "xy", (_add(X, Y), _inv(_mul(_inv(X), _inv(_mul(_inv(X), Y))))),
            render="{x}+{y}≠α(α({x})·α(α({x})·{y}))"),
-    # e = X, then x, y = Y, Z: (e·α(x))+(α(e)·α(y)) = α((e·x)+(α(e)·y))
-    clause("central-1", "exy",
-           (_add(_mul(X, _inv(Y)), _mul(_inv(X), _inv(Z))),
-            _inv(_add(_mul(X, Y), _mul(_inv(X), Z)))),
+    clause("central-1", "exy", _central_1(X, Y, Z),
            render="({e}·α({x}))+(α({e})·α({y}))={lhs} but α(({e}·{x})+(α({e})·{y}))={rhs}"),
-    # e = X, then x, z, y, u = Y, Z, U, W:
-    # (e·(x·z))+(α(e)·(y·u)) = ((e·x)+(α(e)·y))·((e·z)+(α(e)·u))
-    clause("central-2", "exzyu",
-           (_add(_mul(X, _mul(Y, Z)), _mul(_inv(X), _mul(U, W))),
-            _mul(_add(_mul(X, Y), _mul(_inv(X), U)), _add(_mul(X, Z), _mul(_inv(X), W)))),
+    clause("central-2", "exzyu", _central_2(X, Y, Z, U, W),
            render="({e}·({x}·{z}))+(α({e})·({y}·{u}))={lhs} but "
                   "(({e}·{x})+(α({e})·{y}))·(({e}·{z})+(α({e})·{u}))={rhs}"),
 )}

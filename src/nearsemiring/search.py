@@ -656,6 +656,15 @@ def _root_keys(args):
         return _unique_rows(np.concatenate(keys)), counter
 
 
+def _count(value, what: str) -> int:
+    """A size or worker count: an integer (numpy integers too, bools not) of at least 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise AlgebraError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise AlgebraError(f"{what} must be at least 1, got {value}")
+    return int(value)
+
+
 def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
                      allow_large: bool = False, workers: int = None) -> SearchResult:
     """All models of size n satisfying the constraint, one per isomorphism class.
@@ -666,10 +675,9 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     tables one at a time.  A key starts with its table, and the tables ascend:
     so the keys of each table, deduplicated and sorted, are concatenated.
     """
-    if n < 1:
-        raise AlgebraError("size must be at least 1")
-    if workers is not None and workers < 1:
-        raise AlgebraError(f"the number of workers must be at least 1, got {workers}")
+    n = _count(n, "size")
+    if workers is not None:
+        workers = _count(workers, "the number of workers")
     if n > DEFAULT_SIZE_CAP and not allow_large:
         raise AlgebraError(
             f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
@@ -714,8 +722,7 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
         constraint = SearchConstraint(satisfy.profiles, satisfy.require, forbid)
     else:
         constraint = parse_constraint(satisfy, violate)
-    if n_max < 1:
-        raise AlgebraError(f"the largest size must be at least 1, got {n_max}")
+    n_max = _count(n_max, "the largest size")
     if n_max > DEFAULT_SIZE_CAP and not allow_large:
         raise AlgebraError(
             f"size {n_max} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")

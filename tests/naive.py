@@ -8,13 +8,16 @@ lattice and term checks are loops over plain lists; the full-conditions
 centrality check reads numpy tables with index arrays over whole grids.
 The depth-first sum-table and product-table generators are the search's
 former ones, kept as the oracles of its breadth-first stacked generators.
+first_violation is the clause engine's loop form; it can pin variables and
+range them over a carrier, which the package expresses as named constants
+and subalgebras.
 """
 from collections import Counter
 from itertools import permutations, product
 
 import numpy as np
 
-from nearsemiring.core import _AXIOMS, PROFILES, ClauseSet
+from nearsemiring.core import _AXIOMS, PROFILES, Clause, ClauseSet, Violation
 
 
 def relabel(add, mul, inv, perm):
@@ -474,3 +477,62 @@ def table_mismatches(pairs, verbose):
                 if not verbose:
                     break
     return sorted(out, key=lambda m: (m[0], m[1]))
+
+
+def first_violation(identity, add, mul, inv, filled, n, pinned=None, carrier=None,
+                    constants=None, labels=None):
+    """The first instance in product order where a part's sides differ while its guard
+    holds, skipping instances that read an unfilled cell, as a Violation; None if none.
+
+    Variables range over the carrier (range(n) by default); pinned ones are
+    held and left out of the witness.  constants maps names to elements, by
+    default zero to 0 and one to min(n-1, 1).  The equation is rendered, an
+    unfilled side as "?", only when labels are given.
+    """
+    pinned = pinned or {}
+    constants = constants or {"zero": 0, "one": min(n - 1, 1)}
+
+    def value(term, point):
+        head = term[0]
+        if head == "var":
+            return point[term[1]]
+        if head in constants:
+            return constants[head]
+        args = [value(t, point) for t in term[1:]]
+        if any(a is None for a in args):
+            return None
+        if head == "inv":
+            return int(inv[args[0]])
+        if head == "mul" and not filled[args[0], args[1]]:
+            return None
+        return int((add if head == "add" else mul)[args[0], args[1]])
+
+    free = [v for v in identity.variables if v not in pinned]
+    for witness in product(range(n) if carrier is None else carrier, repeat=len(free)):
+        at = dict(zip(free, witness)) | pinned
+        point = [at[v] for v in identity.variables]
+        for j, (lhs, rhs, guard) in enumerate(identity.parts):
+            sides = [value(t, point) for t in (lhs, rhs) + (guard or ())]
+            if None not in sides and sides[0] != sides[1] and (not guard or sides[2] == sides[3]):
+                if labels is None:
+                    return Violation(identity.name, witness, None)
+                fields = {v: labels[x] for v, x in (at | constants).items()}
+                for i, (left, right, _guard) in enumerate(identity.parts):
+                    fields[f"lhs{i}"], fields[f"rhs{i}"] = (
+                        "?" if x is None else labels[x] for x in (value(left, point),
+                                                                  value(right, point)))
+                return Violation(identity.name, witness, identity.render[j].format(
+                    lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields))
+    return None
+
+
+def constant_first(c):
+    """The clause with its first variable read as a named constant of the same name,
+    the other variables numbered down by one: pinning that variable, as a constant."""
+    def term(t):
+        if t[0] == "var":
+            return (c.variables[0],) if t[1] == 0 else ("var", t[1] - 1)
+        return (t[0], *map(term, t[1:]))
+    parts = tuple((term(lhs), term(rhs), guard and (term(guard[0]), term(guard[1])))
+                  for lhs, rhs, guard in c.parts)
+    return Clause(c.name, c.variables[1:], parts, c.render)

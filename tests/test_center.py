@@ -2,12 +2,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import naive
 import nearsemiring as nsr
 from nearsemiring import center, fixtures
-from nearsemiring.core import PreconditionError
+from nearsemiring.core import (
+    ZERO, CheckReport, ClauseSet, PreconditionError, X, Y, Z, _add, _mul, clause,
+)
 
 
 def test_selector_identities_on_fixtures():
@@ -74,8 +76,14 @@ def test_central_elements_product():
 
 
 def test_central_elements_bad_method():
-    with pytest.raises(nsr.AlgebraError):
-        nsr.central_elements(fixtures.mv3(), "guesswork")
+    mv3 = fixtures.mv3()
+    for method, problem in (("guesswork", "unknown centrality method 'guesswork'"),
+                            ((), "no centrality method given"), ([], "no centrality method given")):
+        for fn in (nsr.central_elements, nsr.center_algebra):
+            with pytest.raises(nsr.AlgebraError,
+                               match=rf"^{problem}; known: equational, full-conditions, "
+                                     r"congruence or 'all'$"):
+                fn(mv3, method)
 
 
 def test_complement_join_for_detected_centrals():
@@ -329,3 +337,123 @@ def test_full_conditions_match_the_whole_grid_oracle(algebra, cells):
     finally:
         center._FULL_CELLS = saved
     assert got == [naive.is_central_full_conditions(algebra, e) for e in range(algebra.n)]
+
+
+def _identities_match_the_loop_oracle(algebra):
+    """The centrality identities at every e against naive.first_violation with e pinned."""
+    n = algebra.n
+    for e, which in product(range(n), "12"):
+        v = naive.first_violation(nsr.IDENTITIES[f"central-{which}"], algebra.add, algebra.mul,
+                                  algebra.inv, np.ones((n, n), dtype=bool), n, {"e": e},
+                                  constants={"zero": algebra.zero, "one": algebra.one})
+        assert nsr.central_identity_violation(algebra, e, which) == (v and v.witness), (e, which)
+
+
+def _lemmas_and_center_match_the_loop_oracle(algebra):
+    """The lemma suite at every central e, against naive.first_violation with e a constant,
+    and center_algebra's Boolean check, against it with the center as carrier."""
+    add, mul, inv, n, labels = algebra.add, algebra.mul, algebra.inv, algebra.n, algebra.labels
+    filled = np.ones((n, n), dtype=bool)
+    constants = {"zero": algebra.zero, "one": algebra.one}
+    report = nsr.center_algebra(algebra)
+    passed = report.boolean_check.passed
+    for e in report.centrals:
+        found = [naive.first_violation(c, add, mul, inv, filled, n, constants=dict(constants, e=e),
+                                       labels=labels) for c in center._CENTRAL_LEMMAS.clauses]
+        suite = nsr.central_lemma_suite(algebra, e)
+        assert [(r.counterexample, r.detail) for r in suite.clauses] == \
+            [(None, "") if v is None else (v.witness, v.equation) for v in found], e
+        passed &= suite.passed
+    found = [naive.first_violation(c, add, mul, inv, filled, n, carrier=report.centrals,
+                                   constants=constants, labels=labels)
+             for c in center._CENTER_BOOLEAN.clauses]
+    assert report.boolean_check == CheckReport.of(
+        f"Ce({algebra.name})", "center-boolean-algebra", [v for v in found if v is not None])
+    return passed
+
+
+# laws that fail on every center of two elements or more, and lemmas that fail at every e
+# but zero: so that the witnesses and equations mapped back from the center's own elements,
+# and those that depend on e, are compared with the oracle
+_FAILING_LAWS = (
+    clause("sum-is-left", "xy", (_add(X, Y), X), render="{x}+{y}={lhs}"),
+    clause("product-is-first", "xyz", (_mul(X, _add(Y, Z)), X), render="{x}·({y}+{z})={lhs}"),
+)
+_FAILING_LEMMAS = (
+    clause("e-is-zero", "", (center.E, ZERO), render="e={lhs}"),
+    clause("e-absorbs", "x", (_mul(center.E, X), center.E), render="e·{x}={lhs}"),
+)
+
+
+def _add_failing_laws(monkeypatch):
+    monkeypatch.setattr(center, "_CENTER_BOOLEAN",
+                        ClauseSet(center._CENTER_BOOLEAN.clauses + _FAILING_LAWS))
+    monkeypatch.setattr(center, "_CENTRAL_LEMMAS",
+                        ClauseSet(center._CENTRAL_LEMMAS.clauses + _FAILING_LEMMAS))
+
+
+@pytest.mark.parametrize("name", ["MV3", "BOOL4", "MO2xBOOL2", "MV3xBOOL2"])
+def test_central_checks_match_the_loop_oracle_on_fixtures(name, monkeypatch):
+    algebra = fixtures.fixture(name)
+    _identities_match_the_loop_oracle(algebra)
+    assert _lemmas_and_center_match_the_loop_oracle(algebra)
+    _add_failing_laws(monkeypatch)
+    assert not _lemmas_and_center_match_the_loop_oracle(algebra)
+
+
+_SMALL = [m for n in range(1, 5)
+          for m in nsr.enumerate_models(n, nsr.parse_constraint("involutive-integral")).models]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SMALL + [fixtures.fixture(name) for name in ("MV3", "BOOL4", "MO2")]),
+       st.booleans(), st.data())
+def test_central_checks_match_the_loop_oracle_on_drawn_tables(base, failing, data):
+    # relabelled, and sometimes one cell changed, as the audit's mutants are
+    a = base.relabel(data.draw(st.permutations(range(base.n))))
+    add, mul = a.add.copy(), a.mul.copy()
+    if a.n > 1 and data.draw(st.booleans()):
+        table = data.draw(st.sampled_from([add, mul]))
+        x, y = data.draw(st.integers(0, a.n - 1)), data.draw(st.integers(0, a.n - 1))
+        table[x, y] = (table[x, y] + data.draw(st.integers(1, a.n - 1))) % a.n
+    algebra = nsr.FiniteNearSemiring(add, mul, a.zero, a.one, inv=a.inv, name="D")
+    assume(nsr.check_axioms(algebra, "involutive-integral").passed)
+    try:
+        nsr.central_elements(algebra)
+    except nsr.AlgebraError:        # a constant or a central element is off, so no center
+        reject()
+    _identities_match_the_loop_oracle(algebra)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if failing:
+            _add_failing_laws(monkeypatch)
+        _lemmas_and_center_match_the_loop_oracle(algebra)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FULL_CONDITION_BASES), st.data())
+def test_subalgebras_match_a_loop(algebra, data):
+    n, zero = algebra.n, algebra.zero
+    carrier = sorted(data.draw(st.sets(st.integers(0, n - 1))) | {zero})
+    one = data.draw(st.sampled_from([x for x in carrier if x != zero] or [zero]))
+    # a complement that maps the carrier onto itself, or any permutation
+    inv = np.array(data.draw(st.permutations(range(n))))
+    if data.draw(st.booleans()):
+        inv = np.arange(n)
+        inv[carrier] = data.draw(st.permutations(carrier))
+    open_at = next(((x, y) for x, y in product(carrier, repeat=2)
+                    if algebra.add[x, y] not in carrier or algebra.mul[x, y] not in carrier), None)
+    off = next((x for x in carrier if inv[x] not in carrier), None)
+    if open_at is not None or off is not None:
+        with pytest.raises(nsr.AlgebraError) as error:
+            center._subalgebra(algebra, carrier, one, inv, "S", "T")
+        assert str(error.value) == (
+            "S is not closed at ({},{})".format(*map(algebra.label, open_at)) if open_at
+            else f"S is not closed under α at {algebra.label(off)}")
+        return
+    sub = center._subalgebra(algebra, carrier, one, inv, "S", "T")
+    local = {x: i for i, x in enumerate(carrier)}
+    for got, table in ((sub.add, algebra.add), (sub.mul, algebra.mul)):
+        assert got.tolist() == [[local[table[x, y]] for y in carrier] for x in carrier]
+    assert sub.inv.tolist() == [local[inv[x]] for x in carrier]
+    assert (sub.zero, sub.one, sub.name, sub.labels) == (
+        local[zero], local[one], "T", tuple(algebra.label(x) for x in carrier))

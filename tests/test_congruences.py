@@ -261,3 +261,12 @@ def test_principal_congruence_checks_its_arguments():
         with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
             nsr.principal_congruence(mv3, *args)
     assert nsr.principal_congruence(mv3, np.int64(0), 1).is_full()
+
+
+def test_partitions_of_different_sizes_do_not_combine():
+    small, large = Congruence((0,)), Congruence((0, 1))
+    for op in (nsr.meet_partitions, nsr.join_partitions, compose_relations):
+        for p, q in ((small, large), (large, small)):
+            with pytest.raises(nsr.AlgebraError,
+                               match=rf"^partitions of {p.n} and {q.n} elements cannot be combined$"):
+                op(p, q)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import center, core, fixtures
+from nearsemiring import core, fixtures
 from nearsemiring.core import DocumentError, PreconditionError
 
 
@@ -324,19 +324,6 @@ def test_find_violations_result_is_a_fresh_dict():
     core.find_violations(apxb, clauses).clear()
     core.find_violations(apxb, clauses)["extra"] = None
     assert core.find_violations(apxb, clauses) == expected
-
-
-def test_find_violations_with_pinned_or_carrier_always_evaluates(monkeypatch):
-    mv3 = fixtures.mv3()
-    lemmas = center._CENTRAL_LEMMAS
-    calls = _count_evaluations(monkeypatch)
-    for _ in range(2):
-        core.find_violations(mv3, lemmas, pinned={"e": 1})
-        core.find_violations(mv3, lemmas, carrier=(0, 2))
-    assert calls == [lemmas] * 4
-    # no clause of the set is kept, and nothing else is either
-    assert not any(c in mv3._kept for c in lemmas.clauses)
-    assert mv3._kept == {}
 
 
 def test_equal_tables_in_a_new_object_are_evaluated_again(monkeypatch):

@@ -1,54 +1,17 @@
 """The clause evaluator against plain loops, on complete and partially filled tables."""
-from itertools import product as iproduct
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import center, core, fixtures
+from nearsemiring import core, fixtures
 from nearsemiring.core import (
     IDENTITIES, ONE, PROFILES, ZERO, ClauseSet, Violation, X, Y, _add, _mul, clause,
 )
 
+import naive
+
 ENGINE_SETS = [(p, core._PROFILE_CLAUSES[p]) for p in sorted(PROFILES)] + [
-    (name, ClauseSet([c])) for name, c in sorted(IDENTITIES.items())] + [
-    (f"central-{which}", clauses) for which, clauses in sorted(center._CENTRAL.items())]
-
-
-def _naive_first_violation(identity, add, mul, inv, filled, n, pinned=None, carrier=None):
-    """First instance in product order where a part's sides differ while its guard
-    holds, skipping instances that read an unfilled cell.
-
-    Variables range over the carrier (range(n) by default); pinned ones are
-    held and left out of the witness.  The constants are 0 and min(n-1, 1).
-    """
-    constants = {"zero": 0, "one": min(n - 1, 1)}
-
-    def value(term, point):
-        head = term[0]
-        if head == "var":
-            return point[term[1]]
-        if head in constants:
-            return constants[head]
-        args = [value(t, point) for t in term[1:]]
-        if any(a is None for a in args):
-            return None
-        if head == "inv":
-            return int(inv[args[0]])
-        if head == "mul" and not filled[args[0], args[1]]:
-            return None
-        return int((add if head == "add" else mul)[args[0], args[1]])
-
-    pinned = pinned or {}
-    free = [v for v in identity.variables if v not in pinned]
-    for witness in iproduct(range(n) if carrier is None else carrier, repeat=len(free)):
-        at = dict(zip(free, witness)) | pinned
-        point = [at[v] for v in identity.variables]
-        for lhs, rhs, guard in identity.parts:
-            sides = [value(t, point) for t in (lhs, rhs) + (guard or ())]
-            if None not in sides and sides[0] != sides[1] and (not guard or sides[2] == sides[3]):
-                return witness
-    return None
+    (name, ClauseSet([c])) for name, c in sorted(IDENTITIES.items())]
 
 
 @st.composite
@@ -80,50 +43,47 @@ def test_identity_first_violation_matches_plain_loop_on_partial_tables(tables):
     n, add, mul, inv, filled = tables
     padded_add, padded_mul, padded_inv = _padded(add, mul, inv, filled, n)
     for identity in nsr.IDENTITIES.values():
-        expected = _naive_first_violation(identity, add, mul, inv, filled, n)
+        expected = naive.first_violation(identity, add, mul, inv, filled, n)
+        expected = None if expected is None else expected.witness
         got = nsr.identity_first_violation(identity, padded_add, padded_mul, padded_inv, n)
         assert got == expected, identity.name
         if filled.all():
             assert nsr.identity_first_violation(identity, add, mul, inv, n) == expected
 
 
-def test_pinned_variable_and_carrier_witnesses():
+def test_pinned_variable_witnesses():
     mv3 = fixtures.mv3()
     assert nsr.central_identity_violation(mv3, 1, "1") == (0, 0)
     assert nsr.identity_first_violation(
         nsr.IDENTITIES["central-1"], mv3.add, mv3.mul, mv3.inv, mv3.n) == (1, 0, 0)
-    # commutativity over a carrier subset reports elements, not positions
-    clauses = ClauseSet([clause("comm", "xy", (_add(X, Y), _add(Y, X)), render="{x},{y}")])
-    ex24 = fixtures.ex24()
-    assert clauses.violations(ex24.ops(), ex24.n, ex24.labels, carrier=(1, 2)) == {}
-    twisted = nsr.FiniteNearSemiring([[0, 1, 2], [2, 1, 1], [2, 1, 2]], ex24.mul, 0, 2)
-    found = clauses.violations(twisted.ops(), 3, twisted.labels, carrier=(0, 1))
-    assert found["comm"].witness == (0, 1) and found["comm"].equation == "0,1"
 
 
 @settings(max_examples=60, deadline=None)
-@given(partial_tables(), st.booleans(), st.booleans(), st.data())
-def test_outer_reads_match_gathers_and_the_loop_oracle(tables, pin, restrict, data):
+@given(partial_tables(), st.booleans(), st.data())
+def test_outer_reads_match_gathers_and_the_loop_oracle(tables, constant, data):
     n, add, mul, inv, filled = tables
     ops = {"zero": 0, "one": min(n - 1, 1)}
     ops["add"], ops["mul"], ops["inv"] = _padded(add, mul, inv, filled, n) \
         if not filled.all() or data.draw(st.booleans()) else (add, mul, inv)
     labels = tuple(f"<{x}>" for x in range(n))
-    carrier = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))) if restrict else None
     for name, clauses in ENGINE_SETS:
-        pinned = {clauses.clauses[0].variables[0]: data.draw(st.integers(0, n - 1))} \
-            if pin else None
-        gathered = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
+        originals, pinned = clauses.clauses, {}
+        if constant:                    # each clause's first variable read as a named constant
+            pinned = {c.variables[0]: data.draw(st.integers(0, n - 1)) for c in originals}
+            clauses = ClauseSet(map(naive.constant_first, originals))
+        called = dict(ops, **pinned)
+        gathered = clauses.violations(called, n, labels)
         saved = core._OUTER_CELLS
         core._OUTER_CELLS = 1            # every eligible read takes the two block takes
         try:
-            outer = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
+            outer = clauses.violations(called, n, labels)
         finally:
             core._OUTER_CELLS = saved
         assert outer == gathered, name
-        for c in clauses.clauses:
-            expected = _naive_first_violation(c, add, mul, inv, filled, n, pinned, carrier)
-            assert (outer[c.name].witness if c.name in outer else None) == expected, (name, c.name)
+        for c in originals:
+            held = {v: pinned[v] for v in c.variables[:1] if v in pinned}
+            expected = naive.first_violation(c, add, mul, inv, filled, n, held, labels=labels)
+            assert outer.get(c.name) == expected, (name, c.name)
 
 
 def test_an_unfilled_side_renders_as_a_question_mark():

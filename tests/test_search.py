@@ -110,6 +110,20 @@ def test_enumerate_workers_below_one_is_rejected(workers):
         nsr.enumerate_models(3, nsr.parse_constraint("involutive-integral"), workers=workers)
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), 2.5, np.float64(2.0), "3"])
+def test_search_sizes_and_worker_counts_must_be_integers(bad):
+    constraint = nsr.parse_constraint("involutive-integral")
+    for call in (lambda: nsr.enumerate_models(bad), lambda: nsr.find_model(bad, "", ""),
+                 lambda: nsr.enumerate_models(2, constraint, workers=bad)):
+        with pytest.raises(nsr.AlgebraError, match=r" must be an integer, got "):
+            call()
+    # numpy integers are integers
+    documents = lambda result: [m.to_document() for m in result.models]
+    assert documents(nsr.enumerate_models(np.int64(3), constraint, workers=np.uint8(1))) == \
+        documents(nsr.enumerate_models(3, constraint))
+    assert documents(nsr.find_model(np.int32(2), "", "")) == documents(nsr.find_model(2, "", ""))
+
+
 @pytest.mark.parametrize("names, sizes", [
     ("involutive-integral", range(1, 7)),
     ("near-semiring", range(1, 5)),

@@ -40,9 +40,8 @@ def _slice(table, arity, i):
 
 @settings(max_examples=80, deadline=None)
 @given(stacks(), st.booleans(), st.sampled_from([1 << 18, 64]), st.sampled_from([1 << 14, 1]),
-       st.booleans(), st.booleans(), st.data())
-def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, pin, restrict,
-                                                  data):
+       st.booleans(), st.data())
+def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, constant, data):
     n, add, mul, inv = drawn
     k = len(mul)
     labels = data.draw(st.sampled_from([None, tuple(str(x) for x in range(n))]))
@@ -54,28 +53,27 @@ def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, p
                                                max_size=mul.size))).reshape(mul.shape)
         mul = np.where(unfilled, n, mul)
         inv = np.pad(inv, [(0, 0)] * (inv.ndim - 1) + [(0, 1)], constant_values=n)
-    ops = {"add": add, "mul": mul, "inv": inv, "zero": 0, "one": min(n - 1, 1)}
-    carrier = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))) if restrict else None
     saved = core._STACK_CELLS, core._OUTER_CELLS
     # small chunks split the stack; one outer cell makes every eligible shared read a block take
     core._STACK_CELLS, core._OUTER_CELLS = cells, outer
     try:
         for name, clauses in CLAUSE_SETS:
-            pinned = {clauses.clauses[0].variables[0]: data.draw(st.integers(0, n - 1))} \
-                if pin else None
-            got = clauses.violations(ops, n, labels, pinned=pinned, carrier=carrier)
+            constants = {"zero": 0, "one": min(n - 1, 1)}
+            if constant:                # each clause's first variable read as a named constant
+                constants.update((c.variables[0], data.draw(st.integers(0, n - 1)))
+                                 for c in clauses.clauses)
+                clauses = ClauseSet(map(naive.constant_first, clauses.clauses))
+            ops = dict(constants, add=add, mul=mul, inv=inv)
+            got = clauses.violations(ops, n, labels)
             if isinstance(got, dict):        # the clauses read only shared tables
                 got = [got] * k
             # a mask-only request flags exactly the algebras with a violation
-            failing = clauses.violations(ops, n, pinned=pinned, carrier=carrier, mask=True)
+            failing = clauses.violations(ops, n, mask=True)
             assert np.broadcast_to(failing, k).tolist() == [bool(g) for g in got], name
             for i in range(k):
-                single = {"add": _slice(add, 2, i), "mul": mul[i], "inv": _slice(inv, 1, i),
-                          "zero": ops["zero"], "one": ops["one"]}
-                assert got[i] == clauses.violations(single, n, labels, pinned=pinned,
-                                                     carrier=carrier), (name, i)
-                assert clauses.violations(single, n, pinned=pinned, carrier=carrier,
-                                          mask=True) is bool(got[i]), (name, i)
+                single = dict(constants, add=_slice(add, 2, i), mul=mul[i], inv=_slice(inv, 1, i))
+                assert got[i] == clauses.violations(single, n, labels), (name, i)
+                assert clauses.violations(single, n, mask=True) is bool(got[i]), (name, i)
     finally:
         core._STACK_CELLS, core._OUTER_CELLS = saved
 
