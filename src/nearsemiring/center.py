@@ -10,16 +10,16 @@ decomposition into interval algebras [0, e].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 import numpy as np
 
 from .core import (
     IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseSet, FiniteNearSemiring,
     PreconditionError, PropertyReport, U, Violation, X, Y, Z, _add, _central_1, _central_2,
-    _first_true, _inv, _mul, _q, check_axioms, clause, _in_universe, _needs_inv, clause_results,
-    find_violations, require,
+    _first_true, _inv, _mul, _op, _q, check_axioms, clause, _in_universe, _needs_inv,
+    clause_results, find_violations, kept, require,
 )
 from .congruences import is_factor_pair, principal_congruence
 
@@ -72,8 +72,13 @@ def central_identity_violation(algebra: FiniteNearSemiring, e: int, which: str):
     return found[f"central-{which}"].witness if found else None
 
 
+@kept
 def _central_equational_witness(algebra: FiniteNearSemiring, e: int):
-    """First witness violating one of the two centrality identities at e, or None."""
+    """First witness violating one of the two centrality identities at e, or None.
+
+    Kept per structure and e, so a precondition on a central e found by
+    central_elements is a lookup.
+    """
     for which in ("1", "2"):
         w = central_identity_violation(algebra, e, which)
         if w is not None:
@@ -86,7 +91,7 @@ def is_central_equational(algebra: FiniteNearSemiring, e: int) -> bool:
 
 
 def _require_central(algebra: FiniteNearSemiring, e: int) -> None:
-    _in_universe(algebra, e)
+    _in_universe(algebra, e)            # before the lookup: True and 1.0 are keys equal to 1
     w = _central_equational_witness(algebra, e)
     if w is not None:
         raise PreconditionError(
@@ -350,45 +355,51 @@ class IntervalAlgebra:
                 "carrier": list(self.carrier), "algebra": self.algebra.to_document()}
 
 
+# the unary table h is a homomorphism onto the tables and constants named target_*
+_h, _target_add, _target_mul, _target_inv = (
+    _op(name) for name in ("h", "target_add", "target_mul", "target_inv"))
+_HOMOMORPHISM = ClauseSet([
+    clause("operations", "xy", (_h(_add(X, Y)), _target_add(_h(X), _h(Y))),
+           (_h(_mul(X, Y)), _target_mul(_h(X), _h(Y))),
+           render="is not a homomorphism at ({x},{y})"),
+    clause("complement", "x", (_h(_inv(X)), _target_inv(_h(X))),
+           render="does not respect the complement at {x}"),
+    clause("constants", "", (_h(ZERO), ("target_zero",)), (_h(ONE), ("target_one",)),
+           render="moves the constants"),
+])
+
+
 def interval_algebra(algebra: FiniteNearSemiring, e: int) -> IntervalAlgebra:
     """Build and verify the interval algebra on [0, e] for central e.
 
     The carrier is computed both as {x : x ≤ e} and as {e·b : b in R} and the
-    two must agree; sum and product restrict, the complement is x -> e·α(x),
-    and b -> e·b must be a surjective homomorphism onto the result.
+    two must agree, so b -> e·b maps onto it; sum and product restrict, the
+    complement is x -> e·α(x), and b -> e·b must be a homomorphism onto the
+    result.
     """
     require(algebra, "involutive-integral", "interval algebra")
     _require_central(algebra, e)
-    add, mul, inv, n, l = algebra.add, algebra.mul, algebra.inv, algebra.n, algebra.label
-    below = tuple(x for x in range(n) if add[x, e] == e)
-    image = tuple(sorted({int(mul[e, b]) for b in range(n)}))
-    if below != image:
+    mul, l = algebra.mul, algebra.label
+    below = np.flatnonzero(algebra.add[:, e] == e)
+    image = np.flatnonzero(np.bincount(mul[e]))
+    if not np.array_equal(below, image):
         raise AlgebraError(
             f"interval carriers differ for e={l(e)}: "
-            f"{{x≤e}}={below} but {{e·b}}={image}")
-    sub = _subalgebra(algebra, below, e, mul[e, inv], f"interval [0,{l(e)}]",
+            f"{{x≤e}}={tuple(below.tolist())} but {{e·b}}={tuple(image.tolist())}")
+    sub = _subalgebra(algebra, below, e, mul[e, algebra.inv], f"interval [0,{l(e)}]",
                       f"{algebra.name}[0,{l(e)}]")
-    if len(below) >= 2:
+    if sub.n >= 2:
         rep = check_axioms(sub, "involutive-integral")
         if not rep.passed:
             raise AlgebraError(
                 f"interval [0,{l(e)}] of {algebra.name} fails involutive-integral: "
                 f"{rep.violations[0].equation}")
-    # b -> e·b is a surjective homomorphism onto the interval
-    h = np.searchsorted(below, mul[e]).tolist()      # e·b is in the carrier
-    if set(h) != set(range(len(below))):
-        raise AlgebraError(f"projection onto [0,{l(e)}] is not surjective")
-    for x, y in iproduct(range(n), repeat=2):
-        if h[add[x, y]] != sub.add[h[x], h[y]] or h[mul[x, y]] != sub.mul[h[x], h[y]]:
-            raise AlgebraError(
-                f"projection onto [0,{l(e)}] is not a homomorphism at ({l(x)},{l(y)})")
-    for x in range(n):
-        if h[inv[x]] != sub.inv[h[x]]:
-            raise AlgebraError(
-                f"projection onto [0,{l(e)}] does not respect the complement at {l(x)}")
-    if h[algebra.zero] != sub.zero or h[algebra.one] != sub.one:
-        raise AlgebraError(f"projection onto [0,{l(e)}] moves the constants")
-    return IntervalAlgebra(algebra.name, e, below, sub)
+    ops = dict(algebra.ops(), h=np.searchsorted(below, mul[e]),     # b -> e·b, local
+               **{f"target_{name}": value for name, value in sub.ops().items()})
+    found = _HOMOMORPHISM.violations(ops, algebra.n, algebra.labels)
+    if found:
+        raise AlgebraError(f"projection onto [0,{l(e)}] {next(iter(found.values())).equation}")
+    return IntervalAlgebra(algebra.name, e, tuple(below.tolist()), sub)
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,8 +434,9 @@ class DecompositionResult:
 def decompose(algebra: FiniteNearSemiring) -> DecompositionResult:
     """Decompose into directly indecomposable interval algebras.
 
-    One factor per atom of the center; the map b -> (e1·b, ..., ek·b) is
-    verified to be a bijective homomorphism, every factor is verified to
+    One factor per atom of the center.  Each projection b -> e·b is a
+    homomorphism onto its factor, which interval_algebra verifies; the map
+    b -> (e1·b, ..., ek·b) is verified injective, every factor is verified to
     have a two-element center (so it is directly indecomposable), and the
     atom bookkeeping of the binary splits is re-checked recursively.
     """
@@ -439,29 +451,13 @@ def decompose(algebra: FiniteNearSemiring) -> DecompositionResult:
             f"center of {algebra.name} has no atoms despite n={algebra.n} >= 2")
     factors = tuple(interval_algebra(algebra, e) for e in atoms)
     sizes = [f.algebra.n for f in factors]
-    prod = 1
-    for s in sizes:
-        prod *= s
-    if prod != algebra.n:
+    if math.prod(sizes) != algebra.n:
         raise AlgebraError(
             f"factor sizes {sizes} do not multiply to n={algebra.n} for {algebra.name}")
-    mul = algebra.mul
-    iso = tuple(tuple(f.to_local(int(mul[e, b])) for e, f in zip(atoms, factors))
-                for b in range(algebra.n))
+    iso = tuple(zip(*(np.searchsorted(f.carrier, algebra.mul[e]).tolist()
+                      for e, f in zip(atoms, factors))))
     if len(set(iso)) != algebra.n:
         raise AlgebraError(f"decomposition map of {algebra.name} is not injective")
-    for x, y in iproduct(range(algebra.n), repeat=2):
-        for i, f in enumerate(factors):
-            fa = f.algebra
-            if iso[algebra.add[x, y]][i] != fa.add[iso[x][i], iso[y][i]] or \
-               iso[algebra.mul[x, y]][i] != fa.mul[iso[x][i], iso[y][i]]:
-                raise AlgebraError(
-                    f"decomposition map of {algebra.name} is not a homomorphism")
-    for x in range(algebra.n):
-        for i, f in enumerate(factors):
-            if iso[algebra.inv[x]][i] != f.algebra.inv[iso[x][i]]:
-                raise AlgebraError(
-                    f"decomposition map of {algebra.name} ignores the complement")
     flags = []
     for f in factors:
         cen = central_elements(f.algebra, "equational").centrals

@@ -99,9 +99,14 @@ def _square_table(obj, what: str, stack: bool = False) -> np.ndarray:
     return _binary_table(arr, arr.shape[-1], what, stack)
 
 
+def _integer(value) -> bool:
+    """Whether value is an integer: a Python or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _constant(value, n: int, what: str) -> int:
-    """An element given as an integer (numpy integers too, bools not) in range(n)."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    """An element given as an integer in range(n)."""
+    if not _integer(value):
         raise DocumentError(f"{what} must be an integer, got {value!r}")
     if not 0 <= value < n:
         raise DocumentError(f"{what} must lie in [0, {n}), got {value}")
@@ -122,9 +127,9 @@ def _needs_inv(algebra) -> None:
 
 
 def _in_universe(structure, *elements) -> None:
-    """Each element an integer (numpy integers too, bools not) in range(n)."""
+    """Each element an integer in range(n)."""
     for x in elements:
-        if isinstance(x, (bool, np.bool_)) or not isinstance(x, (int, np.integer)):
+        if not _integer(x):
             raise AlgebraError(f"element {x!r} is not an integer")
         if not 0 <= x < structure.n:
             raise AlgebraError(f"element {x} out of range [0, {structure.n})")
@@ -268,7 +273,7 @@ class _Structure:
         if not isinstance(doc["name"], str):
             raise DocumentError(f"name must be a string, got {doc['name']!r}")
         n = doc["size"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _integer(n) or n < 1:
             raise DocumentError(f"size must be a positive integer, got {n!r}")
         structure = cls(**{name: doc.get(name) for name in kind.fields},
                         name=doc["name"], labels=doc.get("labels"))
@@ -915,6 +920,7 @@ _AXIOMS = {c.name: c for c in (
     clause("add-neutral", "x", (_add(ZERO, X), X), (_add(X, ZERO), X),
            render=("{zero}+{x}={lhs}", "{x}+{zero}={lhs}")),
     clause("add-idempotence", "x", (_add(X, X), X), render="{x}+{x}={lhs}"),
+    clause("mul-idempotence", "x", (_mul(X, X), X), render="{x}·{x}={lhs}"),
     clause("mul-unit", "x", (_mul(X, ONE), X), (_mul(ONE, X), X),
            render=("{x}·{one}={lhs}", "{one}·{x}={lhs}")),
     clause("annihilation", "x", (_mul(X, ZERO), ZERO), (_mul(ZERO, X), ZERO),
@@ -1066,6 +1072,11 @@ class PartialOrderReport:
         }
 
 
+# the laws an induced order needs of its operation, in the order they are checked
+_ORDER_LAWS = {which: ClauseSet(_AXIOMS[f"{op}-{law}"] for law in ("idempotence", "commutativity"))
+               for which, op in (("sum", "add"), ("mul", "mul"))}
+
+
 @kept
 def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrderReport:
     """Order induced by sum (x<=y iff x+y=y) or by product (x<=y iff x·y=x).
@@ -1075,31 +1086,20 @@ def induced_order(algebra: FiniteNearSemiring, which: str = "sum") -> PartialOrd
     join (meet) semilattice when every pair has exactly one least upper
     (greatest lower) bound; both flags are array checks over all pairs.
     """
-    if which == "sum":
-        table, rel = algebra.add, "sum"
-        sym = "+"
-    elif which == "mul":
-        table, rel = algebra.mul, "product"
-        sym = "·"
-    else:
+    if which not in _ORDER_LAWS:
         raise AlgebraError(f"which must be 'sum' or 'mul', got {which!r}")
-    l = algebra.label
-    for x in range(algebra.n):
-        if table[x, x] != x:
-            raise PreconditionError(
-                f"{rel} order undefined for {algebra.name}: {rel} is not idempotent "
-                f"({l(x)}{sym}{l(x)}={l(int(table[x, x]))})")
-    asym = np.argwhere(table != table.T)
-    if asym.size:
-        x, y = (int(v) for v in asym[0])
+    rel = "sum" if which == "sum" else "product"
+    found = find_violations(algebra, _ORDER_LAWS[which])
+    if found:
+        law, v = next(iter(found.items()))
+        what = "idempotent" if law.endswith("idempotence") else "commutative"
         raise PreconditionError(
-            f"{rel} order undefined for {algebra.name}: {rel} is not commutative "
-            f"({l(x)}{sym}{l(y)}={l(int(table[x, y]))} but {l(y)}{sym}{l(x)}={l(int(table[y, x]))})")
+            f"{rel} order undefined for {algebra.name}: {rel} is not {what} ({v.equation})")
     n = algebra.n
     if which == "sum":
-        leq = table == np.arange(n)[None, :]
+        leq = algebra.add == np.arange(n)[None, :]
     else:
-        leq = table == np.arange(n)[:, None]
+        leq = algebra.mul == np.arange(n)[:, None]
     antisym = not np.any(leq & leq.T & ~np.eye(n, dtype=bool))
     transitive = not np.any((leq @ leq) & ~leq)
     is_po = bool(antisym and transitive)
@@ -1183,7 +1183,7 @@ def core_property_suite(algebra: FiniteNearSemiring) -> PropertyReport:
     when α(0)=1 (a biconditional of the two verdicts).
     """
     require(algebra, "near-semiring")
-    add, n, l = algebra.add, algebra.n, algebra.label
+    l = algebra.label
     if algebra.inv is None:
         clauses = clause_results(_MONOTONE, find_violations(algebra, _MONOTONE))
         clauses.append(ClauseResult("inv-sum-absorption", True, detail="skipped: no involution"))
@@ -1192,19 +1192,19 @@ def core_property_suite(algebra: FiniteNearSemiring) -> PropertyReport:
     else:
         clauses = clause_results(_CORE_SUITE, find_violations(algebra, _CORE_SUITE))
         inv = algebra.inv
-        integral = check_axioms(algebra, "integral").passed
+        integral = check_axioms(algebra, "integral")
         inv_zero_is_one = bool(inv[algebra.zero] == algebra.one)
-        if integral == inv_zero_is_one:
+        if integral.passed == inv_zero_is_one:
             clauses.append(ClauseResult(
                 "integral-iff-inv-zero-is-one", True,
-                detail=f"both sides {'hold' if integral else 'fail'}: "
+                detail=f"both sides {'hold' if integral.passed else 'fail'}: "
                        f"α({l(algebra.zero)})={l(int(inv[algebra.zero]))}"))
-        elif integral:
+        elif integral.passed:
             clauses.append(ClauseResult(
                 "integral-iff-inv-zero-is-one", False, (algebra.zero,),
                 f"integral but α({l(algebra.zero)})={l(int(inv[algebra.zero]))}≠{l(algebra.one)}"))
         else:
-            x = next(x for x in range(n) if add[x, algebra.one] != algebra.one)
+            x, = integral.violations[0].witness
             clauses.append(ClauseResult(
                 "integral-iff-inv-zero-is-one", False, (x,),
                 f"α({l(algebra.zero)})={l(algebra.one)} but {l(x)}+{l(algebra.one)}≠{l(algebra.one)}"))

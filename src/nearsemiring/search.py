@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import (
     _AXIOMS, _PROFILE_CLAUSES, _STACK_CELLS, IDENTITIES, X, Y, AlgebraError, Clause, ClauseSet,
-    FiniteNearSemiring, PROFILES, TableStack, _add, check_axioms, clause, relabel_table,
+    FiniteNearSemiring, PROFILES, TableStack, _add, _integer, check_axioms, clause, relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -657,12 +657,21 @@ def _root_keys(args):
 
 
 def _count(value, what: str) -> int:
-    """A size or worker count: an integer (numpy integers too, bools not) of at least 1."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+    """A size or worker count: an integer of at least 1."""
+    if not _integer(value):
         raise AlgebraError(f"{what} must be an integer, got {value!r}")
     if value < 1:
         raise AlgebraError(f"{what} must be at least 1, got {value}")
     return int(value)
+
+
+def _size(value, what: str, allow_large: bool) -> int:
+    """A largest model size: a count, above DEFAULT_SIZE_CAP only with allow_large."""
+    n = _count(value, what)
+    if n > DEFAULT_SIZE_CAP and not allow_large:
+        raise AlgebraError(
+            f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
+    return n
 
 
 def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
@@ -675,12 +684,9 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     tables one at a time.  A key starts with its table, and the tables ascend:
     so the keys of each table, deduplicated and sorted, are concatenated.
     """
-    n = _count(n, "size")
+    n = _size(n, "size", allow_large)
     if workers is not None:
         workers = _count(workers, "the number of workers")
-    if n > DEFAULT_SIZE_CAP and not allow_large:
-        raise AlgebraError(
-            f"size {n} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
     start = time.perf_counter()
     counter = _Counter()
     with counter.timed("sum_tables"):
@@ -722,10 +728,7 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
         constraint = SearchConstraint(satisfy.profiles, satisfy.require, forbid)
     else:
         constraint = parse_constraint(satisfy, violate)
-    n_max = _count(n_max, "the largest size")
-    if n_max > DEFAULT_SIZE_CAP and not allow_large:
-        raise AlgebraError(
-            f"size {n_max} exceeds the default cap {DEFAULT_SIZE_CAP}; pass allow_large=True")
+    n_max = _size(n_max, "the largest size", allow_large)
     start = time.perf_counter()
     counter = _Counter()
     searched = []

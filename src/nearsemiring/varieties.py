@@ -178,7 +178,7 @@ def sectional_involution(algebra: FiniteNearSemiring, a: int) -> SectionalInvolu
 
 _ORTHOMODULAR = ClauseSet([
     replace(IDENTITIES["orthomodular"], name="mul-absorbs-sum"),
-    clause("mul-idempotence", "x", (_mul(X, X), X), render="{x}·{x}={lhs}"),
+    _AXIOMS["mul-idempotence"],
     clause("sandwich-recovery", "xy", (_mul(X, _inv(_mul(_inv(_mul(Y, _inv(X))), _inv(X)))), X),
            render="{x}·α(α({y}·α({x}))·α({x}))≠{x}"),
     clause("complement-join", "x", (_add(X, _inv(X)), ONE), render="{x}+α({x})={lhs}"),
@@ -243,11 +243,11 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
     # induced order: x <= y iff x'⊕y = 1; join term (x'⊕y)'⊕y
     rel = op[neg, :] == one                      # rel[x, y] = (x'⊕y == 1)
     jt = op[neg[op[neg, :]], np.broadcast_to(np.arange(n), (n, n))]
-    refl = all(rel[x, x] for x in range(n))
+    irreflexive = _first_true(~rel.diagonal())
     antisym = not np.any(rel & rel.T & ~np.eye(n, dtype=bool))
     trans = not np.any((rel @ rel) & ~rel)
-    if not refl:
-        x = next(x for x in range(n) if not rel[x, x])
+    if irreflexive is not None:
+        x, = irreflexive
         violations.append(Violation("order-partial-order", (x, x),
                                     f"relation x'⊕y=1 is not reflexive at {l(x)}"))
     elif not antisym:

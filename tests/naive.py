@@ -10,7 +10,8 @@ The depth-first sum-table and product-table generators are the search's
 former ones, kept as the oracles of its breadth-first stacked generators.
 first_violation is the clause engine's loop form; it can pin variables and
 range them over a carrier, which the package expresses as named constants
-and subalgebras.
+and subalgebras.  order_failure and homomorphism_failure are the former loops
+of the induced orders' preconditions and of the interval projections.
 """
 from collections import Counter
 from itertools import permutations, product
@@ -536,3 +537,45 @@ def constant_first(c):
     parts = tuple((term(lhs), term(rhs), guard and (term(guard[0]), term(guard[1])))
                   for lhs, rhs, guard in c.parts)
     return Clause(c.name, c.variables[1:], parts, c.render)
+
+
+def order_failure(table, which, name, labels):
+    """Why the sum (which="sum") or product order of a table is undefined, or None.
+
+    Idempotence is checked first, at the least x, then commutativity at the
+    least (x, y) in product order.
+    """
+    rel, sym = ("sum", "+") if which == "sum" else ("product", "·")
+    n = len(table)
+    for x in range(n):
+        if table[x][x] != x:
+            return (f"{rel} order undefined for {name}: {rel} is not idempotent "
+                    f"({labels[x]}{sym}{labels[x]}={labels[table[x][x]]})")
+    for x, y in product(range(n), repeat=2):
+        if table[x][y] != table[y][x]:
+            return (f"{rel} order undefined for {name}: {rel} is not commutative "
+                    f"({labels[x]}{sym}{labels[y]}={labels[table[x][y]]} but "
+                    f"{labels[y]}{sym}{labels[x]}={labels[table[y][x]]})")
+    return None
+
+
+def homomorphism_failure(add, mul, inv, zero, one, h, target, labels):
+    """The first failure of b -> h[b] as a homomorphism onto target, or None.
+
+    target maps add, mul, inv, zero and one to the target's tables and
+    constants.  The operations fail first, at the least (x, y) in product
+    order, then the complement at the least x, then the constants; the
+    result is (clause, witness, text) with the clause names of
+    center._HOMOMORPHISM.
+    """
+    n = len(add)
+    for x, y in product(range(n), repeat=2):
+        if h[add[x][y]] != target["add"][h[x]][h[y]] or \
+                h[mul[x][y]] != target["mul"][h[x]][h[y]]:
+            return "operations", (x, y), f"is not a homomorphism at ({labels[x]},{labels[y]})"
+    for x in range(n):
+        if h[inv[x]] != target["inv"][h[x]]:
+            return "complement", (x,), f"does not respect the complement at {labels[x]}"
+    if h[zero] != target["zero"] or h[one] != target["one"]:
+        return "constants", (), "moves the constants"
+    return None

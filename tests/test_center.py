@@ -6,7 +6,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 import naive
 import nearsemiring as nsr
-from nearsemiring import center, fixtures
+from nearsemiring import center, core, fixtures
 from nearsemiring.core import (
     ZERO, CheckReport, ClauseSet, PreconditionError, X, Y, Z, _add, _mul, clause,
 )
@@ -158,6 +158,16 @@ def test_interval_algebra_rejects_noncentral():
         nsr.interval_algebra(fixtures.mv3(), 1)
 
 
+def test_kept_centrality_does_not_pass_a_non_integer_e():
+    # True and 1.0 equal 1 as keys of the kept verdicts, which central_elements filled
+    algebra = fixtures.bool4()
+    assert 1 in nsr.central_elements(algebra).centrals
+    for bad in (True, 1.0, np.float64(1.0)):
+        for call in (nsr.interval_algebra, nsr.central_lemma_suite):
+            with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
+                call(algebra, bad)
+
+
 def test_decompose_bool4():
     result = nsr.decompose(fixtures.bool4())
     assert result.factor_sizes() == (2, 2)
@@ -227,6 +237,93 @@ def test_decompose_reconstruction_roundtrip():
         for factor in result.factors[1:]:
             rebuilt = nsr.product_algebra(rebuilt, factor.algebra)
         assert nsr.are_isomorphic(algebra, rebuilt) is not None
+
+
+def test_decompose_projections_are_homomorphisms():
+    # each factor's column of the map is b -> e·b, which interval_algebra verified
+    for name in ("BOOL4", "MV3xBOOL2", "MV3xBOOL2xBOOL2", "MO2xBOOL2"):
+        algebra = fixtures.fixture(name)
+        result = nsr.decompose(algebra)
+        tables = [t.tolist() for t in (algebra.add, algebra.mul, algebra.inv)]
+        for i, factor in enumerate(result.factors):
+            a = factor.algebra
+            target = dict(add=a.add.tolist(), mul=a.mul.tolist(), inv=a.inv.tolist(),
+                          zero=a.zero, one=a.one)
+            h = [local[i] for local in result.iso]
+            assert naive.homomorphism_failure(*tables, algebra.zero, algebra.one, h, target,
+                                              algebra.labels) is None, (name, i)
+
+
+def test_decompose_evaluates_central_2_once_per_element(monkeypatch):
+    calls = []
+    original = center.central_identity_violation
+    monkeypatch.setattr(center, "central_identity_violation", lambda algebra, e, which: (
+        calls.append((id(algebra), int(e), which)), original(algebra, e, which))[1])
+    algebra = fixtures.fixture("BOOL2xBOOL2xBOOL2xBOOL2xBOOL2")
+    assert nsr.decompose(algebra).factor_sizes() == (2,) * 5
+    central_2 = [call for call in calls if call[2] == "2"]
+    assert len(central_2) == len(set(central_2))
+    assert (id(algebra), 0, "2") in central_2
+
+
+_HOMOMORPHISM_CLAUSES = [c.name for c in center._HOMOMORPHISM.clauses]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([None] + _HOMOMORPHISM_CLAUSES), st.booleans(), st.data())
+def test_homomorphism_clauses_match_the_loop_oracle(first, outer, data):
+    # h maps onto range(m), and the parent's values are preimages under h of the
+    # target's, so h is a homomorphism until the clause drawn first, and sometimes
+    # later ones, are broken at a drawn place
+    small = 1 if first is None else 2
+    n = data.draw(st.integers(small, 5))
+    m = data.draw(st.integers(small, n))
+    h = np.array(data.draw(st.permutations(range(n)))) % m
+    cells = lambda size: st.lists(st.integers(0, m - 1), min_size=size, max_size=size)
+    target = dict(add=np.array(data.draw(cells(m * m))).reshape(m, m),
+                  mul=np.array(data.draw(cells(m * m))).reshape(m, m),
+                  inv=np.array(data.draw(cells(m))),
+                  zero=data.draw(st.integers(0, m - 1)), one=data.draw(st.integers(0, m - 1)))
+    section = np.array([data.draw(st.sampled_from(np.flatnonzero(h == v).tolist()))
+                        for v in range(m)])
+    x, y = np.ix_(range(n), range(n))
+    add, mul = (section[target[op][h[x], h[y]]] for op in ("add", "mul"))
+    inv = section[target["inv"][h]]
+    constants = dict(zero=int(section[target["zero"]]), one=int(section[target["one"]]))
+
+    def off(v):
+        """An element whose image under h is not v."""
+        return data.draw(st.sampled_from(np.flatnonzero(h != v).tolist()))
+
+    broken = _HOMOMORPHISM_CLAUSES[_HOMOMORPHISM_CLAUSES.index(first):] if first else []
+    for name in broken:
+        if name != first and not data.draw(st.booleans()):
+            continue
+        if name == "operations":
+            op = data.draw(st.sampled_from(["add", "mul"]))
+            table = add if op == "add" else mul
+            a, b = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            table[a, b] = off(target[op][h[a], h[b]])
+        elif name == "complement":
+            a = data.draw(st.integers(0, n - 1))
+            inv[a] = off(target["inv"][h[a]])
+        else:
+            const = data.draw(st.sampled_from(["zero", "one"]))
+            constants[const] = int(off(target[const]))
+    labels = tuple(f"<{v}>" for v in range(n))
+    ops = dict(add=add, mul=mul, inv=inv, h=h, **constants,
+               **{f"target_{name}": value for name, value in target.items()})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if outer:
+            monkeypatch.setattr(core, "_OUTER_CELLS", 1)
+        found = center._HOMOMORPHISM.violations(ops, n, labels)
+    got = next(iter(found.values()), None)
+    expected = naive.homomorphism_failure(add.tolist(), mul.tolist(), inv.tolist(),
+                                          constants["zero"], constants["one"], h.tolist(),
+                                          {k: np.asarray(v).tolist() for k, v in target.items()},
+                                          labels)
+    assert (got and (got.clause, got.witness, got.equation)) == expected
+    assert (got and got.clause) == first
 
 
 def test_centrality_methods_agree_on_fixtures():

@@ -198,6 +198,16 @@ def test_core_property_suite_ex28_biconditional_both_false():
     assert clause.passed and "fail" in clause.detail
 
 
+def test_core_property_suite_inv_zero_is_one_but_not_integral():
+    # a near semiring on the chain 0 < 1 < 2 whose one is not the top: 2+1 = 2
+    chain = [[max(x, y) for y in range(3)] for x in range(3)]
+    mul = [[0 if 0 in (x, y) else max(x, y) for y in range(3)] for x in range(3)]
+    algebra = nsr.FiniteNearSemiring(chain, mul, 0, 1, inv=[1, 0, 2], labels=("z", "u", "t"))
+    clause = nsr.core_property_suite(algebra).clause("integral-iff-inv-zero-is-one")
+    assert (clause.passed, clause.counterexample, clause.detail) == (
+        False, (2,), "α(z)=u but t+u≠u")
+
+
 def test_core_property_suite_bool2_and_mv3():
     assert nsr.core_property_suite(fixtures.bool2()).passed
     assert nsr.core_property_suite(fixtures.mv3()).passed

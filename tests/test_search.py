@@ -124,6 +124,13 @@ def test_search_sizes_and_worker_counts_must_be_integers(bad):
     assert documents(nsr.find_model(np.int32(2), "", "")) == documents(nsr.find_model(2, "", ""))
 
 
+def test_sizes_above_the_cap_need_allow_large():
+    for call in (lambda: nsr.enumerate_models(7), lambda: nsr.find_model(7, "", "")):
+        with pytest.raises(nsr.AlgebraError,
+                           match=r"^size 7 exceeds the default cap 6; pass allow_large=True$"):
+            call()
+
+
 @pytest.mark.parametrize("names, sizes", [
     ("involutive-integral", range(1, 7)),
     ("near-semiring", range(1, 5)),
