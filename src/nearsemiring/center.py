@@ -91,7 +91,7 @@ def is_central_equational(algebra: FiniteNearSemiring, e: int) -> bool:
 
 
 def _require_central(algebra: FiniteNearSemiring, e: int) -> None:
-    _in_universe(algebra, e)            # before the lookup: True and 1.0 are keys equal to 1
+    # e is checked inside, as kept keys carry types: True and 1.0 do not fetch 1's verdict
     w = _central_equational_witness(algebra, e)
     if w is not None:
         raise PreconditionError(
@@ -312,20 +312,20 @@ def _subalgebra(algebra: FiniteNearSemiring, carrier, one: int, inv, what: str,
     """The subalgebra on an ascending carrier with the given one and complement (a parent
     table), re-indexed densely and labelled as in the parent.  Raises, naming what, at the
     first pair in product order whose sum or product leaves the carrier, then where α does."""
-    carrier = list(carrier)
-    index = np.full(algebra.n, -1)
+    carrier = np.asarray(carrier, dtype=int)
+    index = np.full(algebra.n, -1)          # parent -> local, -1 off the carrier
     index[carrier] = np.arange(len(carrier))
-    add, mul = (index[table[np.ix_(carrier, carrier)]] for table in (algebra.add, algebra.mul))
-    bad = _first_true((add < 0) | (mul < 0))
+    fields = algebra._transport(index, carrier)
+    bad = _first_true(np.any([t < 0 for t in fields.values() if np.ndim(t) == 2], axis=0))
     if bad is not None:
         x, y = (algebra.label(carrier[i]) for i in bad)
         raise AlgebraError(f"{what} is not closed at ({x},{y})")
-    inv = index[inv[carrier]]
-    if (inv < 0).any():
-        x = algebra.label(carrier[int((inv < 0).argmax())])
+    complement = index[inv[carrier]]
+    if (complement < 0).any():
+        x = algebra.label(carrier[int((complement < 0).argmax())])
         raise AlgebraError(f"{what} is not closed under α at {x}")
-    return FiniteNearSemiring(add, mul, index[algebra.zero], index[one], inv=inv, name=name,
-                              labels=tuple(map(algebra.label, carrier)))
+    fields.update(one=int(index[one]), inv=complement)
+    return FiniteNearSemiring(**fields, name=name, labels=tuple(map(algebra.label, carrier)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Command-line surface: document I/O, fixtures, checks, DOT diagrams.
 
 Exit codes: 0 when every requested check passed, 1 when violations (or a
-definitive negative search verdict) were found, 2 for usage or input
-errors.  With identical arguments and inputs, stdout is byte-identical
-across runs; timing and progress never go to stdout.
+definitive negative search verdict) were found or the reader closed stdout
+early, 2 for usage or input errors.  With identical arguments and inputs,
+stdout is byte-identical across runs; timing and progress never go to stdout.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -372,7 +373,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()              # so that a closed pipe raises here at the latest
+        return status
+    except BrokenPipeError:             # the reader closed stdout early: the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 1

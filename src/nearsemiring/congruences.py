@@ -96,17 +96,15 @@ def _least_members(part: Congruence) -> np.ndarray:
 
 
 def _translation_images(algebra: FiniteNearSemiring, labels: np.ndarray) -> tuple:
-    """Images (u, v) of each pair (x, labels[x]) with x ≠ labels[x] under the
-    translations t -> t+c, c+t, t·c, c·t for every c, and α(t)."""
+    """Images (u, v) of each pair (x, labels[x]) with x ≠ labels[x] under the one-variable
+    translations: each declared binary table on either side (t+c, c+t, t·c, c·t), then α(t)."""
     x = np.flatnonzero(labels != np.arange(algebra.n))
     y = labels[x]
-    tables = [algebra.add, algebra.add.T, algebra.mul, algebra.mul.T]
-    u = [t[x] for t in tables]
-    v = [t[y] for t in tables]
-    if algebra.inv is not None:
-        u.append(algebra.inv[x])
-        v.append(algebra.inv[y])
-    return np.concatenate([a.ravel() for a in u]), np.concatenate([a.ravel() for a in v])
+    tables = [t for name in algebra._kind.tables if (t := getattr(algebra, name)) is not None]
+    reads = [r for t in tables if t.ndim == 2 for r in (t, t.T)]
+    reads += [t for t in tables if t.ndim == 1]
+    return (np.concatenate([t[x].ravel() for t in reads]),
+            np.concatenate([t[y].ravel() for t in reads]))
 
 
 def _coarsen(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,17 +220,14 @@ def quotient_algebra(algebra: FiniteNearSemiring, theta: Congruence) -> FiniteNe
     if not is_congruence(algebra, theta):
         raise AlgebraError(f"partition is not a congruence of {algebra.name}")
     b = np.asarray(theta.blocks)
-    reps = np.unique(_least_members(theta))
-    add = b[algebra.add[np.ix_(reps, reps)]]
-    mul = b[algebra.mul[np.ix_(reps, reps)]]
-    inv = None if algebra.inv is None else b[algebra.inv[reps]]
-    if len(reps) >= 2 and b[algebra.zero] == b[algebra.one]:
+    if theta.block_count >= 2 and b[algebra.zero] == b[algebra.one]:
         raise AlgebraError("congruence merges the constants but not everything")
+    # block i stands for its least member, the i-th fixed point of the least-member vector
+    reps = np.flatnonzero(_least_members(theta) == np.arange(algebra.n))
     labels = tuple("{" + ",".join(algebra.label(x) for x in cls) + "}"
                    for cls in theta.classes())
-    return FiniteNearSemiring(
-        add, mul, int(b[algebra.zero]), int(b[algebra.one]), inv=inv,
-        name=f"{algebra.name}/θ", labels=labels)
+    return FiniteNearSemiring(**algebra._transport(b, reps), name=f"{algebra.name}/θ",
+                              labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ can be audited, with every failure reported as an explicit witness.
 The three structure kinds (near semirings here, basic algebras and
 ortholattices in varieties) each declare once, as a _Kind, their document
 kind and their constants and tables in document order.  Their size, labels,
-ops dict, table equality, documents, repr and pickling are derived from it
-in _Structure; each class keeps only its constructor and what is its own.
+ops dict, table equality, documents, repr, pickling and relabelling primitive
+(_transport, behind relabel, duals, quotients and subalgebras) are derived
+from it in _Structure; each class keeps only its constructor and its own.
 
 All check results are deterministic: each failing clause is reported once,
 with its lexicographically smallest witness tuple, and violation lists are
@@ -165,12 +166,12 @@ def _unary_table(obj, n: int, what: str, permutation: bool = False,
 
 
 def relabel_table(table, p, q, arity=None) -> np.ndarray:
-    """A unary or binary table after the relabelling x -> p[x], q being p's inverse.
+    """A unary or binary table read at q and mapped through p: p[t[q[i]]] or p[t[q[i], q[j]]].
 
-    p and q are single permutations or (c, n) stacks of them; a stack gives
-    the c relabelled tables, stacked likewise.  arity (1 or 2) defaults to
-    the table's ndim; axes before the last arity ones hold a stack of tables,
-    so (k, n, n) tables and (c, n) permutations give (k, c, n, n).
+    With p a permutation and q its inverse, that is the relabelling x -> p[x].  p and q
+    are single vectors or (c, n) stacks of them, a stack giving c tables stacked likewise.
+    arity (1 or 2) defaults to the table's ndim; axes before the last arity ones hold a
+    stack of tables, so (k, n, n) tables and (c, n) permutations give (k, c, n, n).
     """
     arity = table.ndim if arity is None else arity
     inner = table[..., q] if arity == 1 else table[..., q[..., :, None], q[..., None, :]]
@@ -246,6 +247,23 @@ class _Structure:
                         for name in self._kind.optional)
         return f"{type(self).__name__}({self.name!r}, n={self.n}{extra})"
 
+    def _transport(self, f, s) -> dict:
+        """The fields, by name, of the structure whose element i stands for s[i] (an int array):
+        each table read at s and mapped through f by relabel_table, each constant mapped
+        through f, a missing table left None.  Relabelling by p is f = p at s = p's inverse."""
+        fields = {name: int(f[getattr(self, name)]) for name in self._kind.constants}
+        for name in self._kind.tables:
+            t = getattr(self, name)
+            fields[name] = t if t is None else relabel_table(t, f, s)
+        return fields
+
+    def relabel(self, perm, name=None):
+        """Apply a carrier permutation: element x becomes perm[x]."""
+        p = _unary_table(perm, self.n, "permutation", permutation=True)
+        q = np.argsort(p)
+        return type(self)(**self._transport(p, q), name=self.name if name is None else name,
+                          labels=tuple(self.labels[x] for x in q))
+
     def same_tables(self, other) -> bool:
         """Pointwise equality of every table and constant; a missing table equals only another."""
         pairs = ((getattr(self, name), getattr(other, name)) for name in self._kind.fields)
@@ -315,18 +333,6 @@ class FiniteNearSemiring(_Structure):
     @property
     def has_inv(self) -> bool:
         return self.inv is not None
-
-    def relabel(self, perm, name=None) -> "FiniteNearSemiring":
-        """Apply a carrier permutation: element x becomes perm[x]."""
-        p = _unary_table(perm, self.n, "permutation", permutation=True)
-        q = np.argsort(p)
-        inv = None if self.inv is None else relabel_table(self.inv, p, q)
-        labels = tuple(self.labels[x] for x in q)
-        return FiniteNearSemiring(
-            relabel_table(self.add, p, q), relabel_table(self.mul, p, q),
-            int(p[self.zero]), int(p[self.one]), inv=inv,
-            name=self.name if name is None else name, labels=labels,
-        )
 
 
 class TableStack:
@@ -413,20 +419,22 @@ def dump_algebra(algebra: FiniteNearSemiring) -> str:
     return json.dumps(algebra.to_document(), indent=1)
 
 
-def product_algebra(a: FiniteNearSemiring, b: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
-    """Direct product with componentwise tables; pair (x, y) -> x * b.n + y."""
-    if a.has_inv != b.has_inv:
+def product_algebra(a, b, name=None):
+    """Direct product of two structures of one kind, componentwise; pair (x, y) -> x * b.n + y."""
+    kind = a._kind
+    if type(b) is not type(a):
+        raise AlgebraError(f"cannot multiply a {type(a).__name__} by a {type(b).__name__}")
+    if any((getattr(a, t) is None) != (getattr(b, t) is None) for t in kind.optional):
         raise AlgebraError("product factors must both have, or both lack, an involution")
-    na, nb = a.n, b.n
-    ia, ib = np.divmod(np.arange(na * nb), nb)
-    add = a.add[np.ix_(ia, ia)] * nb + b.add[np.ix_(ib, ib)]
-    mul = a.mul[np.ix_(ia, ia)] * nb + b.mul[np.ix_(ib, ib)]
-    inv = None if a.inv is None else a.inv[ia] * nb + b.inv[ib]
+    nb = b.n
+    ia, ib = np.divmod(np.arange(a.n * nb), nb)
+    fields = {c: getattr(a, c) * nb + getattr(b, c) for c in kind.constants}
+    fields.update((t, ta if ta is None else ta[np.ix_(*[ia] * ta.ndim)] * nb
+                   + getattr(b, t)[np.ix_(*[ib] * ta.ndim)])
+                  for t in kind.tables for ta in [getattr(a, t)])
     labels = tuple(f"({a.label(x)},{b.label(y)})" for x, y in zip(ia, ib))
-    return FiniteNearSemiring(
-        add, mul, a.zero * nb + b.zero, a.one * nb + b.one, inv=inv,
-        name=name if name is not None else f"{a.name}x{b.name}", labels=labels,
-    )
+    return type(a)(**fields, name=name if name is not None else f"{a.name}x{b.name}",
+                   labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -880,10 +888,11 @@ def _clause_subset(clauses: tuple) -> ClauseSet:
 def kept(checker):
     """checker(structure, *args), computed at most once per structure and arguments.
 
-    The result is kept in the structure's _kept slot under (checker, args),
-    beside find_violations' clause verdicts, and every later call returns
-    the same object; so checker must be a pure function of the structure's
-    read-only tables, constants, name and labels, and its result immutable.
+    The result is kept in the structure's _kept slot, beside find_violations'
+    clause verdicts, under the checker, its arguments and their types (True,
+    1.0 and 1 are three keys), and every later call returns the same object;
+    so checker must be a pure function of the structure's read-only tables,
+    constants, name and labels, and its result immutable.
     An exception is not kept: a failing precondition raises again.  An
     object without the slot, such as a TableStack, is checked every time.
     """
@@ -892,7 +901,7 @@ def kept(checker):
         memo = getattr(structure, "_kept", None)
         if memo is None:
             return checker(structure, *args, **kwargs)
-        key = (checker, args, tuple(kwargs.items()))
+        key = (checker, args, tuple(kwargs.items()), tuple(map(type, (*args, *kwargs.values()))))
         if key not in memo:
             memo[key] = checker(structure, *args, **kwargs)
         return memo[key]
@@ -1150,19 +1159,15 @@ def dual_algebra(algebra: FiniteNearSemiring) -> FiniteNearSemiring:
         v = rep.violations[0]
         raise PreconditionError(
             f"{algebra.name} has no valid involution: {v.clause}: {v.equation}")
+    # carried along α, which has period two: the involution carries over to itself
     inv = algebra.inv
-    add = inv[algebra.add[np.ix_(inv, inv)]]
-    mul = inv[algebra.mul[np.ix_(inv, inv)]]
-    dual = FiniteNearSemiring(
-        add, mul, int(inv[algebra.zero]), int(inv[algebra.one]), inv=inv,
-        name=f"dual({algebra.name})", labels=algebra.labels,
-    )
+    dual = FiniteNearSemiring(**algebra._transport(inv, inv), name=f"dual({algebra.name})",
+                              labels=algebra.labels)
     # both required by construction; re-verified rather than assumed
     if not check_axioms(dual, "involutive").passed:
         raise AlgebraError(f"dual of {algebra.name} fails the involutive profile")
-    back_add = inv[dual.add[np.ix_(inv, inv)]]
-    back_mul = inv[dual.mul[np.ix_(inv, inv)]]
-    if not (np.array_equal(back_add, algebra.add) and np.array_equal(back_mul, algebra.mul)):
+    back = dual._transport(inv, inv)
+    if not all(np.array_equal(value, getattr(algebra, name)) for name, value in back.items()):
         raise AlgebraError(f"duality identities fail for {algebra.name}")
     return dual
 

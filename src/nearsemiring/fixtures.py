@@ -66,9 +66,7 @@ def chain2_ortholattice() -> OrthoLattice:
 
 def bool4_ortholattice() -> OrthoLattice:
     """Four-element Boolean lattice with complement as orthocomplement."""
-    b4 = bool4()
-    return OrthoLattice(b4.add, b4.inv, b4.zero, b4.one,
-                        name="BOOL4lat", labels=b4.labels)
+    return product_algebra(chain2_ortholattice(), chain2_ortholattice(), name="BOOL4lat")
 
 
 def mo2() -> FiniteNearSemiring:

@@ -259,8 +259,10 @@ def canonical_form(algebra):
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a uint8 array, in ascending order (byte order is row order)."""
-    void = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1])))
-    return np.unique(void.ravel()).view(np.uint8).reshape(-1, rows.shape[1])
+    void = np.sort(np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel())
+    first = np.ones(len(void), dtype=bool)      # not a plain np.unique, which imports numpy.ma
+    first[1:] = void[1:] != void[:-1]
+    return void[first].view(np.uint8).reshape(-1, rows.shape[1])
 
 
 def _model_stack(keys: np.ndarray, n: int, has_inv: bool) -> TableStack:
@@ -435,7 +437,7 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     if not len(invs):
         return []
     p, q = _reaching(add, add)
-    return list(np.unique(_least_rows(relabel_table(invs, p, q, 1)), axis=0))
+    return list(_unique_rows(_least_rows(relabel_table(invs, p.astype(np.uint8), q, 1))))
 
 
 # right-distributivity at a column c: x -> x.z, read as a unary table

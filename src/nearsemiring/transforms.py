@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgebraError, FiniteNearSemiring
+from .core import AlgebraError, FiniteNearSemiring, relabel_table
 from .varieties import (
     BasicAlgebra, OrthoLattice, check_basic_algebra, check_lukasiewicz,
     check_oml, check_orthomodular_ns, require_basic, require_lukasiewicz,
@@ -43,7 +43,7 @@ def lns_from_basic(basic: BasicAlgebra) -> FiniteNearSemiring:
     rep = require_basic(basic, "translation to near semiring")
     op, neg, n = basic.oplus, basic.neg, basic.n
     add = op[neg[op[neg, :]], np.broadcast_to(np.arange(n), (n, n))]
-    mul = neg[op[np.ix_(neg, neg)]]
+    mul = relabel_table(op, neg, neg)
     algebra = FiniteNearSemiring(
         add, mul, basic.zero, basic.one, inv=neg.copy(),
         name=f"R({basic.name})", labels=basic.labels)

@@ -16,7 +16,7 @@ from .core import (
     FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z, _Kind,
     _Structure, _add, _constant, _constants, _first_true, _in_universe, _inv, _labels, _mul,
     _needs_inv, _op, _square_table, _unary_table, check_axioms, clause, clause_results,
-    find_violations, kept, require,
+    find_violations, kept, relabel_table, require,
 )
 
 
@@ -59,7 +59,7 @@ class OrthoLattice(_Structure):
         n = self.join.shape[0]
         self.ortho = _unary_table(ortho, n, "orthocomplement", permutation=True)
         self.zero, self.one = _constants(zero, one, n)
-        meet = self.ortho[self.join[np.ix_(self.ortho, self.ortho)]]
+        meet = relabel_table(self.join, self.ortho, self.ortho)
         meet.setflags(write=False)
         self.meet = meet
         self.name = str(name)
@@ -225,6 +225,13 @@ _BASIC = ClauseSet([
     clause("BA4", "xyz",
            (_oplus(_neg(_oplus(_neg(_oplus(_neg(_oplus(X, Y)), Y)), Z)), _oplus(X, Z)), ONE),
            render="((({x}⊕{y})'⊕{y})'⊕{z})'⊕({x}⊕{z})≠{one}"),
+    # the induced order x ≤ y iff x'⊕y = 1 and its join term (x'⊕y)'⊕y
+    clause("order-bounds", "x", (_oplus(_neg(ZERO), X), ONE), (_oplus(_neg(X), ONE), ONE),
+           render="{zero},{one} are not bottom/top at {x}"),
+    clause("order-join-consistent", "xy",
+           (_oplus(_neg(_oplus(_neg(X), Y)), Y), Y, (_oplus(_neg(X), Y), ONE)),
+           (_oplus(_neg(X), Y), ONE, (_oplus(_neg(_oplus(_neg(X), Y)), Y), Y)),
+           render="join term and relation disagree at ({x},{y})"),
 ])
 
 
@@ -237,43 +244,29 @@ def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
     are compared, rather than trusting either construction.
     """
     op, neg, n = basic.oplus, basic.neg, basic.n
-    zero, one, l = basic.zero, basic.one, basic.label
+    one, l = basic.one, basic.label
     violations = list(find_violations(basic, _BASIC).values())
 
     # induced order: x <= y iff x'⊕y = 1; join term (x'⊕y)'⊕y
     rel = op[neg, :] == one                      # rel[x, y] = (x'⊕y == 1)
     jt = op[neg[op[neg, :]], np.broadcast_to(np.arange(n), (n, n))]
     irreflexive = _first_true(~rel.diagonal())
-    antisym = not np.any(rel & rel.T & ~np.eye(n, dtype=bool))
-    trans = not np.any((rel @ rel) & ~rel)
     if irreflexive is not None:
         x, = irreflexive
         violations.append(Violation("order-partial-order", (x, x),
                                     f"relation x'⊕y=1 is not reflexive at {l(x)}"))
-    elif not antisym:
-        w = np.argwhere(rel & rel.T & ~np.eye(n, dtype=bool))[0]
-        violations.append(Violation("order-partial-order", tuple(int(v) for v in w),
+    elif (w := _first_true(rel & rel.T & ~np.eye(n, dtype=bool))) is not None:
+        violations.append(Violation("order-partial-order", w,
                                     "relation x'⊕y=1 is not antisymmetric"))
-    elif not trans:
-        w = np.argwhere((rel @ rel) & ~rel)[0]
-        violations.append(Violation("order-partial-order", tuple(int(v) for v in w),
+    elif (w := _first_true((rel @ rel) & ~rel)) is not None:
+        violations.append(Violation("order-partial-order", w,
                                     "relation x'⊕y=1 is not transitive"))
-    if not (rel[zero].all() and rel[:, one].all()):
-        x = next(x for x in range(n) if not rel[zero, x] or not rel[x, one])
-        violations.append(Violation("order-bounds", (x,),
-                                    f"{l(zero)},{l(one)} are not bottom/top at {l(x)}"))
-    w = np.argwhere((jt == np.arange(n)[None, :]) != rel)
-    if w.size:
-        x, y = (int(v) for v in w[0])
-        violations.append(Violation(
-            "order-join-consistent", (x, y),
-            f"join term and relation disagree at ({l(x)},{l(y)})"))
     bad = _first_non_lub(rel, jt)
     if bad is not None:
         violations.append(Violation("order-join-lub", bad,
                                     f"({l(bad[0])}'⊕{l(bad[1])})'⊕{l(bad[1])} is not the lub"))
     # de Morgan meet (x'∨y')' checked as the lub of the reversed relation
-    bad = _first_non_lub(rel.T, neg[jt[np.ix_(neg, neg)]])
+    bad = _first_non_lub(rel.T, relabel_table(jt, neg, neg))
     if bad is not None:
         violations.append(Violation("order-meet-glb", bad,
                                     "de Morgan meet is not the glb"))

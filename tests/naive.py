@@ -406,6 +406,38 @@ def first_non_glb(rel, jt, neg):
     return None
 
 
+def basic_order_failures(oplus, neg, zero, labels):
+    """(witness, text) by clause for the order checks of a basic algebra, x ≤ y iff x'⊕y = 1:
+    order-partial-order, order-bounds and order-join-consistent, each found by a loop."""
+    n, one = len(oplus), neg[zero]
+    rel = [[oplus[neg[x]][y] == one for y in range(n)] for x in range(n)]
+    pairs = list(product(range(n), repeat=2))
+    irreflexive = [(x, x) for x in range(n) if not rel[x][x]]
+    antisymmetric = [(x, y) for x, y in pairs if x != y and rel[x][y] and rel[y][x]]
+    transitive = [(x, z) for x, z in pairs
+                  if not rel[x][z] and any(rel[x][y] and rel[y][z] for y in range(n))]
+    found = {}
+    if irreflexive:
+        x = irreflexive[0][0]
+        found["order-partial-order"] = (irreflexive[0],
+                                        f"relation x'⊕y=1 is not reflexive at {labels[x]}")
+    elif antisymmetric:
+        found["order-partial-order"] = (antisymmetric[0], "relation x'⊕y=1 is not antisymmetric")
+    elif transitive:
+        found["order-partial-order"] = (transitive[0], "relation x'⊕y=1 is not transitive")
+    for x in range(n):
+        if not rel[zero][x] or not rel[x][one]:
+            found["order-bounds"] = (
+                (x,), f"{labels[zero]},{labels[one]} are not bottom/top at {labels[x]}")
+            break
+    for x, y in pairs:
+        if (oplus[neg[oplus[neg[x]][y]]][y] == y) != rel[x][y]:
+            found["order-join-consistent"] = (
+                (x, y), f"join term and relation disagree at ({labels[x]},{labels[y]})")
+            break
+    return found
+
+
 def regularity_failure(add, mul, inv):
     """First (x, y, z) where "t1 = t2 = z iff x = y" fails.
 

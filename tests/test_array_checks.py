@@ -110,17 +110,34 @@ def test_first_non_lub_matches_loop(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_basic_algebra_order_witnesses_match_loops(data):
-    n = data.draw(st.integers(1, 6))
-    oplus = data.draw(tables(n)).tolist()
+    rel = data.draw(relations())
+    n = len(rel)
+    oplus = data.draw(tables(n))
     neg = data.draw(st.permutations(range(n)))
     zero = data.draw(st.integers(0, n - 1))
-    basic = nsr.BasicAlgebra(oplus, neg, zero)
     one = neg[zero]
+    if n > 1 and data.draw(st.booleans()):
+        # x'⊕y = 1 exactly on a drawn relation, made reflexive at times; then at times a pair
+        # that transitivity forces is dropped
+        if data.draw(st.booleans()):
+            rel = rel | np.eye(n, dtype=bool)
+        strict = rel & ~np.eye(n, dtype=bool)
+        forced = np.argwhere(strict @ strict).tolist()
+        if forced and data.draw(st.booleans()):
+            rel[tuple(data.draw(st.sampled_from(forced)))] = False
+        oplus[np.array(neg)] = np.where(rel, one, (one + 1 + oplus % (n - 1)) % n)
+    oplus = oplus.tolist()
+    labels = tuple(f"<{x}>" for x in range(n))
+    basic = nsr.BasicAlgebra(oplus, neg, zero, labels=labels)
     rel = [[oplus[neg[x]][y] == one for y in range(n)] for x in range(n)]
     jt = [[oplus[neg[oplus[neg[x]][y]]][y] for y in range(n)] for x in range(n)]
-    found = {v.clause: v.witness for v in nsr.check_basic_algebra(basic).violations}
+    violations = nsr.check_basic_algebra(basic).violations
+    found = {v.clause: v.witness for v in violations}
     assert found.get("order-join-lub") == naive.first_non_lub(rel, jt)
     assert found.get("order-meet-glb") == naive.first_non_glb(rel, jt, neg)
+    loops = naive.basic_order_failures(oplus, neg, zero, labels)
+    assert {v.clause: (v.witness, v.equation) for v in violations if v.clause in (
+        "order-partial-order", "order-bounds", "order-join-consistent")} == loops
 
 
 @settings(max_examples=100, deadline=None)

@@ -159,11 +159,11 @@ def test_interval_algebra_rejects_noncentral():
 
 
 def test_kept_centrality_does_not_pass_a_non_integer_e():
-    # True and 1.0 equal 1 as keys of the kept verdicts, which central_elements filled
+    # True and 1.0 equal 1, but a kept verdict's key holds each argument's type too
     algebra = fixtures.bool4()
     assert 1 in nsr.central_elements(algebra).centrals
     for bad in (True, 1.0, np.float64(1.0)):
-        for call in (nsr.interval_algebra, nsr.central_lemma_suite):
+        for call in (nsr.interval_algebra, nsr.central_lemma_suite, center.is_central_equational):
             with pytest.raises(nsr.AlgebraError, match=r"^element .* is not an integer$"):
                 call(algebra, bad)
 
@@ -554,3 +554,13 @@ def test_subalgebras_match_a_loop(algebra, data):
     assert sub.inv.tolist() == [local[inv[x]] for x in carrier]
     assert (sub.zero, sub.one, sub.name, sub.labels) == (
         local[zero], local[one], "T", tuple(algebra.label(x) for x in carrier))
+
+
+def test_a_carrier_closed_under_sum_only_is_refused_at_its_first_open_product():
+    algebra = fixtures.fixture("MV3xBOOL2")
+    carrier = [0, 3]
+    assert all(algebra.add[x, y] in carrier for x, y in product(carrier, repeat=2))
+    x, y = next((x, y) for x, y in product(carrier, repeat=2) if algebra.mul[x, y] not in carrier)
+    with pytest.raises(nsr.AlgebraError) as error:
+        center._subalgebra(algebra, carrier, 3, algebra.inv, "S", "T")
+    assert str(error.value) == f"S is not closed at ({algebra.label(x)},{algebra.label(y)})"

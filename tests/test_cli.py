@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,3 +329,18 @@ def test_search_output_matches_the_recorded_digests(capsys, tmp_path, command):
     else:
         digest.update(out.encode())
     assert (code, digest.hexdigest()) == RECORDED[command]
+
+
+def test_a_reader_closing_the_pipe_early_ends_the_run_quietly():
+    # about 2.7 MB of models, far more than a pipe holds: writing meets the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(nsr.__file__).parents[1]))
+    run = subprocess.Popen(
+        [sys.executable, "-m", "nearsemiring.cli", "enumerate", "--size", "5",
+         "--constraint", "involutive"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = run.stdout.readline()
+    run.stdout.close()
+    err = run.stderr.read()
+    run.stderr.close()
+    assert run.wait(timeout=60) == 1
+    assert first == b"models of size 5 under [involutive]: 10317\n"
+    assert err == b""

@@ -152,3 +152,59 @@ def test_the_cli_reads_a_document_as_the_kind_whose_first_table_it_holds(tmp_pat
                 cli._load_document(str(path))
         else:
             assert type(cli._load_document(str(path))) is expected
+
+
+def _verdict(s):
+    """The kind's own checker: its verdict and the clauses that fail."""
+    report = {nsr.FiniteNearSemiring: lambda a: nsr.check_axioms(a, "near-semiring"),
+              nsr.BasicAlgebra: nsr.check_basic_algebra, nsr.OrthoLattice: nsr.check_oml}[type(s)](s)
+    return report.passed, {v.clause for v in report.violations}
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures(), st.data())
+def test_every_kind_relabels_and_back(s, data):
+    p = data.draw(st.permutations(range(s.n)))
+    there = s.relabel(p, name="P")
+    back = there.relabel(np.argsort(p), name=s.name)
+    assert type(there) is type(s) and there.name == "P"
+    assert back.same_tables(s) and s.same_tables(back) and back.labels == s.labels
+    assert all(there.label(p[x]) == s.label(x) for x in range(s.n))
+    assert _verdict(there) == _verdict(s)
+
+
+def test_relabelled_companion_fixtures_still_pass():
+    for s, p in ((nsr.fixtures.mv3_basic(), [2, 0, 1]),
+                 (nsr.fixtures.mo2_ortholattice(), [5, 3, 1, 0, 4, 2])):
+        there = s.relabel(p)
+        assert _verdict(there) == (True, set()) and not there.same_tables(s)
+        assert there.relabel(np.argsort(p)).same_tables(s)
+
+
+def test_products_of_every_kind():
+    fx = nsr.fixtures
+    lattice = nsr.product_algebra(fx.mo2_ortholattice(), fx.chain2_ortholattice())
+    assert type(lattice) is nsr.OrthoLattice and lattice.name == "MO2xchain2"
+    assert (lattice.n, lattice.zero, lattice.one) == (12, 0, 11)
+    assert nsr.check_oml(lattice).passed
+    mv3 = fx.mv3_basic()
+    basic = nsr.product_algebra(mv3, mv3)
+    assert type(basic) is nsr.BasicAlgebra and (basic.n, basic.zero, basic.one) == (9, 0, 8)
+    assert nsr.check_basic_algebra(basic).passed
+    # the translations are componentwise, so they commute with products
+    for structure, translate, factors in (
+            (lattice, nsr.ons_from_oml, (fx.mo2_ortholattice(), fx.chain2_ortholattice())),
+            (basic, nsr.lns_from_basic, (mv3, mv3))):
+        want = nsr.product_algebra(*map(translate, factors))
+        got = translate(structure)
+        assert got.same_tables(want) and got.labels == want.labels
+
+
+def test_products_need_factors_of_one_kind_and_signature():
+    mv3 = nsr.fixtures.fixture("MV3")
+    with pytest.raises(nsr.AlgebraError, match="^cannot multiply a FiniteNearSemiring by a "
+                                               "BasicAlgebra$"):
+        nsr.product_algebra(mv3, nsr.basic_from_lns(mv3))
+    with pytest.raises(nsr.AlgebraError, match="^product factors must both have, or both lack, "
+                                               "an involution$"):
+        nsr.product_algebra(mv3, nsr.fixtures.ex24())

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import tracemalloc
 from collections import Counter
@@ -302,9 +303,9 @@ def test_canonical_form_invariant_under_relabeling():
 
 
 @st.composite
-def random_algebras(draw):
+def random_algebras(draw, largest=5):
     """Tables with no axioms, constants at random positions, with or without inv."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, largest))
     cells = st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)
     add = np.array(draw(cells)).reshape(n, n)
     mul = np.array(draw(cells)).reshape(n, n)
@@ -326,6 +327,42 @@ def test_canonical_form_and_relabel_match_plain_lists(algebra, data):
     assert (got.add.tolist(), got.mul.tolist(), None if got.inv is None else got.inv.tolist()) \
         == want
     assert (got.zero, got.one) == (perm[algebra.zero], perm[algebra.one])
+
+
+# with search._BLOCK at 2, sizes from 5 on take the relabellings as streamed blocks of 2! rows,
+# the path that sizes from 10 on take with the real 7! blocks
+
+
+def test_middle_perms_in_blocks_yield_each_permutation_once(monkeypatch):
+    monkeypatch.setattr(search, "_BLOCK", 2)
+    for n in (5, 6, 7):
+        stacks = list(search._middle_perms(n))
+        assert len(stacks) == math.factorial(n - 2) // 2 and all(len(p) == 2 for p, _q in stacks)
+        p, q = (np.concatenate(part) for part in zip(*stacks))
+        assert sorted(map(tuple, p.tolist())) == [(0, 1, *t) for t in permutations(range(2, n))]
+        assert (np.take_along_axis(p, q, 1) == np.arange(n)).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(algebra=random_algebras(6))
+def test_canonical_form_in_blocks_matches_plain_lists(algebra):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_BLOCK", 2)
+        got = canonical_form(algebra)
+    inv = None if algebra.inv is None else algebra.inv.tolist()
+    assert got == naive.canonical_form(
+        algebra.add.tolist(), algebra.mul.tolist(), inv, algebra.zero, algebra.one)
+
+
+def test_enumeration_in_blocks_matches(monkeypatch):
+    constraint = nsr.parse_constraint("involutive-integral")
+    want = nsr.enumerate_models(5, constraint).models.stack
+    streamed, blocks = [], search._blocks
+    monkeypatch.setattr(search, "_BLOCK", 2)
+    monkeypatch.setattr(search, "_blocks", lambda n: streamed.append(n) or blocks(n))
+    got = nsr.enumerate_models(5, constraint).models.stack
+    assert streamed and len(got) == len(want) == 980
+    assert all(np.array_equal(getattr(got, t), getattr(want, t)) for t in ("add", "mul", "inv"))
 
 
 def test_canonical_form_refuses_more_than_ten_factorial_relabellings():
