@@ -325,7 +325,7 @@ def _subalgebra(algebra: FiniteNearSemiring, carrier, one: int, inv, what: str,
         x = algebra.label(carrier[int((complement < 0).argmax())])
         raise AlgebraError(f"{what} is not closed under α at {x}")
     fields.update(one=int(index[one]), inv=complement)
-    return FiniteNearSemiring(**fields, name=name, labels=tuple(map(algebra.label, carrier)))
+    return algebra._built(fields, name, tuple(map(algebra.label, carrier)))
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,8 @@ def _coarsen(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
-    """Compatibility of a partition with +, · (both sides) and α."""
-    if part.n != algebra.n:
-        return False
-    if sorted(set(part.blocks)) != list(range(part.block_count)):
+    """Compatibility of a partition, with canonical block ids, with +, · (both sides) and α."""
+    if part.n != algebra.n or part != Congruence.from_blocks(part.blocks):
         return False
     b = np.asarray(part.blocks)
     u, v = _translation_images(algebra, _least_members(part))
@@ -226,8 +224,7 @@ def quotient_algebra(algebra: FiniteNearSemiring, theta: Congruence) -> FiniteNe
     reps = np.flatnonzero(_least_members(theta) == np.arange(algebra.n))
     labels = tuple("{" + ",".join(algebra.label(x) for x in cls) + "}"
                    for cls in theta.classes())
-    return FiniteNearSemiring(**algebra._transport(b, reps), name=f"{algebra.name}/θ",
-                              labels=labels)
+    return algebra._built(algebra._transport(b, reps), f"{algebra.name}/θ", labels)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 A near semiring is a finite algebra ``<R, +, ., 0, 1>`` held as explicit
 operation tables over ``range(n)``, optionally carrying a unary involution
-table.  Construction enforces structural validity only (shapes, entry
-ranges, the involution being a permutation).  Axiom conformance is never a
-construction invariant: broken candidate tables must be loadable so they
-can be audited, with every failure reported as an explicit witness.
+table.  A kind's constructor, which reads what comes from outside (documents,
+hand-entered tables, user calls), enforces structural validity only (shapes,
+entry ranges, the involution being a permutation).  Axiom conformance is
+never a construction invariant: broken candidate tables must be loadable so
+they can be audited, with every failure reported as an explicit witness.
 
 The three structure kinds (near semirings here, basic algebras and
 ortholattices in varieties) each declare once, as a _Kind, their document
 kind and their constants and tables in document order.  Their size, labels,
-ops dict, table equality, documents, repr, pickling and relabelling primitive
-(_transport, behind relabel, duals, quotients and subalgebras) are derived
-from it in _Structure; each class keeps only its constructor and its own.
+ops dict, table equality, documents, repr, pickling, relabelling primitive
+(_transport) and the trusted build of every derived structure (_built, which
+checks only labels) come from it in _Structure; each class keeps only its
+validating constructor and its own.
 
 All check results are deterministic: each failing clause is reported once,
 with its lexicographically smallest witness tuple, and violation lists are
@@ -257,12 +259,25 @@ class _Structure:
             fields[name] = t if t is None else relabel_table(t, f, s)
         return fields
 
+    @classmethod
+    def _built(cls, fields: dict, name, labels):
+        """The structure on every declared field derived from valid ones, as _transport gives
+        them, taken as given: tables made read-only, only the labels (which can collide) checked."""
+        self = cls.__new__(cls)
+        for key in cls._kind.fields:
+            setattr(self, key, fields[key])
+            if isinstance(fields[key], np.ndarray):
+                fields[key].setflags(write=False)
+        self.name = str(name)
+        self.labels = _labels(labels, len(fields[cls._kind.tables[0]]))
+        return self
+
     def relabel(self, perm, name=None):
         """Apply a carrier permutation: element x becomes perm[x]."""
         p = _unary_table(perm, self.n, "permutation", permutation=True)
         q = np.argsort(p)
-        return type(self)(**self._transport(p, q), name=self.name if name is None else name,
-                          labels=tuple(self.labels[x] for x in q))
+        return self._built(self._transport(p, q), self.name if name is None else name,
+                           tuple(self.labels[x] for x in q))
 
     def same_tables(self, other) -> bool:
         """Pointwise equality of every table and constant; a missing table equals only another."""
@@ -322,14 +337,6 @@ class FiniteNearSemiring(_Structure):
         self.name = str(name)
         self.labels = _labels(labels, n)
 
-    @classmethod
-    def _validated(cls, add, mul, zero: int, one: int, inv, name: str) -> "FiniteNearSemiring":
-        """An algebra on read-only tables that a TableStack has validated, taken as they are."""
-        self = cls.__new__(cls)
-        self.add, self.mul, self.inv, self.zero, self.one = add, mul, inv, zero, one
-        self.name, self.labels = name, _plain_labels(len(add))
-        return self
-
     @property
     def has_inv(self) -> bool:
         return self.inv is not None
@@ -375,21 +382,19 @@ class TableStack:
         """Tables and constants by name, stacked tables keeping their stack axis."""
         return FiniteNearSemiring._kind.ops(self)
 
-    def _tables(self, index):
-        """add, mul and inv of the slices a basic or array index picks."""
+    def _fields(self, index) -> dict:
+        """The fields, by name, of the slices a basic or array index picks."""
         pick = lambda t, arity: t if t is None or t.ndim == arity else t[index]
-        return pick(self.add, 2), pick(self.mul, 2), pick(self.inv, 1)
+        return dict(add=pick(self.add, 2), mul=pick(self.mul, 2), inv=pick(self.inv, 1),
+                    zero=self.zero, one=self.one)
 
     def take(self, index) -> "TableStack":
         """The stack of the slices an index array or boolean mask picks, in its order."""
-        add, mul, inv = self._tables(np.asarray(index))
-        return TableStack(add, mul, self.zero, self.one, inv=inv, name=self.name)
+        return TableStack(**self._fields(np.asarray(index)), name=self.name)
 
     def algebra(self, i: int, name=None) -> FiniteNearSemiring:
         """Slice i as an algebra, its tables read-only views of the stack's."""
-        add, mul, inv = self._tables(i)
-        return FiniteNearSemiring._validated(add, mul, self.zero, self.one, inv,
-                                             self.name if name is None else str(name))
+        return FiniteNearSemiring._built(self._fields(i), self.name if name is None else name, None)
 
 
 def _parse_json(source, what: str = "document"):
@@ -433,8 +438,7 @@ def product_algebra(a, b, name=None):
                    + getattr(b, t)[np.ix_(*[ib] * ta.ndim)])
                   for t in kind.tables for ta in [getattr(a, t)])
     labels = tuple(f"({a.label(x)},{b.label(y)})" for x, y in zip(ia, ib))
-    return type(a)(**fields, name=name if name is not None else f"{a.name}x{b.name}",
-                   labels=labels)
+    return a._built(fields, name if name is not None else f"{a.name}x{b.name}", labels)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +885,7 @@ def find_violations(structure, clauses: ClauseSet) -> dict:
 
 @functools.lru_cache(maxsize=256)
 def _clause_subset(clauses: tuple) -> ClauseSet:
-    """The clause set of clauses some structure has not kept yet, compiled once."""
+    """The clauses compiled once: those a structure has not kept yet, or one search identity."""
     return ClauseSet(clauses)
 
 
@@ -1159,16 +1163,12 @@ def dual_algebra(algebra: FiniteNearSemiring) -> FiniteNearSemiring:
         v = rep.violations[0]
         raise PreconditionError(
             f"{algebra.name} has no valid involution: {v.clause}: {v.equation}")
-    # carried along α, which has period two: the involution carries over to itself
+    # carried along α, of period two: α carries over to itself, and the dual carried back
+    # is the algebra again; the profile refuses tables that fail the near-semiring axioms
     inv = algebra.inv
-    dual = FiniteNearSemiring(**algebra._transport(inv, inv), name=f"dual({algebra.name})",
-                              labels=algebra.labels)
-    # both required by construction; re-verified rather than assumed
+    dual = algebra._built(algebra._transport(inv, inv), f"dual({algebra.name})", algebra.labels)
     if not check_axioms(dual, "involutive").passed:
         raise AlgebraError(f"dual of {algebra.name} fails the involutive profile")
-    back = dual._transport(inv, inv)
-    if not all(np.array_equal(value, getattr(algebra, name)) for name, value in back.items()):
-        raise AlgebraError(f"duality identities fail for {algebra.name}")
     return dual
 
 

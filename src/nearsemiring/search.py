@@ -38,7 +38,8 @@ import numpy as np
 
 from .core import (
     _AXIOMS, _PROFILE_CLAUSES, _STACK_CELLS, IDENTITIES, X, Y, AlgebraError, Clause, ClauseSet,
-    FiniteNearSemiring, PROFILES, TableStack, _add, _integer, check_axioms, clause, relabel_table,
+    FiniteNearSemiring, PROFILES, TableStack, _add, _clause_subset, _integer, check_axioms, clause,
+    relabel_table,
 )
 
 DEFAULT_SIZE_CAP = 6
@@ -47,11 +48,6 @@ _LINES = 4096                   # models per chunk of Models.json_lines
 
 # ---------------------------------------------------------------------------
 # identities: the catalog lives in core, next to the axioms
-
-
-@functools.lru_cache(maxsize=None)
-def _compiled(identity: Clause) -> ClauseSet:
-    return ClauseSet([identity])
 
 
 def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False):
@@ -64,7 +60,7 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False
     a bool, or a (k,) bool array for stacked tables.
     """
     ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
-    found = _compiled(identity).violations(ops, n, mask=mask)
+    found = _clause_subset((identity,)).violations(ops, n, mask=mask)
     if mask:
         return found
     if isinstance(found, list):
@@ -73,7 +69,7 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False
 
 
 def identity_holds(identity: Clause, algebra: FiniteNearSemiring) -> bool:
-    if _compiled(identity).needs_inv and algebra.inv is None:
+    if _clause_subset((identity,)).needs_inv and algebra.inv is None:
         raise AlgebraError(f"identity {identity.name!r} needs an involution")
     return identity_first_violation(
         identity, algebra.add, algebra.mul, algebra.inv, algebra.n) is None
@@ -101,7 +97,8 @@ class SearchConstraint:
     @property
     def needs_inv(self) -> bool:
         return (any(_PROFILE_CLAUSES[p].needs_inv for p in self.profiles)
-                or any(_compiled(IDENTITIES[i]).needs_inv for i in self.require + self.forbid))
+                or any(_clause_subset((IDENTITIES[i],)).needs_inv
+                       for i in self.require + self.forbid))
 
     @property
     def idempotent_add(self) -> bool:
@@ -386,7 +383,7 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
         add[0, range(n), range(n)] = range(n)
     if integral and n >= 2:
         add[0, :n, 1] = add[0, 1, :n] = 1
-    assoc = _compiled(_AXIOMS["add-associativity"])
+    assoc = _clause_subset((_AXIOMS["add-associativity"],))
     step = max(1, _STACK_CELLS // (n * (n + 1) ** 2))
     for x, y in zip(*np.nonzero(np.triu(add[0, :n, :n] == n))):
         kept = []
@@ -432,7 +429,7 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     n = add.shape[0]
     invs = _involutions(n)
     if constraint.antitone_inv:
-        invs = invs[~_compiled(_AXIOMS["involution-antitone"]).violations(
+        invs = invs[~_clause_subset((_AXIOMS["involution-antitone"],)).violations(
             {"add": add, "inv": invs}, n, mask=True)]
     if not len(invs):
         return []
@@ -678,7 +675,7 @@ def _size(value, what: str, allow_large: bool) -> int:
 
 def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
                      allow_large: bool = False, workers: int = None) -> SearchResult:
-    """All models of size n satisfying the constraint, one per isomorphism class.
+    """All models of size n satisfying a constraint (or its names), one per isomorphism class.
 
     Output is canonically sorted, so serial and parallel runs emit the same
     list in the same order.  Sizes above the default cap require
@@ -687,6 +684,8 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     so the keys of each table, deduplicated and sorted, are concatenated.
     """
     n = _size(n, "size", allow_large)
+    if not isinstance(constraint, SearchConstraint):
+        constraint = parse_constraint(constraint)
     if workers is not None:
         workers = _count(workers, "the number of workers")
     start = time.perf_counter()

@@ -32,8 +32,8 @@ def basic_from_lns(algebra: FiniteNearSemiring) -> BasicAlgebra:
     add, mul, inv, n = algebra.add, algebra.mul, algebra.inv, algebra.n
     t = add[inv, :]                                   # t[x, y] = α(x)+y
     oplus = inv[mul[t, np.broadcast_to(inv, (n, n))]]
-    basic = BasicAlgebra(oplus, inv.copy(), algebra.zero,
-                         name=f"B({algebra.name})", labels=algebra.labels)
+    basic = BasicAlgebra._built(dict(oplus=oplus, neg=inv, zero=algebra.zero),
+                                f"B({algebra.name})", algebra.labels)
     return _translated(basic, check_basic_algebra(basic), algebra,
                        "violates the basic-algebra axioms")
 
@@ -44,9 +44,9 @@ def lns_from_basic(basic: BasicAlgebra) -> FiniteNearSemiring:
     op, neg, n = basic.oplus, basic.neg, basic.n
     add = op[neg[op[neg, :]], np.broadcast_to(np.arange(n), (n, n))]
     mul = relabel_table(op, neg, neg)
-    algebra = FiniteNearSemiring(
-        add, mul, basic.zero, basic.one, inv=neg.copy(),
-        name=f"R({basic.name})", labels=basic.labels)
+    algebra = FiniteNearSemiring._built(
+        dict(add=add, mul=mul, inv=neg, zero=basic.zero, one=basic.one),
+        f"R({basic.name})", basic.labels)
     out = check_lukasiewicz(algebra)
     _translated(algebra, out, basic, "is not a Łukasiewicz near semiring")
     if rep.tag("mv") and not out.tag("semiring"):
@@ -60,9 +60,9 @@ def ons_from_oml(lattice: OrthoLattice) -> FiniteNearSemiring:
     require_oml(lattice, "translation to near semiring")
     jn, mt, oc, n = lattice.join, lattice.meet, lattice.ortho, lattice.n
     mul = mt[jn[:, oc], np.broadcast_to(np.arange(n), (n, n))]
-    algebra = FiniteNearSemiring(
-        jn.copy(), mul, lattice.zero, lattice.one, inv=oc.copy(),
-        name=f"R({lattice.name})", labels=lattice.labels)
+    algebra = FiniteNearSemiring._built(
+        dict(add=jn, mul=mul, inv=oc, zero=lattice.zero, one=lattice.one),
+        f"R({lattice.name})", lattice.labels)
     return _translated(algebra, check_orthomodular_ns(algebra), lattice,
                        "is not an orthomodular near semiring")
 
@@ -70,9 +70,9 @@ def ons_from_oml(lattice: OrthoLattice) -> FiniteNearSemiring:
 def oml_from_ons(algebra: FiniteNearSemiring) -> OrthoLattice:
     """Orthomodular lattice from an orthomodular near semiring: ∨ = +, ' = α."""
     require_orthomodular(algebra, "translation to lattice")
-    lattice = OrthoLattice(
-        algebra.add.copy(), algebra.inv.copy(), algebra.zero, algebra.one,
-        name=f"L({algebra.name})", labels=algebra.labels)
+    lattice = OrthoLattice._built(
+        dict(join=algebra.add, ortho=algebra.inv, zero=algebra.zero, one=algebra.one),
+        f"L({algebra.name})", algebra.labels)
     return _translated(lattice, check_oml(lattice), algebra, "is not an orthomodular lattice")
 
 

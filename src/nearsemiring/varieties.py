@@ -46,24 +46,28 @@ class BasicAlgebra(_Structure):
 class OrthoLattice(_Structure):
     """Finite bounded lattice candidate <L, ∨, ∧, ', 0, 1>.
 
-    Stores the join table and the orthocomplement; the meet is derived from
-    them de-Morgan-style, keeping a single source of truth.  Whether the
-    tables actually form an orthomodular lattice is the job of check_oml.
+    Stores the join and the orthocomplement; the meet is derived from them
+    de-Morgan-style, once per lattice, keeping a single source of truth.
+    Whether the tables form an orthomodular lattice is check_oml's job.
     """
 
     _kind = _Kind("lattice", ("zero", "one"), ("join", "ortho"), derived=("meet",))
-    __slots__ = _kind.fields + ("meet",)
+    __slots__ = _kind.fields
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):
         self.join = _square_table(join, "join")
         n = self.join.shape[0]
         self.ortho = _unary_table(ortho, n, "orthocomplement", permutation=True)
         self.zero, self.one = _constants(zero, one, n)
-        meet = relabel_table(self.join, self.ortho, self.ortho)
-        meet.setflags(write=False)
-        self.meet = meet
         self.name = str(name)
         self.labels = _labels(labels, n)
+
+    @property
+    @kept
+    def meet(self) -> np.ndarray:
+        meet = relabel_table(self.join, self.ortho, self.ortho)
+        meet.setflags(write=False)
+        return meet
 
 
 def _required(report: CheckReport, what: str, context: str) -> CheckReport:

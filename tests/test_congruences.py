@@ -129,6 +129,22 @@ def test_quotient_rejects_non_congruence():
         nsr.quotient_algebra(fixtures.mv3(), Congruence((0, 0, 1)))
 
 
+def test_block_ids_out_of_first_occurrence_order_are_refused():
+    # the same partition with its ids reversed would give a different, wrong quotient
+    for name in ("MV3xBOOL2", "MO2xBOOL2"):
+        algebra = fixtures.fixture(name)
+        cons = [c for c in nsr.all_congruences(algebra) if c.block_count >= 2]
+        assert cons
+        for theta in cons:
+            reversed_ids = Congruence(tuple(theta.block_count - 1 - b for b in theta.blocks))
+            assert Congruence.from_blocks(reversed_ids.blocks) == theta
+            assert not nsr.is_congruence(algebra, reversed_ids)
+            with pytest.raises(nsr.AlgebraError, match="^partition is not a congruence"):
+                nsr.quotient_algebra(algebra, reversed_ids)
+            with pytest.raises(nsr.AlgebraError, match="^input partition is not a congruence"):
+                nsr.is_factor_pair(algebra, reversed_ids, Congruence.identity(algebra.n))
+
+
 def test_principal_congruences_are_smallest():
     # every congruence relating the generating pair contains the principal one
     for name in ("BOOL4", "MV3xBOOL2"):

@@ -1,0 +1,70 @@
+"""The construction contract: a kind's validating constructor reads only input from outside.
+
+Inside the package, a structure kind's constructor (FiniteNearSemiring(…),
+BasicAlgebra(…), OrthoLattice(…), and in a kind's own methods cls(…) and
+type(…)(…)) may be called only by _Structure.from_document, which reads
+documents, and in fixtures.py, whose tables are entered by hand.  Every
+structure derived from validated ones is built by _Structure._built, which
+takes its fields as given.  This reads each module's syntax tree.
+"""
+import ast
+from pathlib import Path
+
+import nearsemiring
+from nearsemiring import core
+
+KINDS = {core._Structure.__name__} | {c.__name__ for c in core._Structure.__subclasses__()}
+ALLOWED_MODULES = {"fixtures"}
+ALLOWED_METHODS = {("_Structure", "from_document")}
+
+
+class _Calls(ast.NodeVisitor):
+    """The constructor calls of a module, as (class, function, line) triples."""
+
+    def __init__(self):
+        self.where, self.found = [], []
+
+    def _scoped(self, node):
+        self.where.append(node)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def visit_Call(self, node):
+        func = node.func
+        classes = [n.name for n in self.where if isinstance(n, ast.ClassDef)]
+        in_kind = bool(classes) and classes[-1] in KINDS
+        if (isinstance(func, ast.Name) and (func.id in KINDS or func.id == "cls" and in_kind)
+                or isinstance(func, ast.Call) and isinstance(func.func, ast.Name)
+                and func.func.id == "type"):
+            functions = [n.name for n in self.where if isinstance(n, ast.FunctionDef)]
+            self.found.append((classes[-1] if classes else None,
+                               functions[-1] if functions else None, node.lineno))
+        self.generic_visit(node)
+
+
+def _constructor_calls() -> dict:
+    package = Path(nearsemiring.__file__).parent
+    calls = {}
+    for path in sorted(package.glob("*.py")):
+        visitor = _Calls()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        calls[path.stem] = visitor.found
+    return calls
+
+
+def test_kinds_are_the_three_structures():
+    assert KINDS == {"_Structure", "FiniteNearSemiring", "BasicAlgebra", "OrthoLattice"}
+
+
+def test_only_documents_and_fixtures_call_a_kinds_constructor():
+    calls = _constructor_calls()
+    stray = [f"{module}.py:{line} in {cls or '-'}.{function or '-'}"
+             for module, found in calls.items() if module not in ALLOWED_MODULES
+             for cls, function, line in found if (cls, function) not in ALLOWED_METHODS]
+    assert stray == []
+    # the check sees the calls it allows
+    assert [(cls, function) for cls, function, _line in calls["core"]] == [
+        ("_Structure", "from_document")]
+    assert len(calls["fixtures"]) >= 6

@@ -52,6 +52,16 @@ def test_enumerate_matches_naive_oracle(n, names):
     assert got == naive_models(n, constraint)
 
 
+def test_enumerate_takes_names_as_find_model_does():
+    want = [canonical_form(m) for m in nsr.enumerate_models(
+        4, nsr.parse_constraint("involutive-integral,lukasiewicz")).models]
+    assert len(want) > 1
+    for names in ("involutive-integral,lukasiewicz", ["involutive-integral", "lukasiewicz"]):
+        assert [canonical_form(m) for m in nsr.enumerate_models(4, names).models] == want
+    with pytest.raises(nsr.AlgebraError, match="^unknown profile or identity 'bogus'$"):
+        nsr.enumerate_models(4, "involutive,bogus")
+
+
 def test_enumerate_outputs_pairwise_nonisomorphic():
     for names in ("near-semiring", "involutive-integral"):
         for n in (2, 3):
