@@ -36,8 +36,15 @@ from .varieties import _join, _meet, require_lukasiewicz
 
 @dataclass(frozen=True, order=True)
 class Congruence:
-    """A compatible partition, held as a canonical block-id tuple."""
+    """A compatible partition, held as a canonical block-id tuple (from_blocks makes one)."""
     blocks: tuple
+
+    def __post_init__(self):
+        blocks = self.blocks
+        if not (isinstance(blocks, tuple) and blocks and all(type(b) is int for b in blocks)
+                and list(dict.fromkeys(blocks)) == list(range(max(blocks) + 1))):
+            raise AlgebraError("congruence blocks must be a non-empty tuple of ints in "
+                               f"first-occurrence order from 0, got {blocks!r}")
 
     @property
     def n(self) -> int:
@@ -126,8 +133,8 @@ def _coarsen(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
-    """Compatibility of a partition, with canonical block ids, with +, · (both sides) and α."""
-    if part.n != algebra.n or part != Congruence.from_blocks(part.blocks):
+    """Compatibility of a partition with +, · (both sides) and α."""
+    if part.n != algebra.n:
         return False
     b = np.asarray(part.blocks)
     u, v = _translation_images(algebra, _least_members(part))

@@ -10,11 +10,13 @@ they can be audited, with every failure reported as an explicit witness.
 
 The three structure kinds (near semirings here, basic algebras and
 ortholattices in varieties) each declare once, as a _Kind, their document
-kind and their constants and tables in document order.  Their size, labels,
-ops dict, table equality, documents, repr, pickling, relabelling primitive
-(_transport) and the trusted build of every derived structure (_built, which
-checks only labels) come from it in _Structure; each class keeps only its
-validating constructor and its own.
+kind, their constants and tables in document order and which tables are
+unary.  Their size, labels, ops dict, table equality, documents, repr,
+pickling, relabelling primitive (_transport) and the trusted build of every
+derived structure (_built, which checks only labels) come from it in
+_Structure; each class keeps only its validating constructor and its own.
+A TableStack of near semirings has no validating constructor: it reads
+the same declaration and shares _transport and _built.
 
 All check results are deterministic: each failing clause is reported once,
 with its lexicographically smallest witness tuple, and violation lists are
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -79,10 +82,10 @@ def _as_int_array(obj, what: str) -> np.ndarray:
     return arr.astype(int)
 
 
-def _binary_table(obj, n: int, what: str, stack: bool = False) -> np.ndarray:
-    """An n x n table; with stack, also a (k, n, n) stack of them."""
+def _binary_table(obj, n: int, what: str) -> np.ndarray:
+    """An n x n table."""
     arr = _as_int_array(obj, what)
-    if arr.shape != (n, n) and not (stack and arr.ndim == 3 and arr.shape[1:] == (n, n)):
+    if arr.shape != (n, n):
         raise DocumentError(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         bad = np.argwhere((arr < 0) | (arr >= n))[0]
@@ -93,13 +96,12 @@ def _binary_table(obj, n: int, what: str, stack: bool = False) -> np.ndarray:
     return arr
 
 
-def _square_table(obj, what: str, stack: bool = False) -> np.ndarray:
-    """A nonempty square table, or with stack a stack of them; the side is the universe's size."""
+def _square_table(obj, what: str) -> np.ndarray:
+    """A nonempty square table; its side is the universe's size."""
     arr = _as_array(obj, what)
-    if not (arr.ndim == 2 or stack and arr.ndim == 3) or arr.shape[-1] != arr.shape[-2] \
-            or arr.shape[-1] == 0:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DocumentError(f"{what} table must be square and nonempty, got shape {arr.shape}")
-    return _binary_table(arr, arr.shape[-1], what, stack)
+    return _binary_table(arr, arr.shape[0], what)
 
 
 def _integer(value) -> bool:
@@ -152,16 +154,14 @@ def _labels(labels, n: int) -> tuple:
     return tuple(labels)
 
 
-def _unary_table(obj, n: int, what: str, permutation: bool = False,
-                 stack: bool = False) -> np.ndarray:
-    """A table of length n; with stack, also a (k, n) stack of them."""
+def _unary_table(obj, n: int, what: str, permutation: bool = False) -> np.ndarray:
+    """A table of length n."""
     arr = _as_int_array(obj, what)
-    if arr.shape != (n,) and not (stack and arr.ndim == 2 and arr.shape[1] == n):
+    if arr.shape != (n,):
         raise DocumentError(f"{what} table must have length {n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise DocumentError(f"{what} entry out of range [0, {n})")
-    if permutation and (sorted(arr.tolist()) != list(range(n)) if arr.ndim == 1
-                        else (np.sort(arr, axis=-1) != np.arange(n)).any()):
+    if permutation and sorted(arr.tolist()) != list(range(n)):
         raise DocumentError(f"{what} table is not a permutation of 0..{n - 1}")
     arr.setflags(write=False)
     return arr
@@ -188,14 +188,16 @@ class _Kind(NamedTuple):
     """A structure kind, declared once.
 
     document names the kind in document errors.  constants and tables are
-    its fields in document order, constants first; a table named in
-    optional may be None, and its document may leave it out.  A document
-    is of the kind whose first table it holds.  derived names the values
-    ops() adds to the fields, which the structure computes from them.
+    its fields in document order, constants first; unary names the tables
+    of one argument, the others taking two.  A table named in optional may
+    be None, and its document may leave it out.  A document is of the kind
+    whose first table it holds.  derived names the values ops() adds to the
+    fields, which the structure computes from them.
     """
     document: str
     constants: tuple
     tables: tuple
+    unary: tuple = ()
     optional: tuple = ()
     derived: tuple = ()
 
@@ -203,13 +205,51 @@ class _Kind(NamedTuple):
     def fields(self) -> tuple:
         return self.constants + self.tables
 
+    def arity(self, table: str) -> int:
+        return 1 if table in self.unary else 2
+
     def ops(self, structure) -> dict:
         """The structure's fields and derived values by name, a missing table left out."""
         return {name: value for name in self.fields + self.derived
                 if (value := getattr(structure, name)) is not None}
 
 
-class _Structure:
+class _Declared:
+    """What a structure and a TableStack share, read through the _kind declaration."""
+
+    __slots__ = ("name", "labels")
+    _kind: _Kind
+
+    @property
+    def n(self) -> int:
+        return len(self.labels)
+
+    def _transport(self, f, s) -> dict:
+        """The fields, by name, of the structure whose element i stands for s[i] (an int array):
+        each table read at s and mapped through f by relabel_table, each constant mapped
+        through f, a missing table left None.  Relabelling by p is f = p at s = p's inverse."""
+        kind = self._kind
+        fields = {name: int(f[getattr(self, name)]) for name in kind.constants}
+        for name in kind.tables:
+            t = getattr(self, name)
+            fields[name] = t if t is None else relabel_table(t, f, s, kind.arity(name))
+        return fields
+
+    @classmethod
+    def _built(cls, fields: dict, name, labels):
+        """The structure on every declared field, valid by construction (as _transport gives
+        them), taken as given: tables made read-only, only the labels (which can collide) checked."""
+        self = cls.__new__(cls)
+        for key in cls._kind.fields:
+            setattr(self, key, fields[key])
+            if isinstance(fields[key], np.ndarray):
+                fields[key].setflags(write=False)
+        self.name = str(name)
+        self.labels = _labels(labels, fields[cls._kind.tables[0]].shape[-1])
+        return self
+
+
+class _Structure(_Declared):
     """What the three structure kinds share, derived from each kind's _kind declaration.
 
     A subclass declares its fields as slots and keeps its constructor, whose
@@ -219,18 +259,13 @@ class _Structure:
     by identity, which a copy would not share.
     """
 
-    __slots__ = ("name", "labels", "_kept", "_ops")
-    _kind: _Kind
+    __slots__ = ("_kept", "_ops")
 
     def __new__(cls, *args, **kwargs):
         """A structure with nothing kept yet, however it is then filled in."""
         self = super().__new__(cls)
         self._kept, self._ops = {}, None
         return self
-
-    @property
-    def n(self) -> int:
-        return len(self.labels)
 
     def label(self, x: int) -> str:
         return self.labels[x]
@@ -248,29 +283,6 @@ class _Structure:
         extra = "".join(f", {name}={getattr(self, name) is not None}"
                         for name in self._kind.optional)
         return f"{type(self).__name__}({self.name!r}, n={self.n}{extra})"
-
-    def _transport(self, f, s) -> dict:
-        """The fields, by name, of the structure whose element i stands for s[i] (an int array):
-        each table read at s and mapped through f by relabel_table, each constant mapped
-        through f, a missing table left None.  Relabelling by p is f = p at s = p's inverse."""
-        fields = {name: int(f[getattr(self, name)]) for name in self._kind.constants}
-        for name in self._kind.tables:
-            t = getattr(self, name)
-            fields[name] = t if t is None else relabel_table(t, f, s)
-        return fields
-
-    @classmethod
-    def _built(cls, fields: dict, name, labels):
-        """The structure on every declared field derived from valid ones, as _transport gives
-        them, taken as given: tables made read-only, only the labels (which can collide) checked."""
-        self = cls.__new__(cls)
-        for key in cls._kind.fields:
-            setattr(self, key, fields[key])
-            if isinstance(fields[key], np.ndarray):
-                fields[key].setflags(write=False)
-        self.name = str(name)
-        self.labels = _labels(labels, len(fields[cls._kind.tables[0]]))
-        return self
 
     def relabel(self, perm, name=None):
         """Apply a carrier permutation: element x becomes perm[x]."""
@@ -325,7 +337,8 @@ class FiniteNearSemiring(_Structure):
     as ``add[x, y] == x + y`` (row = left argument).
     """
 
-    _kind = _Kind("algebra", ("zero", "one"), ("add", "mul", "inv"), optional=("inv",))
+    _kind = _Kind("algebra", ("zero", "one"), ("add", "mul", "inv"), unary=("inv",),
+                  optional=("inv",))
     __slots__ = _kind.fields
 
     def __init__(self, add, mul, zero, one, inv=None, name="R", labels=None):
@@ -342,59 +355,100 @@ class FiniteNearSemiring(_Structure):
         return self.inv is not None
 
 
-class TableStack:
-    """k algebras of one size with the same constants, as stacked tables.
+_LINES = 4096                   # items per chunk of TableStack.json_lines
 
-    add and mul are (k, n, n) stacks or (n, n) tables shared by all k; inv
-    is None, a (k, n) stack or a shared (n,) table.  At least one table is
-    a stack.  Construction validates every slice as FiniteNearSemiring
-    validates one algebra, with array operations over the whole stack.
+
+class TableStack(_Declared, Sequence):
+    """k near semirings of one size and constants, as stacked tables: a read-only sequence.
+
+    A table is a stack of k, with axes before its declared arity's, or one
+    table shared by all k; at least one is a stack.  Item i is slice i as an
+    algebra named name.format(i) with plain labels, built when read.  From
+    outside, of stacks algebras; the search builds by _built.
     """
 
-    __slots__ = ("add", "mul", "inv", "zero", "one", "name", "_length")
+    _kind = FiniteNearSemiring._kind
+    __slots__ = _kind.fields
 
-    def __init__(self, add, mul, zero, one, inv=None, name="R"):
-        self.add = _square_table(add, "sum", stack=True)
-        n = self.add.shape[-1]
-        self.mul = _binary_table(mul, n, "product", stack=True)
-        self.inv = None if inv is None else _unary_table(
-            inv, n, "involution", permutation=True, stack=True)
-        lengths = {len(t) for t, arity in ((self.add, 2), (self.mul, 2), (self.inv, 1))
-                   if t is not None and t.ndim > arity}
-        if len(lengths) != 1:
-            raise DocumentError("a table stack needs stacked tables of one length")
-        self._length = lengths.pop()
-        self.zero, self.one = _constants(zero, one, n)
-        self.name = str(name)
+    @classmethod
+    def of(cls, algebras, name="R") -> "TableStack":
+        """Validated algebras of one size, constants and signature, each table stacked."""
+        algebras, kind = tuple(algebras), cls._kind
+        if not algebras or not all(isinstance(a, FiniteNearSemiring) for a in algebras):
+            raise AlgebraError("a table stack needs one or more FiniteNearSemiring algebras")
 
-    @property
-    def n(self) -> int:
-        return self.add.shape[-1]
+        def signature(a):
+            return (a.n, *(getattr(a, c) for c in kind.constants),
+                    *(getattr(a, t) is None for t in kind.optional))
 
-    @property
-    def labels(self) -> tuple:
-        return _plain_labels(self.n)
+        if len(set(map(signature, algebras))) > 1:
+            raise AlgebraError("a table stack needs algebras of one size, constants and signature")
+        try:
+            str(name).format(0)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise AlgebraError(
+                f"a table stack's name must format an item index, got {name!r}") from exc
+        fields = {c: getattr(algebras[0], c) for c in kind.constants}
+        fields.update((t, None if getattr(algebras[0], t) is None
+                       else np.stack([getattr(a, t) for a in algebras])) for t in kind.tables)
+        return cls._built(fields, name, None)
+
+    def _stacked(self) -> list:
+        """The names of the tables with a stack axis."""
+        kind = self._kind
+        return [name for name in kind.tables
+                if (t := getattr(self, name)) is not None and t.ndim > kind.arity(name)]
 
     def __len__(self) -> int:
-        return self._length
+        return len(getattr(self, self._stacked()[0]))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return self.algebra(range(len(self))[i])        # IndexError when out of range
 
     def ops(self) -> dict:
         """Tables and constants by name, stacked tables keeping their stack axis."""
-        return FiniteNearSemiring._kind.ops(self)
+        return self._kind.ops(self)
 
     def _fields(self, index) -> dict:
         """The fields, by name, of the slices a basic or array index picks."""
-        pick = lambda t, arity: t if t is None or t.ndim == arity else t[index]
-        return dict(add=pick(self.add, 2), mul=pick(self.mul, 2), inv=pick(self.inv, 1),
-                    zero=self.zero, one=self.one)
+        fields = {name: getattr(self, name) for name in self._kind.fields}
+        return fields | {name: fields[name][index] for name in self._stacked()}
 
     def take(self, index) -> "TableStack":
         """The stack of the slices an index array or boolean mask picks, in its order."""
-        return TableStack(**self._fields(np.asarray(index)), name=self.name)
+        return self._built(self._fields(np.asarray(index)), self.name, None)
 
     def algebra(self, i: int, name=None) -> FiniteNearSemiring:
-        """Slice i as an algebra, its tables read-only views of the stack's."""
-        return FiniteNearSemiring._built(self._fields(i), self.name if name is None else name, None)
+        """Slice i as an algebra named name, by default name.format(i); its tables are
+        read-only views of the stack's."""
+        return FiniteNearSemiring._built(
+            self._fields(i), self.name.format(i) if name is None else name, None)
+
+    def json_lines(self):
+        """Each item's json.dumps(item.to_document()) and a newline, joined in chunks of
+        _LINES items; no document is built, and each distinct table row is written once."""
+        n, k, kind = self.n, len(self), self._kind
+        tables = {name: np.broadcast_to(t, (k,) + (n,) * kind.arity(name))
+                  for name in kind.tables if (t := getattr(self, name)) is not None}
+        fields = ['"name": %s', f'"size": {n}'] + [
+            f'"{name}": {getattr(self, name)}' for name in kind.constants] + [
+            f'"{name}": ' + ("%s" if kind.arity(name) == 1 else f"[{', '.join(['%s'] * n)}]")
+            for name in tables]
+        line = "{" + ", ".join(fields) + "}\n"
+        # a row's code is the number its entries are the base-n digits of
+        weights = n ** np.arange(n)
+        codes = np.concatenate([(t[:, None] if kind.arity(name) == 1 else t) @ weights
+                                for name, t in tables.items()], axis=1)
+        distinct, which = np.unique(codes, return_inverse=True)
+        tokens = np.array([f"[{', '.join(map(str, row))}]"
+                           for row in (distinct[:, None] // weights % n).tolist()], dtype=object)
+        name = json.dumps(self.name)        # json escapes no brace: it formats as the name does
+        for lo in range(0, k, _LINES):
+            cells = tokens[which.reshape(codes.shape)[lo:lo + _LINES]].tolist()
+            yield "".join(line % (name.format(i), *row)
+                          for i, row in enumerate(cells, lo))
 
 
 def _parse_json(source, what: str = "document"):
@@ -1010,9 +1064,8 @@ def check_axioms(algebra, profile: str):
     Each failing clause contributes one violation, carrying the
     lexicographically smallest witness; the list is sorted by clause id
     and witness, so reports are reproducible.  A TableStack gets one report
-    per slice, each equal to the report on that slice as an algebra: one
-    mask-only call picks the failing slices, only they are searched for
-    witnesses, and the passing slices share one report.
+    per item, each equal to the report on that item: one mask-only call
+    picks the failing slices, and only they are searched for witnesses.
     """
     if profile not in PROFILES:
         raise AlgebraError(f"unknown profile {profile!r}; known: {', '.join(sorted(PROFILES))}")
@@ -1021,7 +1074,9 @@ def check_axioms(algebra, profile: str):
         raise PreconditionError(
             f"profile {profile!r} requires an involution table, but {algebra.name} has none")
     if isinstance(algebra, TableStack):
-        reports = [CheckReport(algebra.name, profile, True, ())] * len(algebra)
+        subjects = [algebra.name.format(i) for i in range(len(algebra))]
+        passing = {s: CheckReport(s, profile, True, ()) for s in set(subjects)}
+        reports = [passing[s] for s in subjects]     # items of one name share a passing report
         # a bool when the profile reads only shared tables
         failing = np.broadcast_to(clauses.violations(algebra.ops(), algebra.n, mask=True),
                                   len(algebra))
@@ -1031,7 +1086,7 @@ def check_axioms(algebra, profile: str):
             found = clauses.violations(stack.ops(), stack.n, stack.labels)
             for i, f in zip(which.tolist(), [found] * len(stack) if isinstance(found, dict)
                             else found):
-                reports[i] = CheckReport.of(algebra.name, profile, f.values())
+                reports[i] = CheckReport.of(subjects[i], profile, f.values())
         return reports
     return CheckReport.of(algebra.name, profile, find_violations(algebra, clauses).values())
 

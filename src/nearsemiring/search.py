@@ -20,8 +20,9 @@ it.  Nothing is trusted at the leaves: every leaf is re-checked through the
 ordinary checkers, and one that fails is counted as rejected; with no
 forbidden identities, that is a table the search should have pruned.  A
 TableStack's canonical forms are uint8 rows, deduplicated and sorted as
-bytes, and the models are one validated TableStack (``Models``) that builds
-an algebra only for an item that is read.
+bytes.  The leaves and the models are TableStacks built on the search's own
+rows, widened once to int64 and taken as given; the models' stack builds an
+algebra only for an item that is read.
 """
 from __future__ import annotations
 
@@ -30,7 +31,6 @@ import functools
 import math
 import time
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -43,7 +43,6 @@ from .core import (
 )
 
 DEFAULT_SIZE_CAP = 6
-_LINES = 4096                   # models per chunk of Models.json_lines
 
 
 # ---------------------------------------------------------------------------
@@ -59,8 +58,11 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False
     witness or None per algebra.  With mask, only whether the identity fails:
     a bool, or a (k,) bool array for stacked tables.
     """
+    clauses = _clause_subset((identity,))
+    if clauses.needs_inv and inv is None:
+        raise AlgebraError(f"identity {identity.name!r} needs an involution")
     ops = {"add": add, "mul": mul} if inv is None else {"add": add, "mul": mul, "inv": inv}
-    found = _clause_subset((identity,)).violations(ops, n, mask=mask)
+    found = clauses.violations(ops, n, mask=mask)
     if mask:
         return found
     if isinstance(found, list):
@@ -69,8 +71,6 @@ def identity_first_violation(identity: Clause, add, mul, inv, n: int, mask=False
 
 
 def identity_holds(identity: Clause, algebra: FiniteNearSemiring) -> bool:
-    if _clause_subset((identity,)).needs_inv and algebra.inv is None:
-        raise AlgebraError(f"identity {identity.name!r} needs an involution")
     return identity_first_violation(
         identity, algebra.add, algebra.mul, algebra.inv, algebra.n) is None
 
@@ -232,22 +232,19 @@ def _canonical_keys(add, mul, inv) -> np.ndarray:
 def canonical_form(algebra):
     """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1.
 
-    An algebra gets a tuple of ints, a TableStack its slices' forms as uint8 rows:
-    every entry is below 256, so the byte order of two rows is the tuples' order.
+    An algebra gets a tuple of ints, a TableStack its slices' forms as (k, width) uint8
+    rows: every entry is below 256, so the byte order of two rows is the tuples' order.
     """
-    stacked = isinstance(algebra, TableStack)
-    if stacked and algebra.add.ndim == 3:          # a sum table per slice
-        return np.array([canonical_form(algebra.algebra(i)) for i in range(len(algebra))],
-                        dtype=np.uint8)
-    n = algebra.n
-    add, mul, inv = algebra.add, algebra.mul, algebra.inv
+    stacked, n = isinstance(algebra, TableStack), algebra.n
+    if stacked and (not len(algebra) or algebra.add.ndim == 3):    # none, or a sum table each
+        width = 2 + n * (2 * n + (algebra.inv is not None))
+        return np.array([canonical_form(a) for a in algebra], dtype=np.uint8).reshape(-1, width)
     if (algebra.zero, algebra.one) != (0, min(n - 1, 1)):
         # composed with one relabelling sending zero to 0 and one to 1, the
         # permutations range over the same set
         q = np.array([*dict.fromkeys((algebra.zero, algebra.one, *range(n)))])
-        p = np.argsort(q)
-        add, mul = relabel_table(add, p, q, 2), relabel_table(mul, p, q, 2)
-        inv = None if inv is None else relabel_table(inv, p, q, 1)
+        algebra = algebra._built(algebra._transport(np.argsort(q), q), algebra.name, None)
+    add, mul, inv = algebra.add, algebra.mul, algebra.inv
     k = len(algebra) if stacked else 1
     keys = _canonical_keys(add, np.broadcast_to(mul, (k, n, n)),
                            None if inv is None else np.broadcast_to(inv, (k, n)))
@@ -262,59 +259,19 @@ def _unique_rows(rows: np.ndarray) -> np.ndarray:
     return void[first].view(np.uint8).reshape(-1, rows.shape[1])
 
 
-def _model_stack(keys: np.ndarray, n: int, has_inv: bool) -> TableStack:
-    """The canonical models of key rows of one size and signature, as one TableStack."""
-    add, mul, inv = np.split(keys[:, 2:], [n * n, 2 * n * n], axis=1)
-    return TableStack(add.reshape(-1, n, n), mul.reshape(-1, n, n), 0, min(n - 1, 1),
-                      inv=inv if has_inv else None)
+def _model_stack(keys: np.ndarray, n: int, has_inv: bool, name: str) -> TableStack:
+    """The canonical models of key rows of one size and signature, item i named name.format(i)."""
+    add, mul, inv = np.split(keys[:, 2:].astype(np.int64), [n * n, 2 * n * n], axis=1)
+    return TableStack._built(dict(add=add.reshape(-1, n, n), mul=mul.reshape(-1, n, n),
+                                  inv=inv if has_inv else None, zero=0, one=min(n - 1, 1)),
+                             name, None)
 
 
 def canonicalize(algebra: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
     """Relabel onto the canonical form (constants at 0 and 1)."""
     keys = np.array([canonical_form(algebra)], dtype=np.uint8)
-    return _model_stack(keys, algebra.n, algebra.has_inv).algebra(
-        0, algebra.name if name is None else name)
-
-
-class Models(Sequence):
-    """A search's models, read-only, over one validated TableStack of canonical tables.
-
-    Item i is built only when it is read, named name.format(i).
-    """
-
-    def __init__(self, stack: TableStack, name: str):
-        self.stack, self.name = stack, name
-
-    def __len__(self) -> int:
-        return len(self.stack)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]             # IndexError when out of range
-        return self.stack.algebra(i, self.name.format(i))
-
-    def json_lines(self):
-        """Each model's json.dumps(model.to_document()) and a newline, joined in chunks of
-        _LINES models; no document is built, and each distinct table row is written once."""
-        stack, n, kind = self.stack, self.stack.n, FiniteNearSemiring._kind
-        tables = {name: t for name in kind.tables if (t := getattr(stack, name)) is not None}
-        fields = ['"name": "%s"', f'"size": {n}'] + [
-            f'"{name}": {getattr(stack, name)}' for name in kind.constants] + [
-            f'"{name}": ' + ("%s" if t.ndim == 2 else f"[{', '.join(['%s'] * n)}]")
-            for name, t in tables.items()]
-        line = "{" + ", ".join(fields) + "}\n"
-        # a row's code is the number its entries are the base-n digits of
-        weights = n ** np.arange(n)
-        codes = np.concatenate([(t[:, None] if t.ndim == 2 else t) @ weights
-                                for t in tables.values()], axis=1)
-        distinct, which = np.unique(codes, return_inverse=True)
-        tokens = np.array([f"[{', '.join(map(str, row))}]"
-                           for row in (distinct[:, None] // weights % n).tolist()], dtype=object)
-        for lo in range(0, len(stack), _LINES):
-            cells = tokens[which.reshape(codes.shape)[lo:lo + _LINES]].tolist()
-            yield "".join(line % (self.name.format(i), *row)
-                          for i, row in enumerate(cells, lo))
+    name = algebra.name if name is None else name
+    return _model_stack(keys, algebra.n, algebra.has_inv, name).algebra(0, name)
 
 
 def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
@@ -480,7 +437,7 @@ def _column_order(n: int, inv) -> list:
 
 @dataclass
 class SearchResult:
-    models: Sequence              # a Models sequence, or () for none
+    models: TableStack            # or () for none
     exhaustive: bool
     nodes: int
     elapsed: float
@@ -579,8 +536,9 @@ def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, invs: li
 
     def stack():
         muls, which = map(np.concatenate, zip(*pending))
-        inv = None if invs[0] is None else np.array(invs)[which]
-        return TableStack(add, muls, 0, 1 if n >= 2 else 0, inv=inv, name="candidate")
+        inv = None if invs[0] is None else np.array(invs, dtype=np.int64)[which]
+        return TableStack._built(dict(add=add, mul=muls.astype(np.int64), inv=inv, zero=0,
+                                      one=min(n - 1, 1)), "candidate", None)
 
     pending, count = [], 0                  # leaves not stacked yet, with their involutions
     for j, inv in enumerate(invs):
@@ -708,7 +666,7 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
         counter.pruned.update(part.pruned)
     with counter.timed("output"):
         keys = np.concatenate([keys for keys, _part in parts])
-        models = Models(_model_stack(keys, n, constraint.needs_inv), f"n{n}#{{}}")
+        models = _model_stack(keys, n, constraint.needs_inv, f"n{n}#{{}}")
     counter.counts["models"] = len(models)
     counter.counts["duplicate_keys"] = counter.counts["leaves"] - counter.counts["rejected"] \
         - len(models)
@@ -741,7 +699,7 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
             with counter.timed("canonical_keys"):
                 keys = canonical_form(stack.take([0]))
             with counter.timed("output"):
-                models = Models(_model_stack(keys, n, constraint.needs_inv), f"witness-n{n}")
+                models = _model_stack(keys, n, constraint.needs_inv, f"witness-n{n}")
                 # witnesses are recomputed on the canonical labelling
                 model, witnesses = models[0], []
                 for name in constraint.forbid:

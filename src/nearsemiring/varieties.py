@@ -27,7 +27,7 @@ from .core import (
 class BasicAlgebra(_Structure):
     """Finite algebra <A, ⊕, ', 0> with 1 = 0'; tables structural only."""
 
-    _kind = _Kind("basic-algebra", ("zero",), ("oplus", "neg"), derived=("one",))
+    _kind = _Kind("basic-algebra", ("zero",), ("oplus", "neg"), unary=("neg",), derived=("one",))
     __slots__ = _kind.fields
 
     def __init__(self, oplus, neg, zero, name="B", labels=None):
@@ -51,7 +51,8 @@ class OrthoLattice(_Structure):
     Whether the tables form an orthomodular lattice is check_oml's job.
     """
 
-    _kind = _Kind("lattice", ("zero", "one"), ("join", "ortho"), derived=("meet",))
+    _kind = _Kind("lattice", ("zero", "one"), ("join", "ortho"), unary=("ortho",),
+                  derived=("meet",))
     __slots__ = _kind.fields
 
     def __init__(self, join, ortho, zero, one, name="L", labels=None):

@@ -2,7 +2,8 @@
 
 Relabellings, products, duals, quotients, the center, the intervals [0, e],
 the four translations and stack slices are all built by _Structure._built
-from fields of structures that were validated already.  A spy on _built
+from fields of structures that were validated already; the search's stacks,
+their takes and TableStack.of by the same build, which TableStack shares.  A spy on _built
 catches every structure these constructions make, and each is checked: its
 document loads back to the same tables, name and labels, and every array
 of its ops is read-only.  A spy on the table validators shows that none of
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import core, varieties
+from nearsemiring import core, search, varieties
 from nearsemiring.congruences import Congruence
 
 VALIDATORS = ("_square_table", "_binary_table", "_unary_table")
@@ -133,10 +134,36 @@ def test_stack_slices_are_trusted():
     with pytest.MonkeyPatch.context() as mp:
         for name in VALIDATORS:
             mp.setattr(core, name, None)                # a call would raise TypeError
-        slices = [models[i] for i in range(len(models))] + [models.stack.algebra(0, 7)]
+        slices = [models[i] for i in range(len(models))] + [models.algebra(0, 7)]
     for d in slices:
         _assert_trusted(d)
     assert slices[-1].name == "7" and slices[0].name == "n4#0"
+
+
+def test_stacks_are_built_on_trusted_fields():
+    built, build = [], core._Declared._built.__func__
+
+    def spy_build(cls, fields, name, labels):
+        built.append(build(cls, fields, name, labels))
+        return built[-1]
+
+    verified, verify = [], search._verify
+    mv3 = nsr.fixtures.mv3()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core.TableStack, "_built", classmethod(spy_build))
+        mp.setattr(search, "_verify", lambda stack, c: verified.append(stack) or verify(stack, c))
+        for name in VALIDATORS:
+            mp.setattr(core, name, None)                # a call would raise TypeError
+        models = nsr.enumerate_models(4, "involutive-integral").models
+        witness = nsr.find_model(4, "involutive-integral", "lukasiewicz").models
+        picked = models.take(np.arange(3))
+        stacked = core.TableStack.of([mv3, mv3])
+    assert {s.name for s in built} >= {"candidate", "n4#{}", "witness-n3", "R"}
+    for stack in verified + [models, witness, picked, stacked]:     # the leaves, then the rest
+        assert any(s is stack for s in built)
+    for stack in built:
+        assert isinstance(stack, core.TableStack) and stack.labels == core._plain_labels(stack.n)
+        assert not any(v.flags.writeable for v in stack.ops().values() if isinstance(v, np.ndarray))
 
 
 def _lattices():

@@ -136,13 +136,27 @@ def test_block_ids_out_of_first_occurrence_order_are_refused():
         cons = [c for c in nsr.all_congruences(algebra) if c.block_count >= 2]
         assert cons
         for theta in cons:
-            reversed_ids = Congruence(tuple(theta.block_count - 1 - b for b in theta.blocks))
-            assert Congruence.from_blocks(reversed_ids.blocks) == theta
-            assert not nsr.is_congruence(algebra, reversed_ids)
-            with pytest.raises(nsr.AlgebraError, match="^partition is not a congruence"):
-                nsr.quotient_algebra(algebra, reversed_ids)
-            with pytest.raises(nsr.AlgebraError, match="^input partition is not a congruence"):
-                nsr.is_factor_pair(algebra, reversed_ids, Congruence.identity(algebra.n))
+            reversed_ids = tuple(theta.block_count - 1 - b for b in theta.blocks)
+            assert Congruence.from_blocks(reversed_ids) == theta
+            with pytest.raises(nsr.AlgebraError, match="first-occurrence order from 0"):
+                Congruence(reversed_ids)
+
+
+@pytest.mark.parametrize("blocks", [(0, 2), (), (0, 0, 1.0), (1, 0), (0, -1), (0, True),
+                                    (0, np.int64(1)), [0, 1], None])
+def test_only_canonical_block_tuples_make_a_congruence(blocks):
+    with pytest.raises(nsr.AlgebraError, match="^congruence blocks must be a non-empty tuple"):
+        Congruence(blocks)
+
+
+def test_canonical_block_tuples_make_a_congruence():
+    theta = Congruence((0, 1, 0, 2))
+    assert theta.block_count == 3 and theta.classes() == ((0, 2), (1,), (3,))
+    assert not theta.is_identity() and not theta.is_full()
+    assert Congruence((0,)).is_identity() and Congruence((0,)).is_full()
+    mv3 = fixtures.mv3()
+    assert nsr.is_congruence(mv3, Congruence((0, 0, 0)))
+    assert not nsr.is_congruence(mv3, Congruence((0, 0)))      # a partition of 2 elements
 
 
 def test_principal_congruences_are_smallest():

@@ -5,10 +5,16 @@ BasicAlgebra(…), OrthoLattice(…), and in a kind's own methods cls(…) and
 type(…)(…)) may be called only by _Structure.from_document, which reads
 documents, and in fixtures.py, whose tables are entered by hand.  Every
 structure derived from validated ones is built by _Structure._built, which
-takes its fields as given.  This reads each module's syntax tree.
+takes its fields as given.  A TableStack has no constructor of its own, and
+no package code calls the class: TableStack.of and the trusted build make
+every stack.  This reads each module's syntax tree.
 """
 import ast
+import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import nearsemiring
 from nearsemiring import core
@@ -19,10 +25,10 @@ ALLOWED_METHODS = {("_Structure", "from_document")}
 
 
 class _Calls(ast.NodeVisitor):
-    """The constructor calls of a module, as (class, function, line) triples."""
+    """The calls of a module to the given classes, as (class, function, line) triples."""
 
-    def __init__(self):
-        self.where, self.found = [], []
+    def __init__(self, kinds):
+        self.kinds, self.where, self.found = kinds, [], []
 
     def _scoped(self, node):
         self.where.append(node)
@@ -34,8 +40,9 @@ class _Calls(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         classes = [n.name for n in self.where if isinstance(n, ast.ClassDef)]
-        in_kind = bool(classes) and classes[-1] in KINDS
-        if (isinstance(func, ast.Name) and (func.id in KINDS or func.id == "cls" and in_kind)
+        in_kind = bool(classes) and classes[-1] in self.kinds
+        if (isinstance(func, ast.Name) and (func.id in self.kinds or func.id == "cls" and in_kind)
+                or isinstance(func, ast.Attribute) and func.attr in self.kinds
                 or isinstance(func, ast.Call) and isinstance(func.func, ast.Name)
                 and func.func.id == "type"):
             functions = [n.name for n in self.where if isinstance(n, ast.FunctionDef)]
@@ -44,11 +51,11 @@ class _Calls(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _constructor_calls() -> dict:
+def _constructor_calls(kinds=KINDS) -> dict:
     package = Path(nearsemiring.__file__).parent
     calls = {}
     for path in sorted(package.glob("*.py")):
-        visitor = _Calls()
+        visitor = _Calls(kinds)
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         calls[path.stem] = visitor.found
     return calls
@@ -68,3 +75,18 @@ def test_only_documents_and_fixtures_call_a_kinds_constructor():
     assert [(cls, function) for cls, function, _line in calls["core"]] == [
         ("_Structure", "from_document")]
     assert len(calls["fixtures"]) >= 6
+
+
+def test_no_package_code_calls_the_table_stack_class():
+    stray = [f"{module}.py:{line}" for module, found in _constructor_calls({"TableStack"}).items()
+             for _cls, _function, line in found]
+    assert stray == []
+    assert "__init__" not in vars(core.TableStack)
+    mv3 = nearsemiring.fixtures.mv3()
+    with pytest.raises(TypeError):
+        core.TableStack(mv3.add, np.stack([mv3.mul] * 2), mv3.zero, mv3.one)
+
+
+def test_no_table_validator_reads_stacks():
+    for name in ("_square_table", "_binary_table", "_unary_table"):
+        assert "stack" not in inspect.signature(getattr(core, name)).parameters, name

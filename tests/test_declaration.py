@@ -116,11 +116,13 @@ def test_ops_keys_stay_per_kind(s):
 
 def test_table_stack_ops_follow_the_near_semiring_declaration():
     mv3 = nsr.fixtures.fixture("MV3")
-    stack = nsr.core.TableStack(np.stack([mv3.add] * 2), mv3.mul, mv3.zero, mv3.one)
+    plain = nsr.FiniteNearSemiring(mv3.add, mv3.mul, mv3.zero, mv3.one)
+    stack = nsr.TableStack.of([plain] * 2)
     assert set(stack.ops()) == {"add", "mul", "zero", "one"}
-    stack = nsr.core.TableStack(np.stack([mv3.add] * 2), mv3.mul, mv3.zero, mv3.one,
-                                inv=mv3.inv)
+    stack = nsr.TableStack.of([mv3] * 2)
     assert set(stack.ops()) == {"add", "mul", "zero", "one", "inv"}
+    assert nsr.TableStack._kind is nsr.FiniteNearSemiring._kind
+    assert nsr.TableStack.__slots__ == nsr.FiniteNearSemiring.__slots__
 
 
 def test_repr_per_kind():
@@ -171,6 +173,16 @@ def test_every_kind_relabels_and_back(s, data):
     assert back.same_tables(s) and s.same_tables(back) and back.labels == s.labels
     assert all(there.label(p[x]) == s.label(x) for x in range(s.n))
     assert _verdict(there) == _verdict(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(structures())
+def test_each_table_has_its_declared_arity(s):
+    kind = s._kind
+    assert set(kind.unary) < set(kind.tables) and len(kind.unary) == 1
+    for name in kind.tables:
+        table = getattr(s, name)
+        assert table is None or table.ndim == kind.arity(name), name
 
 
 def test_relabelled_companion_fixtures_still_pass():

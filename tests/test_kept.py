@@ -4,7 +4,6 @@ Whatever order the checks run in on one live structure, each result equals
 the same call on a fresh reload of the structure's document, where nothing
 is kept yet.
 """
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -147,7 +146,7 @@ def test_kept_bypasses_objects_without_the_slot():
     made = []
     checker = core.kept(lambda structure, x: made.append(x) or object())
     mv3 = fixtures.mv3()
-    stack = TableStack(np.stack([mv3.add, mv3.add]), mv3.mul, mv3.zero, mv3.one, inv=mv3.inv)
+    stack = TableStack.of([mv3, mv3])
     assert checker(stack, 1) is not checker(stack, 1)
     assert checker(mv3, 1) is checker(mv3, 1) and checker(mv3, 2) is not checker(mv3, 1)
     assert made == [1, 1, 1, 2]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import core, fixtures
 from nearsemiring import search
 from nearsemiring.cli import main
 from nearsemiring.search import SearchConstraint, canonical_form
@@ -218,6 +218,22 @@ def test_identity_first_violation_is_lexicographic():
     assert w == (1, 0, 0)       # e=h, x=0, y=0
 
 
+@pytest.mark.parametrize("mask", [False, True])
+def test_an_identity_that_reads_the_involution_needs_one(mask):
+    mv3 = fixtures.mv3()
+    for name in ("lukasiewicz", "mv-semiring", "central-1", "central-2"):
+        with pytest.raises(nsr.AlgebraError, match=f"^identity '{name}' needs an involution$"):
+            nsr.identity_first_violation(nsr.IDENTITIES[name], mv3.add, mv3.mul, None, mv3.n,
+                                         mask=mask)
+    plain = nsr.FiniteNearSemiring(mv3.add, mv3.mul, mv3.zero, mv3.one)
+    with pytest.raises(nsr.AlgebraError, match="^identity 'lukasiewicz' needs an involution$"):
+        nsr.identity_holds(nsr.IDENTITIES["lukasiewicz"], plain)
+    # an identity without α needs no involution
+    ortho = nsr.IDENTITIES["orthomodular"]
+    assert nsr.identity_first_violation(ortho, mv3.add, mv3.mul, None, mv3.n, mask=mask) == \
+        nsr.identity_first_violation(ortho, mv3.add, mv3.mul, mv3.inv, mv3.n, mask=mask)
+
+
 def test_find_model_definitive_verdicts_small():
     result = nsr.find_model(2, "near-semiring", "lukasiewicz")
     assert result.exhaustive ^ bool(result.models)
@@ -366,11 +382,11 @@ def test_canonical_form_in_blocks_matches_plain_lists(algebra):
 
 def test_enumeration_in_blocks_matches(monkeypatch):
     constraint = nsr.parse_constraint("involutive-integral")
-    want = nsr.enumerate_models(5, constraint).models.stack
+    want = nsr.enumerate_models(5, constraint).models
     streamed, blocks = [], search._blocks
     monkeypatch.setattr(search, "_BLOCK", 2)
     monkeypatch.setattr(search, "_blocks", lambda n: streamed.append(n) or blocks(n))
-    got = nsr.enumerate_models(5, constraint).models.stack
+    got = nsr.enumerate_models(5, constraint).models
     assert streamed and len(got) == len(want) == 980
     assert all(np.array_equal(getattr(got, t), getattr(want, t)) for t in ("add", "mul", "inv"))
 
@@ -543,7 +559,7 @@ def test_models_are_a_lazy_read_only_sequence(monkeypatch, n, names):
         if table is not None:
             with pytest.raises(ValueError):
                 table[0] = 0
-    monkeypatch.setattr(search, "_LINES", 2)        # chunks of lines split the models
+    monkeypatch.setattr(core, "_LINES", 2)          # chunks of lines split the models
     lines = "".join(models.json_lines()).splitlines()
     assert lines == [json.dumps(m.to_document()) for m in eager]
 
@@ -562,9 +578,7 @@ def test_stacked_keys_are_uint8_rows_of_the_slice_tuples():
     roots = search._canonical_add_tables(5, constraint)
     shared = next(search._verified_stacks(5, constraint, roots[-1:], search._Counter()))
     models = list(nsr.enumerate_models(4, constraint).models)[:3]
-    mixed = nsr.core.TableStack(np.stack([m.add for m in models]),
-                                np.stack([m.mul for m in models]), 0, 1,
-                                inv=np.stack([m.inv for m in models]))
+    mixed = nsr.TableStack.of(models)
     for stack in (shared, mixed):          # one shared sum table, and one per slice
         keys = canonical_form(stack)
         assert keys.dtype == np.uint8 and keys.shape == (len(stack), 2 + 2 * stack.n ** 2

@@ -1,8 +1,12 @@
 """Stacked tables: the clause engine, check_axioms and canonical_form on TableStacks.
 
 Each stacked call is compared slice by slice with the single-algebra call,
-and the stacked canonical form with the plain-list one in naive.py.
+and the stacked canonical form with the plain-list one in naive.py.  Stacks
+of drawn tables are built as the search builds its own, on fields taken as
+given; from outside, TableStack.of stacks validated algebras.
 """
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +36,11 @@ def stacks(draw, max_n=4, max_k=6):
     if draw(st.booleans()):
         inv = inv[0]
     return n, add, mul, inv
+
+
+def _stack(add, mul, zero, one, inv=None, name="R"):
+    """The stack on tables with entries in range, taken as given."""
+    return TableStack._built(dict(add=add, mul=mul, zero=zero, one=one, inv=inv), name, None)
 
 
 def _slice(table, arity, i):
@@ -82,12 +91,12 @@ def test_stacked_violations_equal_per_slice_calls(drawn, padded, cells, outer, c
 @given(stacks())
 def test_check_axioms_on_a_stack_equals_per_algebra_reports(drawn):
     n, add, mul, inv = drawn
-    stack = TableStack(add, mul, 0, min(n - 1, 1), inv=inv, name="S")
+    stack = _stack(add, mul, 0, min(n - 1, 1), inv=inv, name="S{}")
     for profile in sorted(PROFILES):
         reports = nsr.check_axioms(stack, profile)
         assert len(reports) == len(stack)
         for i, report in enumerate(reports):
-            assert report == nsr.check_axioms(stack.algebra(i), profile), (profile, i)
+            assert report == nsr.check_axioms(stack[i], profile), (profile, i)
         assert nsr.check_axioms(stack.take(np.arange(0)), profile) == []
 
 
@@ -108,11 +117,11 @@ def test_check_axioms_on_stacks_whose_slices_partly_fail(names, n):
     first, has_inv = models[0], models[0].inv is not None
     stacks = [
         # a sum table, product and involution per slice
-        TableStack(np.repeat([m.add for m in models], 2, axis=0), _mutants(models), 0, 1,
-                   inv=np.repeat([m.inv for m in models], 2, axis=0) if has_inv else None,
-                   name="S"),
+        _stack(np.repeat([m.add for m in models], 2, axis=0), _mutants(models), 0, 1,
+               inv=np.repeat([m.inv for m in models], 2, axis=0) if has_inv else None,
+               name="S{}"),
         # a shared sum table and involution
-        TableStack(first.add, _mutants([first] * 3), 0, 1, inv=first.inv, name="T"),
+        _stack(first.add, _mutants([first] * 3), 0, 1, inv=first.inv, name="T"),
     ]
     for stack in stacks + [stacks[0].take(np.arange(len(stacks[0]))[::-1]),
                            stacks[0].take(np.arange(0))]:
@@ -120,8 +129,7 @@ def test_check_axioms_on_stacks_whose_slices_partly_fail(names, n):
             if core._PROFILE_CLAUSES[profile].needs_inv and stack.inv is None:
                 continue
             reports = nsr.check_axioms(stack, profile)
-            assert reports == [nsr.check_axioms(stack.algebra(i), profile)
-                               for i in range(len(stack))], profile
+            assert reports == [nsr.check_axioms(item, profile) for item in stack], profile
         if len(stack):          # the mutants fail the models' profile
             passed = [r.passed for r in nsr.check_axioms(stack, names)]
             assert any(passed) and not all(passed)
@@ -132,7 +140,7 @@ def test_check_axioms_on_stacks_whose_slices_partly_fail(names, n):
 def test_stacked_canonical_form_matches_plain_lists(drawn, with_inv, cells, data):
     n, add, mul, inv = drawn
     zero, one = data.draw(st.permutations(range(n)))[:2] if n >= 2 else (0, 0)
-    stack = TableStack(add, mul, zero, one, inv=inv if with_inv else None)
+    stack = _stack(add, mul, zero, one, inv=inv if with_inv else None)
     saved = search._STACK_CELLS
     search._STACK_CELLS = cells          # small chunks split the slices and the permutations
     try:
@@ -148,37 +156,99 @@ def test_stacked_canonical_form_matches_plain_lists(drawn, with_inv, cells, data
 
 def test_table_stack_take_and_algebra():
     mv3 = nsr.fixtures.mv3()
-    stack = TableStack(mv3.add, np.stack([mv3.mul, mv3.mul.T]), mv3.zero, mv3.one, inv=mv3.inv)
+    stack = _stack(mv3.add, np.stack([mv3.mul, mv3.mul.T]), mv3.zero, mv3.one, inv=mv3.inv)
     assert len(stack) == 2 and stack.n == 3
     assert stack.algebra(0).same_tables(mv3)
     picked = stack.take(np.array([False, True]))
     assert len(picked) == 1 and np.array_equal(picked.mul[0], mv3.mul.T)
     assert picked.add.ndim == 2              # a shared table stays shared
+    named = TableStack.of([mv3] * 2, 'θ"\\{{{}}}')        # escaped as json.dumps escapes it
+    assert named[1].name == 'θ"\\{1}'
+    for s in (stack, picked, named):
+        assert "".join(s.json_lines()).splitlines() == [json.dumps(a.to_document()) for a in s]
 
 
-GOOD = np.zeros((2, 3, 3), dtype=int)
+GOOD = np.zeros((3, 3), dtype=int)
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(add=GOOD[0], mul=GOOD[0]), "stacked tables of one length"),
-    (dict(add=np.zeros((3, 3, 3), dtype=int), mul=GOOD), "stacked tables of one length"),
+    (dict(add=GOOD[:2, :2], mul=GOOD[:2, :2]), "of one size"),
+    (dict(inv=np.arange(3)), "and signature"),
     (dict(add=GOOD.astype(float)), "must be integers"),
     (dict(add=GOOD.astype(bool)), "must be integers"),
-    (dict(add=[[[0, True, 0]] * 3] * 2), "must be integers"),
+    (dict(add=[[0, True, 0]] * 3), "must be integers"),
     (dict(add=[[0, 1], [1]]), "ragged"),
-    (dict(add=np.zeros((2, 3, 2), dtype=int)), "square and nonempty"),
-    (dict(add=np.zeros((2, 0, 0), dtype=int)), "square and nonempty"),
-    (dict(mul=np.zeros((2, 3, 2), dtype=int)), "3x3"),
+    (dict(add=np.zeros((3, 2), dtype=int)), "square and nonempty"),
+    (dict(add=np.zeros((0, 0), dtype=int)), "square and nonempty"),
+    (dict(mul=np.zeros((3, 2), dtype=int)), "3x3"),
     (dict(mul=GOOD + 3), r"out of range \[0, 3\)"),
     (dict(add=GOOD - 1), r"out of range \[0, 3\)"),
-    (dict(inv=np.array([[0, 1, 2], [0, 0, 2]])), "not a permutation"),
-    (dict(inv=np.array([[0, 1, 3], [0, 1, 2]])), "out of range"),
-    (dict(inv=np.array([[0, 1], [1, 0]])), "length 3"),
+    (dict(inv=np.array([0, 0, 2])), "not a permutation"),
+    (dict(inv=np.array([0, 1, 3])), "out of range"),
+    (dict(inv=np.array([0, 1])), "length 3"),
     (dict(zero=1, one=1), "must differ"),
     (dict(zero=3), "zero must lie in"),
     (dict(one=True), "one must be an integer"),
 ])
 def test_table_stack_rejects_what_the_algebra_rejects(kwargs, message):
+    """A stack takes tables from outside only as algebras, through TableStack.of: the
+    algebra's constructor refuses a malformed table or constant, and of an algebra unlike
+    the first."""
+    first = nsr.FiniteNearSemiring(GOOD, GOOD, 0, 1)
     args = dict(add=GOOD, mul=GOOD, zero=0, one=1, inv=None) | kwargs
-    with pytest.raises(nsr.DocumentError, match=message):
-        TableStack(args.pop("add"), args.pop("mul"), args.pop("zero"), args.pop("one"), **args)
+    with pytest.raises(nsr.AlgebraError, match=message) as caught:
+        TableStack.of([first, nsr.FiniteNearSemiring(**args)])
+    refused_by_of = str(caught.value).startswith("a table stack needs algebras of one size")
+    assert caught.type is (nsr.AlgebraError if refused_by_of else nsr.DocumentError)
+
+
+def test_table_stack_of_stacks_every_table_of_algebras_that_agree():
+    mv3, bool2 = nsr.fixtures.mv3(), nsr.fixtures.bool2()
+    algebras = [mv3, mv3, nsr.FiniteNearSemiring(mv3.mul, mv3.add, mv3.zero, mv3.one,
+                                                 inv=mv3.inv, labels=("a", "b", "c"))]
+    stack = TableStack.of(algebras, "s{}")
+    assert len(stack) == 3 and stack.n == 3 and (stack.zero, stack.one) == (mv3.zero, mv3.one)
+    assert stack.labels == stack[2].labels == ("0", "1", "2")
+    for name in ("add", "mul", "inv"):
+        table = getattr(stack, name)
+        assert table.dtype == np.int64 and table.shape[0] == 3 and not table.flags.writeable
+    assert [a.name for a in stack] == ["s0", "s1", "s2"]
+    assert all(a.same_tables(b) for a, b in zip(stack, algebras))
+    swapped = nsr.FiniteNearSemiring(mv3.add, mv3.mul, mv3.one, mv3.zero, inv=mv3.inv)
+    plain = nsr.FiniteNearSemiring(mv3.add, mv3.mul, mv3.zero, mv3.one)
+    for algebras in ([], [mv3, nsr.basic_from_lns(mv3)]):
+        with pytest.raises(nsr.AlgebraError, match="^a table stack needs one or more"):
+            TableStack.of(algebras)
+    for algebras in ([mv3, bool2], [mv3, swapped], [plain, mv3]):
+        with pytest.raises(nsr.AlgebraError, match="^a table stack needs algebras of one size, "
+                                                   "constants and signature$"):
+            TableStack.of(algebras)
+    # item i is named name.format(i), so a name that cannot format an index is refused
+    assert [a.name for a in TableStack.of([mv3] * 2, 7)] == ["7", "7"]
+    for name in ("MV3{x}", "a}", "{", "{1}", "{0[0]}", "{0.x}", "{:s}"):
+        with pytest.raises(nsr.AlgebraError, match="^a table stack's name must format an item"):
+            TableStack.of([mv3] * 2, name)
+
+
+@pytest.mark.parametrize("with_inv", [False, True])
+def test_canonical_form_of_an_empty_stack_is_an_empty_block_of_rows(with_inv):
+    mv3 = nsr.fixtures.mv3()
+    inv = np.stack([mv3.inv] * 2) if with_inv else None
+    for add in (mv3.add, np.stack([mv3.add] * 2)):       # a shared sum table, and one per slice
+        for zero, one in ((mv3.zero, mv3.one), (0, 1)):   # with and without a relabelling
+            empty = _stack(add, np.stack([mv3.mul] * 2), zero, one, inv=inv).take(np.arange(0))
+            keys = canonical_form(empty)
+            assert keys.dtype == np.uint8 and keys.shape == (0, 2 + 3 * (6 + with_inv))
+            assert nsr.check_axioms(empty, "near-semiring") == []
+
+
+def test_search_stacks_and_canonical_algebras_keep_int64_tables():
+    constraint = nsr.parse_constraint("involutive-integral")
+    roots = search._canonical_add_tables(4, constraint)
+    leaves = next(search._verified_stacks(4, constraint, roots, search._Counter()))
+    models = nsr.enumerate_models(4, constraint).models
+    witness = nsr.find_model(4, "involutive-integral", "lukasiewicz").models
+    canonical = nsr.canonicalize(nsr.fixtures.fixture("MV3xBOOL2"))
+    for tables in (leaves, models, models[-1], witness, witness[0], canonical):
+        for name in ("add", "mul", "inv"):
+            assert getattr(tables, name).dtype == np.int64, (tables, name)
