@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -708,6 +709,14 @@ class ClauseSet:
     large grids a table applied to two subterms on disjoint axes is read as
     two block takes.  A stacked table is read with the stack index (slot 0 of
     a call's values) as its first index; only values that read one get a stack axis.
+
+    A call that reads a stacked table reads every table applied to subterms
+    as one 1-D take on the table narrowed (_narrow) and raveled in C order,
+    once per chunk, at Σ value·stride in np.intp, the strides being those of
+    the table's C-order shape.  It relies on every entry being below its
+    table's side, as in validated tables, the search's own and padded ones
+    (whose sentinel n sits on a side of n+1): for an entry out of range on
+    one axis a take reads another cell rather than raise.
     """
 
     def __init__(self, clauses):
@@ -757,7 +766,8 @@ class ClauseSet:
         dicts, each equal to the dict the same call on that algebra's own
         tables returns.  It is evaluated in chunks of at most about
         _STACK_CELLS grid cells; a call without a stacked table is one chunk
-        of one algebra.
+        of one algebra.  Its reads are flat takes (see ClauseSet), so every
+        entry must be below its table's side.
 
         With mask, the call returns only whether some clause fails: a bool,
         or for stacked tables a (k,) bool array, and finds no witness.
@@ -776,6 +786,7 @@ class ClauseSet:
         narrow = cells >= _OUTER_CELLS and {head: _narrow(ops[head]) for head, arity in self._tables
                                             if arity == 2 and head not in stacked}
         chunks = ((ops, None),)         # (tables, stack index) per chunk of the stack
+        strides = {}                    # C-order, of all axes but the last (1), per table read
         if stacked:
             length = len(ops[stacked[0]])
             if any(len(ops[head]) != length for head in stacked):
@@ -784,9 +795,13 @@ class ClauseSet:
             chunks = (({name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()},
                        np.arange(min(step, length - lo)).reshape((-1,) + (1,) * k))
                       for lo in range(0, length, step))
+            strides = {head: [math.prod(shape[d + 1:]) for d in range(len(shape) - 1)]
+                       for head, args, view in nodes if head != "var" and view is None
+                       and 1 <= len(args) <= 3 for shape in [ops[head].shape]}
         found = []
         for part, which in chunks:
             vals = [which]
+            flat = {head: _narrow(part[head]).ravel() for head in strides}
             for head, args, view in nodes:
                 if head == "var":
                     vals.append(grids[args])
@@ -794,12 +809,15 @@ class ClauseSet:
                     vals.append(view(views[head], ops))
                 elif not args:
                     vals.append(ops[head])
+                elif which is not None and len(args) <= 3:   # one take, at Σ value·stride
+                    index = vals[args[-1]]
+                    for a, w in zip(args, strides[head]):
+                        index = np.multiply(vals[a], w, dtype=np.intp) + index
+                    vals.append(flat[head][index])
                 elif len(args) == 1:
                     vals.append(part[head][vals[args[0]]])
                 elif len(args) == 2:
                     vals.append(part[head][vals[args[0]], vals[args[1]]])
-                elif len(args) == 3:
-                    vals.append(part[head][vals[args[0]], vals[args[1]], vals[args[2]]])
                 else:
                     vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]],
                                             *args[2:], k))

@@ -234,21 +234,29 @@ def canonical_form(algebra):
 
     An algebra gets a tuple of ints, a TableStack its slices' forms as (k, width) uint8
     rows: every entry is below 256, so the byte order of two rows is the tuples' order.
+    A stack with a sum table per slice is canonicalized one distinct sum table at a time.
     """
     stacked, n = isinstance(algebra, TableStack), algebra.n
-    if stacked and (not len(algebra) or algebra.add.ndim == 3):    # none, or a sum table each
-        width = 2 + n * (2 * n + (algebra.inv is not None))
-        return np.array([canonical_form(a) for a in algebra], dtype=np.uint8).reshape(-1, width)
+    k = len(algebra) if stacked else 1
+    if not k:
+        return np.empty((0, 2 + n * (2 * n + (algebra.inv is not None))), dtype=np.uint8)
     if (algebra.zero, algebra.one) != (0, min(n - 1, 1)):
         # composed with one relabelling sending zero to 0 and one to 1, the
         # permutations range over the same set
         q = np.array([*dict.fromkeys((algebra.zero, algebra.one, *range(n)))])
         algebra = algebra._built(algebra._transport(np.argsort(q), q), algebra.name, None)
-    add, mul, inv = algebra.add, algebra.mul, algebra.inv
-    k = len(algebra) if stacked else 1
-    keys = _canonical_keys(add, np.broadcast_to(mul, (k, n, n)),
-                           None if inv is None else np.broadcast_to(inv, (k, n)))
-    return keys if stacked else tuple(keys[0].tolist())
+    add, mul, inv = algebra.add, np.broadcast_to(algebra.mul, (k, n, n)), algebra.inv
+    inv = None if inv is None else np.broadcast_to(inv, (k, n))
+    if add.ndim == 2:
+        keys = _canonical_keys(add, mul, inv)
+        return keys if stacked else tuple(keys[0].tolist())
+    # a sum table per slice: one shared-table call per distinct sum table, rows in slice order
+    groups = {}
+    for i, table in enumerate(add):
+        groups.setdefault(table.tobytes(), []).append(i)
+    keys = np.concatenate([_canonical_keys(add[s[0]], mul[s], None if inv is None else inv[s])
+                           for s in groups.values()])
+    return keys[np.argsort(np.concatenate(list(groups.values())))]
 
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:

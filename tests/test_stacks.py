@@ -252,3 +252,122 @@ def test_search_stacks_and_canonical_algebras_keep_int64_tables():
     for tables in (leaves, models, models[-1], witness, witness[0], canonical):
         for name in ("add", "mul", "inv"):
             assert getattr(tables, name).dtype == np.int64, (tables, name)
+
+
+# ---------------------------------------------------------------------------
+# stacked reads are flat takes on narrowed C-order tables: their layout, their
+# size and the chunking must not change a verdict
+
+
+def _assert_stacked_calls_equal_per_slice_calls(ops, n, k, labels):
+    """Every profile and identity, in witness and mask modes: the stacked call on ops
+    equals the call on each slice's own tables."""
+    def own(i):
+        return {name: _slice(t, 1 if name == "inv" else 2, i) if isinstance(t, np.ndarray) else t
+                for name, t in ops.items()}
+    for name, clauses in CLAUSE_SETS:
+        got, failing = clauses.violations(ops, n, labels), clauses.violations(ops, n, mask=True)
+        if isinstance(got, dict):       # the clauses read only shared tables
+            got, failing = [got] * k, [failing] * k
+        assert len(got) == len(failing) == k, name
+        for i in range(k):
+            assert got[i] == clauses.violations(own(i), n, labels), (name, i)
+            assert failing[i] == bool(got[i]) == clauses.violations(own(i), n, mask=True), (name, i)
+
+
+def _partly_failing(models, rng):
+    """Each model's add, mul and inv, stacked, with a random product cell changed in every
+    other slice."""
+    add, mul, inv = (np.stack([getattr(m, t) for m in models]) for t in ("add", "mul", "inv"))
+    n = mul.shape[-1]
+    for i in range(0, len(mul), 2):
+        x, y = rng.integers(n, size=2)
+        mul[i, x, y] = (mul[i, x, y] + 1 + rng.integers(n - 1)) % n
+    return add, mul, inv
+
+
+def _with_sentinels(add, mul, inv, rng):
+    """The tables padded to n+1 with the sentinel n, and some product cells unfilled."""
+    n = mul.shape[-1]
+    pad = lambda t, d: np.pad(t, [(0, 0)] * (t.ndim - d) + [(0, 1)] * d, constant_values=n)
+    mul = pad(mul, 2)
+    mul[rng.random(mul.shape) < 0.2] = n
+    return pad(add, 2), mul, pad(inv, 1)
+
+
+def _layouts(table):
+    """The table as a C-contiguous copy, a strided slice of a larger array and a transposed
+    view (its axes reversed): one array, three memory layouts."""
+    spaced = np.zeros(tuple(2 * side for side in table.shape), dtype=table.dtype)
+    spaced[(slice(None, None, 2),) * table.ndim] = table
+    sliced = spaced[(slice(None, None, 2),) * table.ndim]
+    transposed = np.ascontiguousarray(table.T).T
+    assert not sliced.flags.c_contiguous and (table.ndim == 1 or not transposed.flags.c_contiguous)
+    assert np.array_equal(sliced, table) and np.array_equal(transposed, table)
+    return {"contiguous": np.ascontiguousarray(table), "sliced": sliced, "transposed": transposed}
+
+
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("layout", ["contiguous", "sliced", "transposed"])
+def test_stacked_reads_of_non_contiguous_tables_equal_per_slice_calls(layout, padded):
+    rng = np.random.default_rng(19)
+    models = list(nsr.enumerate_models(4, nsr.parse_constraint("involutive-integral")).models)
+    add, mul, inv = _partly_failing(models[:12], rng)
+    if padded:
+        add, mul, inv = _with_sentinels(add, mul, inv, rng)
+    for shared in (False, True):        # a stacked or a shared sum table and involution
+        tables = dict(add=add[0] if shared else add, mul=mul, inv=inv[0] if shared else inv)
+        ops = {name: _layouts(t)[layout] for name, t in tables.items()}
+        _assert_stacked_calls_equal_per_slice_calls(
+            dict(ops, zero=0, one=1), 4, len(mul), ("0", "1", "a", "b"))
+
+
+@pytest.mark.parametrize("padded", [False, True])
+def test_stacked_reads_of_tables_with_more_than_255_cells_equal_per_slice_calls(padded):
+    """n = 16: a flat index past 255 must not wrap in the narrowed tables' uint8."""
+    rng = np.random.default_rng(16)
+    b16 = nsr.fixtures.fixture("BOOL4xBOOL4")
+    middle = [x for x in range(16) if x not in (b16.zero, b16.one)]
+    perms = []
+    for _ in range(4):
+        perm = np.arange(16)
+        perm[middle] = rng.permutation(middle)
+        perms.append(perm)
+    stack = TableStack.of([b16.relabel(p) for p in perms])
+    add, mul, inv = _partly_failing(stack, rng)
+    if padded:
+        add, mul, inv = _with_sentinels(add, mul, inv, rng)
+        assert add.shape[-1] ** 2 > 255
+    ops = dict(zero=b16.zero, one=b16.one, add=add, mul=mul, inv=inv)
+    _assert_stacked_calls_equal_per_slice_calls(ops, 16, 4, b16.labels)
+
+
+@pytest.mark.parametrize("cells", [1, 40, 300])
+def test_stacked_reads_split_into_chunks_equal_per_slice_calls(cells, monkeypatch):
+    rng = np.random.default_rng(cells)
+    models = list(nsr.enumerate_models(4, nsr.parse_constraint("involutive")).models)
+    add, mul, inv = _with_sentinels(*_partly_failing(models[:9], rng), rng)
+    monkeypatch.setattr(core, "_STACK_CELLS", cells)
+    for tables in (dict(add=add, mul=mul, inv=inv), dict(add=add[3], mul=mul, inv=inv[3])):
+        _assert_stacked_calls_equal_per_slice_calls(
+            dict(tables, zero=0, one=1), 4, len(mul), ("z", "o", "a", "b"))
+
+
+def test_canonical_form_groups_slices_by_sum_table():
+    """A stack with a sum table per slice, as TableStack.of makes: slices sharing a sum
+    table, interleaved with others, and constants away from 0 and 1."""
+    rng = np.random.default_rng(5)
+    models = nsr.enumerate_models(5, nsr.parse_constraint("involutive")).models
+    picked = rng.choice(len(models), 30, replace=False).tolist()
+    perms = [np.array([0, 1, *(2 + rng.permutation(3))]) for _ in range(2)]
+    moved = np.array([3, 0, 4, 1, 2])        # sends zero to 3 and one to 0
+    for perm in perms + [moved]:
+        algebras = [models[i].relabel(perm) for i in picked for _ in range(2)]
+        rng.shuffle(algebras)
+        stack = TableStack.of(algebras)
+        assert len({a.add.tobytes() for a in algebras}) < len(algebras)
+        keys = canonical_form(stack)
+        assert keys.dtype == np.uint8 and keys.shape == (len(stack), 2 + 5 * 11)
+        for key, a in zip(keys.tolist(), algebras):
+            assert tuple(key) == canonical_form(a) == naive.canonical_form(
+                a.add.tolist(), a.mul.tolist(), a.inv.tolist(), a.zero, a.one)
