@@ -22,21 +22,42 @@ from pathlib import Path
 
 import pytest
 
-from nearsemiring import fixtures
+from nearsemiring import fixtures, transforms
 from nearsemiring.cli import main
 from nearsemiring.core import PROFILES
+from nearsemiring.varieties import BasicAlgebra
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 SOURCES = fixtures.names() + ("MV3xBOOL2", "MO2xBOOL2", "BOOL4xMV3")
 SUITES = ("core", "lukasiewicz", "orthomodular", "oml", "central", "witness-terms")
 
-# companion documents: basic algebras and ortholattices
+
+
+def _mutant(build, cell, value, name):
+    """A builder of build()'s basic algebra with one ⊕ cell changed."""
+    def mutant():
+        basic = build()
+        oplus = basic.oplus.copy()
+        oplus[cell] = value
+        return BasicAlgebra(oplus, basic.neg, basic.zero, name=name, labels=basic.labels)
+    return mutant
+
+
+def _bool4_basic():
+    return transforms.basic_from_lns(fixtures.bool4())
+
+
+# companion documents: basic algebras and ortholattices; the mutants fail BA4 and the
+# order checks (order-partial-order by transitivity, antisymmetry and reflexivity in turn)
 DOCUMENTS = {
     "MV3basic": fixtures.mv3_basic,
     "MO2lat": fixtures.mo2_ortholattice,
     "chain2": fixtures.chain2_ortholattice,
     "BOOL4lat": fixtures.bool4_ortholattice,
+    "MV3basic-transitive": _mutant(fixtures.mv3_basic, (2, 2), 0, "MV3basic-transitive"),
+    "BOOL4basic-antisymmetric": _mutant(_bool4_basic, (0, 1), 3, "BOOL4basic-antisymmetric"),
+    "BOOL4basic-reflexive": _mutant(_bool4_basic, (1, 2), 0, "BOOL4basic-reflexive"),
 }
 
 
