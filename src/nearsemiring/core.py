@@ -429,8 +429,13 @@ class TableStack(_Declared, Sequence):
 
     def json_lines(self):
         """Each item's json.dumps(item.to_document()) and a newline, joined in chunks of
-        _LINES items; no document is built, and each distinct table row is written once."""
+        _LINES items; below n = 16 no document is built, and each distinct table row is
+        written once by its base-n code, which from n = 16 would overflow int64."""
         n, k, kind = self.n, len(self), self._kind
+        if n ** n > np.iinfo(np.int64).max:
+            for lo in range(0, k, _LINES):
+                yield "".join(json.dumps(a.to_document()) + "\n" for a in self[lo:lo + _LINES])
+            return
         tables = {name: np.broadcast_to(t, (k,) + (n,) * kind.arity(name))
                   for name in kind.tables if (t := getattr(self, name)) is not None}
         fields = ['"name": %s', f'"size": {n}'] + [
@@ -627,13 +632,13 @@ _add, _mul, _inv = _op("add"), _op("mul"), _op("inv")
 
 @dataclass(frozen=True, eq=False)
 class Clause:
-    """An equational clause: each part lhs = rhs must hold wherever its guard holds.
+    """An equational clause: each part lhs = rhs must hold wherever all its guards hold.
 
-    parts holds (lhs, rhs, guard) triples, guard being None or an equation
-    (lhs, rhs), as in "x≤y ⇒ …".  render holds one str.format template per
-    part, filled with the labels of the variables ({x}), of the constants
-    ({zero}), of the failing part's sides ({lhs}, {rhs}) and of every
-    part's sides ({lhs0}, {rhs1}, …).
+    parts holds (lhs, rhs, guards) triples, guards being a tuple of equations
+    (lhs, rhs) that must all hold, as in "x≤z ∧ y≤z ⇒ …".  render holds one
+    str.format template per part, filled with the labels of the variables
+    ({x}), of the constants ({zero}), of the failing part's sides ({lhs},
+    {rhs}) and of every part's sides ({lhs0}, {rhs1}, …).
     """
     name: str
     variables: tuple
@@ -642,8 +647,8 @@ class Clause:
 
 
 def clause(name: str, variables, *parts, render) -> Clause:
-    """A Clause from (lhs, rhs) or (lhs, rhs, guard) parts; one str render serves all parts."""
-    parts = tuple(p if len(p) == 3 else (*p, None) for p in parts)
+    """A Clause from (lhs, rhs, *guards) parts; one str render serves all parts."""
+    parts = tuple((lhs, rhs, tuple(guards)) for lhs, rhs, *guards in parts)
     if isinstance(render, str):
         render = (render,) * len(parts)
     return Clause(name, tuple(variables), parts, tuple(render))
@@ -740,8 +745,8 @@ class ClauseSet:
 
         for c in self.clauses:
             self._parts.append(tuple(
-                (slot(lhs), slot(rhs), guard and (slot(guard[0]), slot(guard[1])))
-                for lhs, rhs, guard in c.parts))
+                (slot(lhs), slot(rhs), tuple((slot(a), slot(b)) for a, b in guards))
+                for lhs, rhs, guards in c.parts))
         self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
         # each table read, with its arity: a table with one axis more is a stack
         self._tables = tuple({head: len(args) for head, args, _view in self._nodes
@@ -825,12 +830,12 @@ class ClauseSet:
             out = np.zeros(count, dtype=bool) if mask else [{} for _ in range(count)]
             for c, parts in zip(self.clauses, self._parts):
                 bad = None              # the mask of the clause's failing instances
-                for lhs, rhs, guard in parts:
+                for lhs, rhs, guards in parts:
                     fails = vals[lhs] != vals[rhs]
-                    if guard:
-                        fails = fails & (vals[guard[0]] == vals[guard[1]])
+                    for a, b in guards:
+                        fails = fails & (vals[a] == vals[b])
                     if sentinel:
-                        for side in (lhs, rhs) + (guard or ()):
+                        for side in (lhs, rhs) + sum(guards, ()):
                             fails = fails & (vals[side] != n)
                     bad = fails if bad is None else bad | fails
                 if not np.count_nonzero(bad):
@@ -909,17 +914,17 @@ def _render(c: Clause, parts, vals, point, values, ops, labels, unfilled) -> str
 
     unfilled is the sentinel value of padded tables, or None.  The part
     rendered is the first that fails as violations counts it: its sides are
-    filled and differ, and its guard holds.  An unfilled side renders as "?".
+    filled and differ, and its guards hold.  An unfilled side renders as "?".
     """
     at = {s: int(_at(vals[s], point))
-          for lhs, rhs, guard in parts for s in (lhs, rhs) + (guard or ())}
-    j = next(j for j, (lhs, rhs, guard) in enumerate(parts)
-             if at[lhs] != at[rhs] and (not guard or at[guard[0]] == at[guard[1]])
-             and all(at[s] != unfilled for s in (lhs, rhs) + (guard or ())))
+          for lhs, rhs, guards in parts for s in (lhs, rhs) + sum(guards, ())}
+    j = next(j for j, (lhs, rhs, guards) in enumerate(parts)
+             if at[lhs] != at[rhs] and all(at[a] == at[b] for a, b in guards)
+             and all(at[s] != unfilled for s in (lhs, rhs) + sum(guards, ())))
     fields = {v: labels[x] for v, x in zip(c.variables, values)}
     fields.update((name, labels[value]) for name, value in ops.items()
                   if isinstance(value, (int, np.integer)))
-    for i, (lhs, rhs, _guard) in enumerate(parts):
+    for i, (lhs, rhs, _guards) in enumerate(parts):
         fields[f"lhs{i}"], fields[f"rhs{i}"] = (
             "?" if at[s] == unfilled else labels[at[s]] for s in (lhs, rhs))
     return c.render[j].format(lhs=fields[f"lhs{j}"], rhs=fields[f"rhs{j}"], **fields)

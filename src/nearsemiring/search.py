@@ -185,16 +185,18 @@ def _reaching(add: np.ndarray, target: np.ndarray) -> tuple:
     return np.concatenate([p for p, _q in kept]), np.concatenate([q for _p, q in kept])
 
 
+def _void_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row (last axis) of a uint8 array as one np.void; byte order is row order."""
+    return np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[-1])))[..., 0]
+
+
 def _least_rows(keys: np.ndarray) -> np.ndarray:
-    """The lexicographically least row of each (c, L) block of a (k, c, L) array."""
+    """The lexicographically least row of each (c, L) block of a (k, c, L) uint8 array."""
     k, c, width = keys.shape
     if c == 1:
         return keys[:, 0]
-    rows = keys.reshape(k * c, width)
-    order = np.lexsort(rows.T[::-1])
-    # each block's first row in the overall order is its least
-    first = np.unique(order // c, return_index=True)[1]
-    return rows[order[first]]
+    least = np.sort(_void_rows(keys), axis=1)[:, 0]
+    return np.ascontiguousarray(least).view(np.uint8).reshape(k, width)
 
 
 def _least_forms(tables, perms) -> np.ndarray:
@@ -261,7 +263,7 @@ def canonical_form(algebra):
 
 def _unique_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of a uint8 array, in ascending order (byte order is row order)."""
-    void = np.sort(np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel())
+    void = np.sort(_void_rows(rows))
     first = np.ones(len(void), dtype=bool)      # not a plain np.unique, which imports numpy.ma
     first[1:] = void[1:] != void[:-1]
     return void[first].view(np.uint8).reshape(-1, rows.shape[1])

@@ -13,8 +13,8 @@ import numpy as np
 
 from .core import (
     _AXIOMS, IDENTITIES, ONE, ZERO, AlgebraError, CheckReport, ClauseResult, ClauseSet,
-    FiniteNearSemiring, PreconditionError, PropertyReport, Violation, X, Y, Z, _Kind,
-    _Structure, _add, _constant, _constants, _first_true, _in_universe, _inv, _labels, _mul,
+    FiniteNearSemiring, PreconditionError, PropertyReport, X, Y, Z, _Kind,
+    _Structure, _add, _constant, _constants, _in_universe, _inv, _labels, _mul,
     _needs_inv, _op, _square_table, _unary_table, check_axioms, clause, clause_results,
     find_violations, kept, relabel_table, require,
 )
@@ -222,75 +222,70 @@ def require_orthomodular(algebra: FiniteNearSemiring, context: str = "") -> Chec
 
 
 _oplus, _neg = _op("oplus"), _op("neg")
+
+
+def _leq(x, y):
+    """The induced order x ≤ y, as the equation x'⊕y = 1."""
+    return _oplus(_neg(x), y), ONE
+
+
+def _join_term(x, y):
+    """The join term (x'⊕y)'⊕y."""
+    return _oplus(_neg(_oplus(_neg(x), y)), y)
+
+
+def _least_bound(b, leq):
+    """The parts of "b bounds x and y under leq, and lies below every bound z of them"."""
+    return leq(X, b), leq(Y, b), (*leq(b, Z), leq(X, Z), leq(Y, Z))
+
+
 _BASIC = ClauseSet([
     clause("BA1", "x", (_oplus(X, ZERO), X), render="{x}⊕{zero}={lhs}"),
     clause("BA2", "x", (_neg(_neg(X)), X), render="{x}''={lhs}"),
-    clause("BA3", "xy", (_oplus(_neg(_oplus(_neg(X), Y)), Y), _oplus(_neg(_oplus(_neg(Y), X)), X)),
+    clause("BA3", "xy", (_join_term(X, Y), _join_term(Y, X)),
            render="({x}'⊕{y})'⊕{y}≠({y}'⊕{x})'⊕{x}"),
     clause("BA4", "xyz",
            (_oplus(_neg(_oplus(_neg(_oplus(_neg(_oplus(X, Y)), Y)), Z)), _oplus(X, Z)), ONE),
            render="((({x}⊕{y})'⊕{y})'⊕{z})'⊕({x}⊕{z})≠{one}"),
     # the induced order x ≤ y iff x'⊕y = 1 and its join term (x'⊕y)'⊕y
-    clause("order-bounds", "x", (_oplus(_neg(ZERO), X), ONE), (_oplus(_neg(X), ONE), ONE),
+    clause("order-bounds", "x", _leq(ZERO, X), _leq(X, ONE),
            render="{zero},{one} are not bottom/top at {x}"),
-    clause("order-join-consistent", "xy",
-           (_oplus(_neg(_oplus(_neg(X), Y)), Y), Y, (_oplus(_neg(X), Y), ONE)),
-           (_oplus(_neg(X), Y), ONE, (_oplus(_neg(_oplus(_neg(X), Y)), Y), Y)),
+    clause("order-join-consistent", "xy", (_join_term(X, Y), Y, _leq(X, Y)),
+           (*_leq(X, Y), (_join_term(X, Y), Y)),
            render="join term and relation disagree at ({x},{y})"),
+    clause("order-reflexive", "xy", (*_leq(X, Y), (X, Y)),
+           render="relation x'⊕y=1 is not reflexive at {x}"),
+    clause("order-antisymmetric", "xy", (X, Y, _leq(X, Y), _leq(Y, X)),
+           render="relation x'⊕y=1 is not antisymmetric"),
+    # named x, z, y, so that the least witness has the least pair (x, z)
+    clause("order-transitive", "xzy", (*_leq(X, Y), _leq(X, Z), _leq(Z, Y)),
+           render="relation x'⊕y=1 is not transitive"),
+    clause("order-join-lub", "xyz", *_least_bound(_join_term(X, Y), _leq),
+           render="({x}'⊕{y})'⊕{y} is not the lub"),
+    # the de Morgan meet (x'∨y')', as the least bound under the reversed order
+    clause("order-meet-glb", "xyz",
+           *_least_bound(_neg(_join_term(_neg(X), _neg(Y))), lambda x, y: _leq(y, x)),
+           render="de Morgan meet is not the glb"),
 ])
 
 
 @kept
 def check_basic_algebra(basic: BasicAlgebra) -> CheckReport:
-    """Check the four basic-algebra axioms and the induced bounded-lattice order.
+    """Check the four basic-algebra axioms and the induced bounded-lattice order, as clauses.
 
-    Sets an 'mv' tag when ⊕ is associative.  The induced order x ≤ y iff
-    x'⊕y = 1 is rebuilt from the join term (x'⊕y)'⊕y and the two relations
-    are compared, rather than trusting either construction.
+    Sets an 'mv' tag when ⊕ is associative.  The order x ≤ y iff x'⊕y = 1 is
+    compared with the join term (x'⊕y)'⊕y, rather than trusting either; its
+    order-partial-order is the first failing of reflexivity, antisymmetry and
+    transitivity.  An order clause's third variable is bound: it reports a pair.
     """
-    op, neg, n = basic.oplus, basic.neg, basic.n
-    one, l = basic.one, basic.label
-    violations = list(find_violations(basic, _BASIC).values())
-
-    # induced order: x <= y iff x'⊕y = 1; join term (x'⊕y)'⊕y
-    rel = op[neg, :] == one                      # rel[x, y] = (x'⊕y == 1)
-    jt = op[neg[op[neg, :]], np.broadcast_to(np.arange(n), (n, n))]
-    irreflexive = _first_true(~rel.diagonal())
-    if irreflexive is not None:
-        x, = irreflexive
-        violations.append(Violation("order-partial-order", (x, x),
-                                    f"relation x'⊕y=1 is not reflexive at {l(x)}"))
-    elif (w := _first_true(rel & rel.T & ~np.eye(n, dtype=bool))) is not None:
-        violations.append(Violation("order-partial-order", w,
-                                    "relation x'⊕y=1 is not antisymmetric"))
-    elif (w := _first_true((rel @ rel) & ~rel)) is not None:
-        violations.append(Violation("order-partial-order", w,
-                                    "relation x'⊕y=1 is not transitive"))
-    bad = _first_non_lub(rel, jt)
-    if bad is not None:
-        violations.append(Violation("order-join-lub", bad,
-                                    f"({l(bad[0])}'⊕{l(bad[1])})'⊕{l(bad[1])} is not the lub"))
-    # de Morgan meet (x'∨y')' checked as the lub of the reversed relation
-    bad = _first_non_lub(rel.T, relabel_table(jt, neg, neg))
-    if bad is not None:
-        violations.append(Violation("order-meet-glb", bad,
-                                    "de Morgan meet is not the glb"))
-
-    mv = bool(np.array_equal(op[op, :], op[:, op]))
-    return CheckReport.of(basic.name, "basic-algebra", violations, tags=(("mv", mv),))
-
-
-def _first_non_lub(rel: np.ndarray, b: np.ndarray):
-    """The first (x, y), in product order, where b[x, y] is not an upper bound of x
-    and y lying below every upper bound of them under rel; None if there is none.
-
-    rel need not be antisymmetric, so b is tested against the bounds rather
-    than compared with a computed lub.
-    """
-    n = len(rel)
-    x, y = np.ogrid[:n, :n]
-    upper = rel[:, None, :] & rel[None, :, :]                        # upper[x, y, z]
-    return _first_true(~(rel[x, b] & rel[y, b]) | np.any(upper & ~rel[b], axis=-1))
+    found = {name: replace(v, witness=v.witness[:2]) if name.startswith("order-") else v
+             for name, v in find_violations(basic, _BASIC).items()}
+    order = [found.pop(name) for name in ("order-reflexive", "order-antisymmetric",
+                                          "order-transitive") if name in found]
+    if order:
+        found["order-partial-order"] = replace(order[0], clause="order-partial-order")
+    mv = bool(np.array_equal(basic.oplus[basic.oplus, :], basic.oplus[:, basic.oplus]))
+    return CheckReport.of(basic.name, "basic-algebra", found.values(), tags=(("mv", mv),))
 
 
 def require_basic(basic: BasicAlgebra, context: str = "") -> CheckReport:
@@ -352,6 +347,11 @@ _COMMUTES = ClauseSet([
            render="{a}≤{b} but not {a}C{b}"),
     clause("commute-with-complement", "ab", (_commutator(X, _ortho(Y)), X, (_commutator(X, Y), X)),
            render="{a}C{b} but not {a}C{b}'"),
+    clause("restricted-distributivity", "abc",
+           *((lhs, rhs, (_commutator(X, Z), X), (_commutator(Y, Z), Y)) for lhs, rhs in (
+               (_meet(_join(X, Y), Z), _join(_meet(X, Z), _meet(Y, Z))),
+               (_join(_meet(X, Y), Z), _meet(_join(X, Z), _join(Y, Z))))),
+           render="distributivity fails at ({a},{b},{c})"),
 ])
 
 
@@ -360,18 +360,15 @@ def oml_commutes_suite(lattice: OrthoLattice) -> PropertyReport:
 
     Checks symmetry of C, that comparability forces commutation, stability
     of C under complementation, and distributivity restricted to triples
-    where two of the elements commute with the third.
+    where two of the elements commute with the third, each a clause of
+    _COMMUTES.  Restricted distributivity, when it holds, reports how many
+    commuting triples it checked.
     """
     require_oml(lattice, "commutation suite")
-    jn, mt, oc, n, l = lattice.join, lattice.meet, lattice.ortho, lattice.n, lattice.label
     clauses = clause_results(_COMMUTES, find_violations(lattice, _COMMUTES))
-    commutes = jn[mt, mt[:, oc]] == np.arange(n)[:, None]          # commutes[a, b]: aCb
-    a, b, c = np.ogrid[:n, :n, :n]
-    wanted = commutes[a, c] & commutes[b, c]
-    bad = wanted & ((mt[jn[a, b], c] != jn[mt[a, c], mt[b, c]])
-                    | (jn[mt[a, b], c] != mt[jn[a, c], jn[b, c]]))
-    w = _first_true(bad)
-    detail = f"checked {np.count_nonzero(wanted)} commuting triples" if w is None \
-        else "distributivity fails at ({},{},{})".format(*map(l, w))
-    clauses.append(ClauseResult("restricted-distributivity", w is None, w, detail))
+    if clauses[-1].passed:
+        jn, mt = lattice.join, lattice.meet
+        commutes = jn[mt, mt[:, lattice.ortho]] == np.arange(lattice.n)[:, None]  # [a, c]: aCc
+        clauses[-1] = replace(clauses[-1], detail="checked {} commuting triples".format(
+            int(np.sum(np.count_nonzero(commutes, axis=0) ** 2))))
     return PropertyReport(lattice.name, "oml-commutation", tuple(clauses))

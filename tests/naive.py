@@ -406,11 +406,40 @@ def first_non_glb(rel, jt, neg):
     return None
 
 
+def basic_axiom_failures(oplus, neg, zero, labels):
+    """(witness, text) by clause for the failing basic-algebra axioms BA1-BA4, each at its
+    first instance in product order."""
+    n, one, l = len(oplus), neg[zero], labels
+
+    def join(x, y):
+        return oplus[neg[oplus[neg[x]][y]]][y]
+
+    def ba4(x, y, z):
+        return oplus[neg[oplus[neg[oplus[neg[oplus[x][y]]][y]]][z]]][oplus[x][z]]
+
+    checks = (
+        ("BA1", 1, lambda x: oplus[x][zero] != x,
+         lambda x: f"{l[x]}⊕{l[zero]}={l[oplus[x][zero]]}"),
+        ("BA2", 1, lambda x: neg[neg[x]] != x, lambda x: f"{l[x]}''={l[neg[neg[x]]]}"),
+        ("BA3", 2, lambda x, y: join(x, y) != join(y, x),
+         lambda x, y: f"({l[x]}'⊕{l[y]})'⊕{l[y]}≠({l[y]}'⊕{l[x]})'⊕{l[x]}"),
+        ("BA4", 3, lambda x, y, z: ba4(x, y, z) != one,
+         lambda x, y, z: f"((({l[x]}⊕{l[y]})'⊕{l[y]})'⊕{l[z]})'⊕({l[x]}⊕{l[z]})≠{l[one]}"))
+    found = {}
+    for name, arity, fails, text in checks:
+        w = next((w for w in product(range(n), repeat=arity) if fails(*w)), None)
+        if w is not None:
+            found[name] = (w, text(*w))
+    return found
+
+
 def basic_order_failures(oplus, neg, zero, labels):
     """(witness, text) by clause for the order checks of a basic algebra, x ≤ y iff x'⊕y = 1:
-    order-partial-order, order-bounds and order-join-consistent, each found by a loop."""
+    order-partial-order, order-bounds, order-join-consistent, order-join-lub and
+    order-meet-glb, each found by a loop."""
     n, one = len(oplus), neg[zero]
     rel = [[oplus[neg[x]][y] == one for y in range(n)] for x in range(n)]
+    jt = [[oplus[neg[oplus[neg[x]][y]]][y] for y in range(n)] for x in range(n)]
     pairs = list(product(range(n), repeat=2))
     irreflexive = [(x, x) for x in range(n) if not rel[x][x]]
     antisymmetric = [(x, y) for x, y in pairs if x != y and rel[x][y] and rel[y][x]]
@@ -435,6 +464,11 @@ def basic_order_failures(oplus, neg, zero, labels):
             found["order-join-consistent"] = (
                 (x, y), f"join term and relation disagree at ({labels[x]},{labels[y]})")
             break
+    if (w := first_non_lub(rel, jt)) is not None:
+        found["order-join-lub"] = (
+            w, f"({labels[w[0]]}'⊕{labels[w[1]]})'⊕{labels[w[1]]} is not the lub")
+    if (w := first_non_glb(rel, jt, neg)) is not None:
+        found["order-meet-glb"] = (w, "de Morgan meet is not the glb")
     return found
 
 
@@ -514,8 +548,8 @@ def table_mismatches(pairs, verbose):
 
 def first_violation(identity, add, mul, inv, filled, n, pinned=None, carrier=None,
                     constants=None, labels=None):
-    """The first instance in product order where a part's sides differ while its guard
-    holds, skipping instances that read an unfilled cell, as a Violation; None if none.
+    """The first instance in product order where a part's sides differ while its guards
+    hold, skipping instances that read an unfilled cell, as a Violation; None if none.
 
     Variables range over the carrier (range(n) by default); pinned ones are
     held and left out of the witness.  constants maps names to elements, by
@@ -544,13 +578,13 @@ def first_violation(identity, add, mul, inv, filled, n, pinned=None, carrier=Non
     for witness in product(range(n) if carrier is None else carrier, repeat=len(free)):
         at = dict(zip(free, witness)) | pinned
         point = [at[v] for v in identity.variables]
-        for j, (lhs, rhs, guard) in enumerate(identity.parts):
-            sides = [value(t, point) for t in (lhs, rhs) + (guard or ())]
-            if None not in sides and sides[0] != sides[1] and (not guard or sides[2] == sides[3]):
+        for j, (lhs, rhs, guards) in enumerate(identity.parts):
+            sides = [value(t, point) for t in (lhs, rhs) + sum(guards, ())]
+            if None not in sides and sides[0] != sides[1] and sides[2::2] == sides[3::2]:
                 if labels is None:
                     return Violation(identity.name, witness, None)
                 fields = {v: labels[x] for v, x in (at | constants).items()}
-                for i, (left, right, _guard) in enumerate(identity.parts):
+                for i, (left, right, _guards) in enumerate(identity.parts):
                     fields[f"lhs{i}"], fields[f"rhs{i}"] = (
                         "?" if x is None else labels[x] for x in (value(left, point),
                                                                   value(right, point)))
@@ -566,8 +600,8 @@ def constant_first(c):
         if t[0] == "var":
             return (c.variables[0],) if t[1] == 0 else ("var", t[1] - 1)
         return (t[0], *map(term, t[1:]))
-    parts = tuple((term(lhs), term(rhs), guard and (term(guard[0]), term(guard[1])))
-                  for lhs, rhs, guard in c.parts)
+    parts = tuple((term(lhs), term(rhs), tuple((term(a), term(b)) for a, b in guards))
+                  for lhs, rhs, guards in c.parts)
     return Clause(c.name, c.variables[1:], parts, c.render)
 
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import naive
 import nearsemiring as nsr
-from nearsemiring import core, transforms, varieties
-from nearsemiring.congruences import _regularity_failure
+from nearsemiring import congruences, core, transforms
 
 
 def _pairs(n):
@@ -91,22 +90,6 @@ def test_induced_order_matches_loops(data):
         assert report.top == (tops[0] if len(tops) == 1 else None)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_first_non_lub_matches_loop(data):
-    rel = data.draw(relations())
-    n = len(rel)
-    b = data.draw(tables(n))
-    if data.draw(st.booleans()):
-        # the loop's own least upper bound wherever there is one
-        lists = rel.tolist()
-        for x, y in _pairs(n):
-            j = naive.bound(lists, x, y, True)
-            if j is not None:
-                b[x, y] = j
-    assert varieties._first_non_lub(rel, b) == naive.first_non_lub(rel.tolist(), b.tolist())
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_basic_algebra_order_witnesses_match_loops(data):
@@ -129,15 +112,11 @@ def test_basic_algebra_order_witnesses_match_loops(data):
     oplus = oplus.tolist()
     labels = tuple(f"<{x}>" for x in range(n))
     basic = nsr.BasicAlgebra(oplus, neg, zero, labels=labels)
-    rel = [[oplus[neg[x]][y] == one for y in range(n)] for x in range(n)]
-    jt = [[oplus[neg[oplus[neg[x]][y]]][y] for y in range(n)] for x in range(n)]
-    violations = nsr.check_basic_algebra(basic).violations
-    found = {v.clause: v.witness for v in violations}
-    assert found.get("order-join-lub") == naive.first_non_lub(rel, jt)
-    assert found.get("order-meet-glb") == naive.first_non_glb(rel, jt, neg)
-    loops = naive.basic_order_failures(oplus, neg, zero, labels)
-    assert {v.clause: (v.witness, v.equation) for v in violations if v.clause in (
-        "order-partial-order", "order-bounds", "order-join-consistent")} == loops
+    report = nsr.check_basic_algebra(basic)
+    loops = (naive.basic_axiom_failures(oplus, neg, zero, labels)
+             | naive.basic_order_failures(oplus, neg, zero, labels))
+    assert {v.clause: (v.witness, v.equation) for v in report.violations} == loops
+    assert report.passed == (not loops)
 
 
 @settings(max_examples=100, deadline=None)
@@ -146,9 +125,25 @@ def test_regularity_failure_matches_loop(data):
     n = data.draw(st.integers(1, 6))
     add, mul = data.draw(tables(n)), data.draw(tables(n))
     inv = data.draw(st.permutations(range(n)))
-    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n >= 2 else 0, inv=inv)
-    assert _regularity_failure(algebra) == naive.regularity_failure(
-        add.tolist(), mul.tolist(), inv)
+    if data.draw(st.booleans()):
+        # α an involution, 0 neutral for +, α(0) a left unit for · and x·α(x) = 0: every
+        # instance with x = y holds, so only x ≠ y that both terms fix can fail
+        inv = list(range(n))
+        for a, b in zip(*[iter(data.draw(st.permutations(range(n))))] * 2):
+            inv[a], inv[b] = b, a
+        add[0] = mul[inv[0]] = np.arange(n)
+        mul[np.arange(n), inv] = 0
+    labels = tuple(f"<{x}>" for x in range(n))
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n >= 2 else 0, inv=inv, labels=labels)
+    found = core.find_violations(algebra, congruences._WITNESS_TERMS)
+    bad = naive.regularity_failure(add.tolist(), mul.tolist(), inv)
+    assert ("regularity-biconditional" not in found) == (bad is None)
+    if bad is not None:
+        v = found["regularity-biconditional"]
+        t1, t2 = congruences.regularity_terms(algebra, *bad)
+        x, y, z = (labels[e] for e in bad)
+        assert (v.witness, v.equation) == (
+            bad, f"t1={labels[t1]}, t2={labels[t2]}, z={z} with x={x}, y={y}")
 
 
 @settings(max_examples=100, deadline=None)

@@ -87,6 +87,14 @@ def test_no_package_code_calls_the_table_stack_class():
         core.TableStack(mv3.add, np.stack([mv3.mul] * 2), mv3.zero, mv3.one)
 
 
+def test_only_two_checks_search_a_first_failure_by_hand():
+    """core._first_true, the hand-written search for a first failing point, serves only
+    the two checks that are no equation; every equational check is a clause."""
+    calls = {(module, function) for module, found in _constructor_calls({"_first_true"}).items()
+             for _cls, function, _line in found}
+    assert calls == {("center", "_subalgebra"), ("congruences", "_first_non_permuting")}
+
+
 def test_no_table_validator_reads_stacks():
     for name in ("_square_table", "_binary_table", "_unary_table"):
         assert "stack" not in inspect.signature(getattr(core, name)).parameters, name

@@ -168,6 +168,21 @@ def test_table_stack_take_and_algebra():
         assert "".join(s.json_lines()).splitlines() == [json.dumps(a.to_document()) for a in s]
 
 
+@pytest.mark.parametrize("name", ["BOOL4xBOOL4", "MV3xMV3xBOOL2", "BOOL2xBOOL4xBOOL4"])
+def test_json_lines_of_stacks_past_fifteen_elements_equal_per_item_documents(name, monkeypatch):
+    """n = 16, 18 and 32, where base-n row codes would overflow int64."""
+    rng = np.random.default_rng(18)
+    a = nsr.fixtures.fixture(name)
+    middle = [x for x in range(a.n) if x not in (a.zero, a.one)]
+    perms = [np.arange(a.n) for _ in range(5)]
+    for perm in perms[1:]:
+        perm[middle] = rng.permutation(middle)
+    stack = TableStack.of([a.relabel(p) for p in perms])
+    monkeypatch.setattr(core, "_LINES", 2)          # chunks of two items and a last of one
+    assert "".join(stack.json_lines()).splitlines() == [
+        json.dumps(item.to_document()) for item in stack]
+
+
 GOOD = np.zeros((3, 3), dtype=int)
 
 

@@ -221,7 +221,7 @@ def _commutation_matches_loops(lat):
     found = core.find_violations(lat, varieties._COMMUTES)
     assert [(c.name, c.name not in found, found[c.name].witness if c.name in found else None,
              found[c.name].equation if c.name in found else "")
-            for c in varieties._COMMUTES.clauses] == loops[:3]
+            for c in varieties._COMMUTES.clauses[:3]] == loops[:3]
     with mock.patch.object(varieties, "require_oml", lambda *args: None):
         report = varieties.oml_commutes_suite(lat)
     assert [(r.clause, r.passed, r.counterexample, r.detail) for r in report.clauses] == loops
