@@ -419,7 +419,10 @@ class TableStack(_Declared, Sequence):
 
     def take(self, index) -> "TableStack":
         """The stack of the slices an index array or boolean mask picks, in its order."""
-        return self._built(self._fields(np.asarray(index)), self.name, None)
+        index = np.asarray(index)
+        if not index.size and index.dtype == float:     # np.asarray([]) is float64
+            index = index.astype(np.intp)
+        return self._built(self._fields(index), self.name, None)
 
     def algebra(self, i: int, name=None) -> FiniteNearSemiring:
         """Slice i as an algebra named name, by default name.format(i); its tables are

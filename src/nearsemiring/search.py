@@ -2,10 +2,11 @@
 
 Models have the constants at zero=0, one=1, and each is emitted once, as its
 canonical form: the least concatenation of the sum, product and involution
-tables over the carrier permutations fixing the constants.  That starts with
-the least relabelling of the sum table, so it is taken over the permutations
-reaching that relabelling only.  Past 10! permutations (n >= 13) a size is
-refused before any table is grown.
+tables over the carrier permutations fixing the constants.  Those stream in
+stacks of at most 7! rows, and one pass over them gives the least relabelling
+of the sum table with the permutations reaching it, the only ones then tried
+on the other tables; a root's are its automorphisms.  Past 10! permutations
+(n >= 13) a size is refused before any table is grown.
 
 The search grows stacks of partial tables, padded with the sentinel n
 (unfilled), breadth first; each step is one stacked mask-only engine call
@@ -145,44 +146,27 @@ MAX_RELABELLINGS = math.factorial(10)
 
 
 @functools.lru_cache(maxsize=None)
-def _single_block(n: int) -> tuple:
-    p = np.array([(*range(min(n, 2)), *tail) for tail in permutations(range(2, n))])
-    q = np.argsort(p, axis=1)
-    p.setflags(write=False)
-    q.setflags(write=False)
-    return ((p, q),)
+def _arrangements(n: int, m: int) -> tuple:
+    """Stacks of permutations of range(n), with their inverses: the m! moving only the last
+    m points, and per head (an arrangement of all but m middle elements) 0, 1, head, rest."""
+    p = np.array([(*range(n - m), *tail) for tail in permutations(range(n - m, n))])
+    middle = range(2, n)
+    orders = np.array([(*range(min(n, 2)), *head, *(x for x in middle if x not in head))
+                       for head in permutations(middle, len(middle) - m)])
+    return p, np.argsort(p, axis=1), orders, np.argsort(orders, axis=1)
 
 
 def _middle_perms(n: int):
-    """Every permutation p of range(n) fixing 0 and 1, with its inverse q, as (p, q) stacks.
-
-    n <= 9 gives one cached stack; a larger n gives stacks of 7! rows, one at a time,
-    each fixing the images of the first middle elements.
-    """
+    """Every permutation p of range(n) fixing 0 and 1, with its inverse q, as (p, q) stacks:
+    one per arrangement of all but the last _BLOCK middle elements (one for n <= _BLOCK + 2),
+    streamed.  A size past 10! relabellings is refused at the call."""
     count = math.factorial(max(n - 2, 0))
     if count > MAX_RELABELLINGS:
         raise AlgebraError(
             f"size {n} needs (n-2)! = {count:,} relabellings, "
             f"more than the limit of 10! = {MAX_RELABELLINGS:,}")
-    if n - 2 <= _BLOCK:
-        return _single_block(n)
-    return _blocks(n)
-
-
-def _blocks(n: int):
-    tails = _single_block(2 + _BLOCK)[0][0][:, 2:] - 2    # the 7! permutations of range(7)
-    for head in permutations(range(2, n), n - 2 - _BLOCK):
-        rest = np.array([x for x in range(2, n) if x not in head])
-        p = np.hstack([np.tile((0, 1, *head), (len(tails), 1)), rest[tails]])
-        yield p, np.argsort(p, axis=1)
-
-
-def _reaching(add: np.ndarray, target: np.ndarray) -> tuple:
-    """The permutations fixing 0 and 1 that relabel a sum table into target, as one (p, q)
-    stack in ascending order: with the table itself as target, its automorphisms."""
-    kept = [(p[m], q[m]) for p, q in _middle_perms(add.shape[0])
-            for m in [(relabel_table(add, p, q) == target).all(axis=(1, 2))] if m.any()]
-    return np.concatenate([p for p, _q in kept]), np.concatenate([q for _p, q in kept])
+    p, q, orders, inverses = _arrangements(n, min(max(n - 2, 0), _BLOCK))
+    return ((order[p], q[:, inverse]) for order, inverse in zip(orders, inverses))
 
 
 def _void_rows(rows: np.ndarray) -> np.ndarray:
@@ -219,15 +203,28 @@ def _least_forms(tables, perms) -> np.ndarray:
     return least
 
 
+def _least_relabelling(add: np.ndarray) -> tuple:
+    """A sum table's least relabelling, n * n uint8 values, and the permutations reaching it
+    as one (p, q) stack: its automorphisms, if it is its own least relabelling.  One pass
+    over _middle_perms keeps each stack's least rows while they tie the least so far."""
+    least, kept = None, []
+    for p, q in _middle_perms(add.shape[0]):
+        rows = _void_rows(relabel_table(add, p.astype(np.uint8), q).reshape(len(p), -1))
+        row = np.sort(rows)[0]
+        if least is None or row.tobytes() < least:
+            least, kept = row.tobytes(), []
+        if row.tobytes() == least:
+            kept.append((p[rows == row], q[rows == row]))
+    return (np.frombuffer(least, np.uint8), *map(np.concatenate, zip(*kept)))
+
+
 def _canonical_keys(add, mul, inv) -> np.ndarray:
     """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
     involutions, constants at 0 and 1, as (k, width) uint8 rows: the least concatenation
-    starts with the least relabelling of the sum table, so only the permutations reaching
-    that are tried."""
-    n = add.shape[0]
-    least = _least_forms([add[None]], _middle_perms(n))
-    rows = _least_forms([mul] if inv is None else [mul, inv], [_reaching(add, least.reshape(n, n))])
-    head = np.append(np.uint8([n, inv is not None]), least)
+    starts with the sum table's least relabelling: only the permutations reaching it count."""
+    least, p, q = _least_relabelling(add)
+    rows = _least_forms([mul] if inv is None else [mul, inv], [(p, q)])
+    head = np.append(np.uint8([add.shape[0], inv is not None]), least)
     return np.hstack([np.broadcast_to(head, (len(rows), len(head))), rows])
 
 
@@ -390,8 +387,9 @@ def _involutions(n: int) -> np.ndarray:
 def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
     """Period-two permutations, antitone when an involutive profile demands it.
 
-    One per orbit of the sum table's automorphisms, each the least of its
-    orbit, in ascending order.
+    One per orbit of the sum table's automorphisms, each the least of its orbit, in
+    ascending order.  When there is a candidate, the sum table must be its own least
+    relabelling, as every root is, so that the permutations reaching it are its automorphisms.
     """
     n = add.shape[0]
     invs = _involutions(n)
@@ -400,8 +398,10 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
             {"add": add, "inv": invs}, n, mask=True)]
     if not len(invs):
         return []
-    p, q = _reaching(add, add)
-    return list(_unique_rows(_least_rows(relabel_table(invs, p.astype(np.uint8), q, 1))))
+    least, p, q = _least_relabelling(add)
+    if not np.array_equal(least, add.ravel()):
+        raise AlgebraError("the sum table is not its own least relabelling")
+    return list(_unique_rows(_least_forms([invs], [(p, q)])))
 
 
 # right-distributivity at a column c: x -> x.z, read as a unary table

@@ -355,8 +355,8 @@ def test_canonical_form_and_relabel_match_plain_lists(algebra, data):
     assert (got.zero, got.one) == (perm[algebra.zero], perm[algebra.one])
 
 
-# with search._BLOCK at 2, sizes from 5 on take the relabellings as streamed blocks of 2! rows,
-# the path that sizes from 10 on take with the real 7! blocks
+# with search._BLOCK at 2, sizes from 5 on stream the relabellings as several stacks of 2! rows,
+# as sizes from 10 on do with stacks of 7! rows
 
 
 def test_middle_perms_in_blocks_yield_each_permutation_once(monkeypatch):
@@ -383,12 +383,67 @@ def test_canonical_form_in_blocks_matches_plain_lists(algebra):
 def test_enumeration_in_blocks_matches(monkeypatch):
     constraint = nsr.parse_constraint("involutive-integral")
     want = nsr.enumerate_models(5, constraint).models
-    streamed, blocks = [], search._blocks
+    streamed, perms = [], search._middle_perms
     monkeypatch.setattr(search, "_BLOCK", 2)
-    monkeypatch.setattr(search, "_blocks", lambda n: streamed.append(n) or blocks(n))
+    monkeypatch.setattr(search, "_middle_perms", lambda n: (
+        streamed.append(len(p)) or (p, q) for p, q in perms(n)))
     got = nsr.enumerate_models(5, constraint).models
-    assert streamed and len(got) == len(want) == 980
+    assert len(streamed) > 1 and set(streamed) == {2} and len(got) == len(want) == 980
     assert all(np.array_equal(getattr(got, t), getattr(want, t)) for t in ("add", "mul", "inv"))
+
+
+@st.composite
+def sum_tables(draw, largest=7):
+    """Random (n, n) tables, or tables with many automorphisms: values 0 and 1 only, by the
+    classes of the row and column elements."""
+    n = draw(st.integers(1, largest))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * n,
+                                      max_size=n * n))).reshape(n, n)
+    classes = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    values = np.array(draw(st.lists(st.integers(0, min(n - 1, 1)), min_size=4, max_size=4)))
+    return values.reshape(2, 2)[classes[:, None], classes[None, :]]
+
+
+@settings(max_examples=120, deadline=None)
+@given(add=sum_tables(), block=st.sampled_from([7, 2]))
+def test_least_relabelling_matches_a_plain_scan(add, block):
+    n = len(add)
+    forms = {}
+    for tail in permutations(range(2, n)):
+        p = (*range(min(n, 2)), *tail)
+        q = [p.index(x) for x in range(n)]
+        form = tuple(p[add[q[x], q[y]]] for x in range(n) for y in range(n))
+        forms.setdefault(form, []).append(p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_BLOCK", block)
+        least, p, q = search._least_relabelling(add)
+    assert least.dtype == np.uint8 and tuple(least.tolist()) == min(forms)
+    assert sorted(map(tuple, p.tolist())) == sorted(forms[min(forms)])
+    assert (np.take_along_axis(p, q, 1) == np.arange(n)).all()
+
+
+def test_involution_candidates_refuse_a_sum_table_that_is_not_a_root():
+    constraint = nsr.parse_constraint("involutive-integral")
+    swap = np.array([0, 1, 3, 2])
+    roots = search._canonical_add_tables(4, constraint)
+    assert all(search._involution_candidates(root, constraint) for root in roots)
+    moved = [t for t in (core.relabel_table(r, swap, swap) for r in roots)
+             if not any(np.array_equal(t, r) for r in roots)]
+    assert moved
+    for table in moved:
+        with pytest.raises(nsr.AlgebraError, match="not its own least relabelling"):
+            search._involution_candidates(table, constraint)
+
+
+def test_canonical_form_at_size_ten_ignores_the_labelling():
+    """n = 10: the relabellings stream as 8 stacks of 7! rows."""
+    rng = np.random.default_rng(10)
+    add, mul = rng.integers(0, 10, (2, 10, 10))
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1)
+    key = canonical_form(algebra)
+    for _ in range(3):
+        assert canonical_form(algebra.relabel(rng.permutation(10))) == key
 
 
 def test_canonical_form_refuses_more_than_ten_factorial_relabellings():

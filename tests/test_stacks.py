@@ -166,6 +166,8 @@ def test_table_stack_take_and_algebra():
     assert named[1].name == 'θ"\\{1}'
     for s in (stack, picked, named):
         assert "".join(s.json_lines()).splitlines() == [json.dumps(a.to_document()) for a in s]
+    for index in ([], np.array([], dtype=int), np.zeros(2, dtype=bool)):     # empty picks
+        assert stack.take(index).mul.shape == (0, 3, 3) and list(stack.take(index)) == []
 
 
 @pytest.mark.parametrize("name", ["BOOL4xBOOL4", "MV3xMV3xBOOL2", "BOOL2xBOOL4xBOOL4"])
