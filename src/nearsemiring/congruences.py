@@ -10,9 +10,14 @@ member of its block.  A partition is compatible exactly when it relates the
 images of every pair (x, least member of x's block) under the one-variable
 translations t -> t+c, c+t, t·c, c·t and α(t); ``_translation_images`` lists
 them.  ``_coarsen`` merges the blocks of given pairs, so a principal
-congruence alternates the two until nothing changes (R. Freese, "Computing
-congruences efficiently", Algebra Universalis 59, 2008), and a join of two
-partitions is one coarsening.
+congruence alternates the two until nothing changes, each round on the least
+members the last one merged away (R. Freese, "Computing congruences
+efficiently", Algebra Universalis 59, 2008), and a join is one coarsening.
+
+Many closures run as one on disjoint copies of the algebra, element i·n + x
+standing for x in copy i: ``all_congruences`` closes its n(n-1)/2 principal
+congruences so, in chunks of at most _CLOSURE_CELLS table cells, and joins
+batches of pairs so.  One copy's table is the algebra's own.
 
 The lattice properties treat the congruence lattice as a finite lattice:
 the join and meet of each pair of members, k(k+1)/2 of each, are found once
@@ -29,7 +34,7 @@ import numpy as np
 from .core import (
     AlgebraError, ClauseResult, ClauseSet, FiniteNearSemiring, PropertyReport, X, Y, Z,
     WitnessTermReport, _add, _first_true, _in_universe, _inv, _mul, _needs_inv, clause,
-    clause_results, find_violations,
+    clause_results, find_violations, kept,
 )
 from .varieties import _join, _meet, require_lukasiewicz
 
@@ -102,59 +107,115 @@ def _least_members(part: Congruence) -> np.ndarray:
     return np.unique(b, return_index=True)[1][b]
 
 
-def _translation_images(algebra: FiniteNearSemiring, labels: np.ndarray) -> tuple:
-    """Images (u, v) of each pair (x, labels[x]) with x ≠ labels[x] under the one-variable
-    translations: each declared binary table on either side (t+c, c+t, t·c, c·t), then α(t)."""
-    x = np.flatnonzero(labels != np.arange(algebra.n))
-    y = labels[x]
+def _least_of(keys: np.ndarray) -> np.ndarray:
+    """Least-member rows of (k, n) key rows: x goes to the least z with x's key in its row."""
+    k, n = keys.shape
+    flat = (keys + (int(keys.max(initial=0)) + 1) * np.arange(k)[:, None]).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    return first[inverse].reshape(k, n) - n * np.arange(k)[:, None]
+
+
+def _congruences(least: np.ndarray) -> list:
+    """The congruences of (k, n) least-member rows: a block's id counts the least members
+    below its own."""
+    ids = np.cumsum(least == np.arange(least.shape[1]), axis=1) - 1
+    return [Congruence(tuple(row)) for row in ids[np.arange(len(least))[:, None], least].tolist()]
+
+
+@kept
+def _translations(algebra: FiniteNearSemiring, copies: int) -> np.ndarray:
+    """Row i·n + x: the images of x in copy i under every translation (t+c, c+t, t·c,
+    c·t, then α(t)), as elements of copy i."""
+    n = algebra.n
     tables = [t for name in algebra._kind.tables if (t := getattr(algebra, name)) is not None]
-    reads = [r for t in tables if t.ndim == 2 for r in (t, t.T)]
-    reads += [t for t in tables if t.ndim == 1]
-    return (np.concatenate([t[x].ravel() for t in reads]),
-            np.concatenate([t[y].ravel() for t in reads]))
+    one = np.hstack([r for t in tables for r in ((t, t.T) if t.ndim == 2 else (t[:, None],))])
+    out = (one + n * np.arange(copies)[:, None, None]).reshape(copies * n, -1)
+    out.setflags(write=False)
+    return out
+
+
+def _translation_images(table: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """Images (u, v) of each pair (x[i], y[i]) under the translations of a _translations table."""
+    return table[x].ravel(), table[y].ravel()
 
 
 def _coarsen(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Merge the blocks of every pair (u[i], v[i]) in a least-member label vector.
 
-    Each round points the least member of a block at the least member it is
-    paired with, then follows pointers until every label is a fixed point.
+    Each round drops the pairs already in one block, points the greater least
+    member of each other pair at the lesser, then follows pointers until every
+    label is a fixed point.
     """
     labels = labels.copy()
     while True:
         lu, lv = labels[u], labels[v]
-        if np.array_equal(lu, lv):
+        apart = lu != lv
+        if not apart.any():
             return labels
-        low = np.minimum(lu, lv)
-        np.minimum.at(labels, lu, low)
-        np.minimum.at(labels, lv, low)
+        u, v, lu, lv = u[apart], v[apart], lu[apart], lv[apart]
+        np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
         while not np.array_equal(labels[labels], labels):
             labels = labels[labels]
+
+
+# translation-table cells (principal congruences) or elements (joins) of one chunk of copies
+_CLOSURE_CELLS = 1 << 15
+
+
+def _principal_rows(algebra: FiniteNearSemiring, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least-member rows of the principal congruences θ(a[i], b[i]).
+
+    A chunk of pairs is closed on as many copies, copy i seeded with pair i.  A
+    round merges the images of each least member the last round merged away with
+    those of its new least member; these pairs generate the partition, so it is
+    compatible once a round merges nothing.
+    """
+    n = algebra.n
+    step = max(1, min(len(a), _CLOSURE_CELLS // _translations(algebra, 1).size))
+    table = _translations(algebra, step)
+    rows = np.empty((len(a), n), dtype=np.intp)
+    for lo in range(0, len(a), step):
+        shift = np.arange(0, len(a[lo:lo + step]) * n, n)
+        index = np.arange(shift.size * n)
+        union = table[:index.size]
+        labels, merged = index, _coarsen(index, a[lo:lo + step] + shift, b[lo:lo + step] + shift)
+        while len(moved := np.flatnonzero((labels == index) & (merged != index))):
+            labels = merged
+            merged = _coarsen(labels, *_translation_images(union, moved, labels[moved]))
+        rows[lo:lo + step] = labels.reshape(-1, n) - shift[:, None]
+    return rows
+
+
+def _join_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Least-member rows of the joins of p[i] and q[i]: one coarsening per chunk of copies."""
+    k, n = p.shape
+    step = max(1, _CLOSURE_CELLS // max(n, 1))
+    rows = np.empty((k, n), dtype=np.intp)
+    for lo in range(0, k, step):
+        shift = np.arange(0, len(p[lo:lo + step]) * n, n)[:, None]
+        labels = (p[lo:lo + step] + shift).ravel()
+        merged = _coarsen(labels, np.arange(labels.size), (q[lo:lo + step] + shift).ravel())
+        rows[lo:lo + step] = merged.reshape(-1, n) - shift
+    return rows
 
 
 def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
     """Compatibility of a partition with +, · (both sides) and α."""
     if part.n != algebra.n:
         return False
-    b = np.asarray(part.blocks)
-    u, v = _translation_images(algebra, _least_members(part))
+    b, least = np.asarray(part.blocks), _least_members(part)
+    x = np.flatnonzero(least != np.arange(part.n))
+    u, v = _translation_images(_translations(algebra, 1), x, least[x])
     return np.array_equal(b[u], b[v])
 
 
 def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congruence:
     """Smallest congruence identifying a and b.
 
-    Seeds a≡b, then alternates listing the translation images of every
-    related pair with merging their blocks, until a round merges nothing.
-    The result is re-validated independently.
+    _principal_rows on one copy.  The result is re-validated independently.
     """
-    n = algebra.n
     _in_universe(algebra, a, b)
-    labels, merged = np.arange(n), _coarsen(np.arange(n), np.array([a]), np.array([b]))
-    while not np.array_equal(merged, labels):
-        labels = merged
-        merged = _coarsen(labels, *_translation_images(algebra, labels))
-    out = Congruence.from_blocks(labels.tolist())
+    out, = _congruences(_principal_rows(algebra, np.array([a]), np.array([b])))
     if not is_congruence(algebra, out):
         raise AlgebraError(f"closure produced an incompatible partition on {algebra.name}")
     return out
@@ -189,17 +250,22 @@ def all_congruences(algebra: FiniteNearSemiring) -> list:
 
     Every congruence is the join of the principal congruences it contains,
     so one pass over the distinct principal congruences, joining each into
-    everything found so far, reaches the whole lattice from the identity.
-    Every member is re-validated for compatibility.
+    everything found so far as one batch, reaches the whole lattice from the
+    identity.  Every principal congruence and member is re-validated.
     """
     n = algebra.n
-    principals = {principal_congruence(algebra, a, b)
-                  for a in range(n) for b in range(a + 1, n)}
-    found = {Congruence.identity(n)}
-    for p in sorted(principals):
-        if p not in found:
-            found |= {join_partitions(x, p) for x in found}
-    out = sorted(found)
+    principals = {row.tobytes(): row for row in _principal_rows(algebra, *np.triu_indices(n, 1))}
+    for part in _congruences(np.array(list(principals.values()), dtype=np.intp).reshape(-1, n)):
+        if not is_congruence(algebra, part):
+            raise AlgebraError(f"closure produced an incompatible partition on {algebra.name}")
+    identity = np.arange(n)
+    found = {identity.tobytes(): identity}
+    for key, row in principals.items():
+        if key not in found:
+            members = np.array(list(found.values()))
+            joins = _join_rows(members, np.broadcast_to(row, members.shape))
+            found.update((join.tobytes(), join) for join in joins)
+    out = sorted(_congruences(np.array(list(found.values()))))
     for part in out:
         if not is_congruence(algebra, part):
             raise AlgebraError(f"join closure left an incompatible partition on {algebra.name}")
@@ -294,21 +360,32 @@ _PERMUTE_CELLS = 1 << 20
 
 
 def _lattice_tables(cons: list) -> dict:
-    """The join and meet of every pair of the lattice, as k x k index tables."""
-    where = {}
-    for i, c in enumerate(cons):
-        where.setdefault(c, i)
+    """The join and meet of every pair of the lattice, as k x k index tables.
+
+    The pairs i <= j are joined as one batch and met as one pairing of block ids.
+    The first in row order whose join or meet is no member is refused, join first.
+    """
     k = len(cons)
-    tables = {"join": np.zeros((k, k), dtype=int), "meet": np.zeros((k, k), dtype=int)}
-    for i in range(k):
-        for j in range(i, k):
-            for name, op in (("join", join_partitions), ("meet", meet_partitions)):
-                found = where.get(op(cons[i], cons[j]))
-                if found is None:
-                    raise AlgebraError(
-                        f"the {name} of {cons[i].render()} and {cons[j].render()} "
-                        "is not in the lattice")
-                tables[name][i, j] = tables[name][j, i] = found
+    n = cons[0].n if cons else 0
+    blocks = np.array([c.blocks for c in cons], dtype=np.intp).reshape(k, n)
+    least = _least_of(blocks)
+    where = {}
+    for index, row in enumerate(least):
+        where.setdefault(row.tobytes(), index)
+    i, j = np.triu_indices(k)
+    found = {name: np.array([where.get(row.tobytes(), -1) for row in rows], dtype=int)
+             for name, rows in (("join", _join_rows(least[i], least[j])),
+                                ("meet", _least_of(blocks[i] * n + blocks[j])))}
+    missing = np.flatnonzero((found["join"] < 0) | (found["meet"] < 0))
+    if len(missing):
+        at = missing[0]
+        name = "join" if found["join"][at] < 0 else "meet"
+        raise AlgebraError(f"the {name} of {cons[i[at]].render()} and {cons[j[at]].render()} "
+                           "is not in the lattice")
+    tables = {}
+    for name, index in found.items():
+        tables[name] = np.zeros((k, k), dtype=int)
+        tables[name][i, j] = tables[name][j, i] = index
     return tables
 
 

@@ -5,8 +5,10 @@ canonical form: the least concatenation of the sum, product and involution
 tables over the carrier permutations fixing the constants.  Those stream in
 stacks of at most 7! rows, and one pass over them gives the least relabelling
 of the sum table with the permutations reaching it, the only ones then tried
-on the other tables; a root's are its automorphisms.  Past 10! permutations
-(n >= 13) a size is refused before any table is grown.
+on the other tables; a root's are its automorphisms.  The search makes that
+pass once per root, when the root's involution candidates or its first
+leaves' canonical forms need it.  Past 10! permutations (n >= 13) a size is
+refused before any table is grown.
 
 The search grows stacks of partial tables, padded with the sentinel n
 (unfilled), breadth first; each step is one stacked mask-only engine call
@@ -187,8 +189,11 @@ def _least_forms(tables, perms) -> np.ndarray:
     """The least concatenation of each slice's relabelled tables, as (k, width) uint8 rows.
 
     tables are (k, n, n) and (k, n) stacks; perms yields (p, q) stacks of permutations
-    and their inverses, taken in chunks of about _STACK_CELLS cells."""
-    k, width = len(tables[0]), sum(t[0].size for t in tables)
+    and their inverses, taken in chunks of about _STACK_CELLS cells.  No slices give no
+    rows."""
+    k, width = len(tables[0]), sum(math.prod(t.shape[1:]) for t in tables)
+    if not k:
+        return np.empty((0, width), dtype=np.uint8)
     block = max(1, _STACK_CELLS // width)
     least = None
     for p, q in perms:
@@ -218,22 +223,25 @@ def _least_relabelling(add: np.ndarray) -> tuple:
     return (np.frombuffer(least, np.uint8), *map(np.concatenate, zip(*kept)))
 
 
-def _canonical_keys(add, mul, inv) -> np.ndarray:
+def _canonical_keys(add, mul, inv, relabelling) -> np.ndarray:
     """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
     involutions, constants at 0 and 1, as (k, width) uint8 rows: the least concatenation
-    starts with the sum table's least relabelling: only the permutations reaching it count."""
-    least, p, q = _least_relabelling(add)
+    starts with the sum table's least relabelling: only the permutations reaching it count.
+    relabelling is _least_relabelling(add)."""
+    least, p, q = relabelling
     rows = _least_forms([mul] if inv is None else [mul, inv], [(p, q)])
     head = np.append(np.uint8([add.shape[0], inv is not None]), least)
     return np.hstack([np.broadcast_to(head, (len(rows), len(head))), rows])
 
 
-def canonical_form(algebra):
+def canonical_form(algebra, relabelling=None):
     """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1.
 
     An algebra gets a tuple of ints, a TableStack its slices' forms as (k, width) uint8
     rows: every entry is below 256, so the byte order of two rows is the tuples' order.
     A stack with a sum table per slice is canonicalized one distinct sum table at a time.
+    relabelling is _least_relabelling of the one sum table of a stack whose constants are
+    at 0 and 1, when the caller has it already.
     """
     stacked, n = isinstance(algebra, TableStack), algebra.n
     k = len(algebra) if stacked else 1
@@ -247,13 +255,14 @@ def canonical_form(algebra):
     add, mul, inv = algebra.add, np.broadcast_to(algebra.mul, (k, n, n)), algebra.inv
     inv = None if inv is None else np.broadcast_to(inv, (k, n))
     if add.ndim == 2:
-        keys = _canonical_keys(add, mul, inv)
+        keys = _canonical_keys(add, mul, inv, relabelling or _least_relabelling(add))
         return keys if stacked else tuple(keys[0].tolist())
     # a sum table per slice: one shared-table call per distinct sum table, rows in slice order
     groups = {}
     for i, table in enumerate(add):
         groups.setdefault(table.tobytes(), []).append(i)
-    keys = np.concatenate([_canonical_keys(add[s[0]], mul[s], None if inv is None else inv[s])
+    keys = np.concatenate([_canonical_keys(add[s[0]], mul[s], None if inv is None else inv[s],
+                                           _least_relabelling(add[s[0]]))
                            for s in groups.values()])
     return keys[np.argsort(np.concatenate(list(groups.values())))]
 
@@ -384,12 +393,13 @@ def _involutions(n: int) -> np.ndarray:
     return rows
 
 
-def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
+def _involution_candidates(add: np.ndarray, constraint: SearchConstraint, relabelling=None):
     """Period-two permutations, antitone when an involutive profile demands it.
 
     One per orbit of the sum table's automorphisms, each the least of its orbit, in
     ascending order.  When there is a candidate, the sum table must be its own least
     relabelling, as every root is, so that the permutations reaching it are its automorphisms.
+    relabelling, when given, is called for _least_relabelling(add) then, and only then.
     """
     n = add.shape[0]
     invs = _involutions(n)
@@ -398,7 +408,7 @@ def _involution_candidates(add: np.ndarray, constraint: SearchConstraint):
             {"add": add, "inv": invs}, n, mask=True)]
     if not len(invs):
         return []
-    least, p, q = _least_relabelling(add)
+    least, p, q = relabelling() if relabelling else _least_relabelling(add)
     if not np.array_equal(least, add.ravel()):
         raise AlgebraError("the sum table is not its own least relabelling")
     return list(_unique_rows(_least_forms([invs], [(p, q)])))
@@ -590,10 +600,16 @@ def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
 
 
 def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Counter):
-    """The leaves of each sum table that pass _verify, as TableStacks in generation order."""
+    """The leaves of each sum table that pass _verify, as TableStacks in generation order.
+
+    Each comes with a call giving its sum table's _least_relabelling, which scans the
+    relabellings once per sum table, when first called.
+    """
     for add in roots:
+        relabelling = functools.cache(functools.partial(_least_relabelling, add))
         with counter.timed("involutions"):
-            invs = _involution_candidates(add, constraint) if constraint.needs_inv else [None]
+            invs = _involution_candidates(add, constraint, relabelling) \
+                if constraint.needs_inv else [None]
         with counter.timed("column_candidates"):
             columns = _column_candidates(add)
         leaves = _leaf_stacks(n, constraint, add, invs, columns, counter)
@@ -608,7 +624,7 @@ def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Coun
             counter.counts["leaves"] += len(stack)
             counter.counts["rejected"] += len(stack) - passed
             if passed:
-                yield stack if passed == len(stack) else stack.take(ok)
+                yield (stack if passed == len(stack) else stack.take(ok)), relabelling
 
 
 def _root_keys(args):
@@ -616,9 +632,9 @@ def _root_keys(args):
     n, constraint, add = args
     counter = _Counter()
     keys = [np.empty((0, 2 + n * (2 * n + constraint.needs_inv)), dtype=np.uint8)]
-    for stack in _verified_stacks(n, constraint, [add], counter):
+    for stack, relabelling in _verified_stacks(n, constraint, [add], counter):
         with counter.timed("canonical_keys"):
-            keys.append(canonical_form(stack))
+            keys.append(canonical_form(stack, relabelling()))
     with counter.timed("canonical_keys"):
         return _unique_rows(np.concatenate(keys)), counter
 
@@ -705,9 +721,9 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
         with counter.timed("sum_tables"):
             roots = _canonical_add_tables(n, constraint)
         counter.counts["roots"] += len(roots)
-        for stack in _verified_stacks(n, constraint, roots, counter):
+        for stack, relabelling in _verified_stacks(n, constraint, roots, counter):
             with counter.timed("canonical_keys"):
-                keys = canonical_form(stack.take([0]))
+                keys = canonical_form(stack.take([0]), relabelling())
             with counter.timed("output"):
                 models = _model_stack(keys, n, constraint.needs_inv, f"witness-n{n}")
                 # witnesses are recomputed on the canonical labelling

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import naive
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import congruences, fixtures
 from nearsemiring.congruences import Congruence, compose_relations, regularity_terms
 from nearsemiring.core import PreconditionError
 
@@ -300,3 +300,90 @@ def test_partitions_of_different_sizes_do_not_combine():
             with pytest.raises(nsr.AlgebraError,
                                match=rf"^partitions of {p.n} and {q.n} elements cannot be combined$"):
                 op(p, q)
+
+
+# ---------------------------------------------------------------------------
+# closures on disjoint copies: any chunking gives the per-pair answers
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40])        # one copy per chunk, and one chunk
+@settings(max_examples=100, deadline=None)
+@given(tables=small_tables())
+def test_batched_closures_match_the_oracles_in_any_chunks(cells, tables):
+    add, mul, inv, _p, _q = tables
+    n = len(add)
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n > 1 else 0, inv=inv)
+    brute = brute_force_congruences(algebra)
+    # the principal congruence of a pair is the least member relating it: the one with most blocks
+    least = [max((c for c in brute if c.related(a, b)), key=lambda c: c.block_count)
+             for a, b in product(range(n), repeat=2)]
+    pairs = np.array(list(product(range(n), repeat=2))).reshape(-1, 2).T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(congruences, "_CLOSURE_CELLS", cells)
+        assert nsr.all_congruences(algebra) == brute
+        assert congruences._congruences(congruences._principal_rows(algebra, *pairs)) == least
+        assert [nsr.principal_congruence(algebra, a, b)
+                for a, b in product(range(n), repeat=2)] == least
+        report = nsr.congruence_lattice_properties(algebra)
+    assert _lattice_clauses(report) == naive.lattice_properties([c.blocks for c in brute])
+
+
+def _fixtures_and_products():
+    """Every fixture, every product of two fixtures of one signature, and the larger
+    products that the structure benchmark reads: n from 2 to 36 (MO2xMO2)."""
+    names = list(fixtures.names())
+    pairs = [f"{a}x{b}" for a, b in combinations_with_replacement(names, 2)
+             if fixtures.fixture(a).has_inv == fixtures.fixture(b).has_inv]
+    return names + pairs + ["BOOL4xBOOL4", "MV3xMV3xBOOL2", "BOOL2xBOOL2xBOOL2xBOOL2xBOOL2"]
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 11])     # as shipped, and chunks of a few copies
+def test_batched_principals_equal_a_per_pair_loop(monkeypatch, cells):
+    if cells:
+        monkeypatch.setattr(congruences, "_CLOSURE_CELLS", cells)
+    for name in _fixtures_and_products():
+        algebra = fixtures.fixture(name)
+        a, b = np.triu_indices(algebra.n)
+        got = congruences._congruences(congruences._principal_rows(algebra, a, b))
+        assert got == [nsr.principal_congruence(algebra, x, y)
+                       for x, y in zip(a.tolist(), b.tolist())], name
+
+
+@pytest.mark.parametrize("cells", [None, 1, 1 << 6])   # chunks of one row and of a few
+def test_lattice_tables_equal_pairwise_joins_and_meets(monkeypatch, cells):
+    if cells:
+        monkeypatch.setattr(congruences, "_CLOSURE_CELLS", cells)
+    first = [[x for _y in range(4)] for x in range(4)]     # every partition of 4 elements
+    names = ("MO2xBOOL2", "BOOL4xBOOL4", "MV3xMV3xBOOL2", "BOOL2xBOOL2xBOOL2xBOOL2xBOOL2")
+    for algebra in [*map(fixtures.fixture, names), nsr.FiniteNearSemiring(first, first, 0, 1)]:
+        cons = nsr.all_congruences(algebra)
+        tables = congruences._lattice_tables(cons)
+        for (i, p), (j, q) in product(enumerate(cons), repeat=2):
+            assert cons[tables["join"][i, j]] == nsr.join_partitions(p, q)
+            assert cons[tables["meet"][i, j]] == nsr.meet_partitions(p, q)
+
+
+def _first_missing(cons):
+    """The refusal of a plain loop over the pairs i <= j in row order, the join first."""
+    for i, j in ((i, j) for i in range(len(cons)) for j in range(i, len(cons))):
+        for name, op in (("join", nsr.join_partitions), ("meet", nsr.meet_partitions)):
+            if op(cons[i], cons[j]) not in cons:
+                return f"the {name} of {cons[i].render()} and {cons[j].render()} " \
+                       "is not in the lattice"
+    return None
+
+
+def test_a_lattice_missing_members_is_refused_at_the_first_pair():
+    first = [[x for _y in range(4)] for x in range(4)]
+    for algebra in (fixtures.fixture("BOOL4xBOOL2"), nsr.FiniteNearSemiring(first, first, 0, 1)):
+        cons = nsr.all_congruences(algebra)
+        for drop in range(len(cons)):
+            for kept in (cons[:drop] + cons[drop + 1:], cons[drop:], cons[:drop + 1][::-1],
+                         cons[1 + drop:-1]):
+                want = _first_missing(kept)
+                if want is None:
+                    congruences._lattice_tables(kept)
+                    continue
+                with pytest.raises(nsr.AlgebraError) as caught:
+                    congruences._lattice_tables(kept)
+                assert str(caught.value) == want

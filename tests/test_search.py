@@ -436,6 +436,34 @@ def test_involution_candidates_refuse_a_sum_table_that_is_not_a_root():
             search._involution_candidates(table, constraint)
 
 
+@pytest.mark.parametrize("with_inv", [False, True])
+def test_least_forms_of_no_slices_are_no_rows(with_inv):
+    n = 4
+    tables = [np.empty((0, n, n), dtype=np.int64)] + [np.empty((0, n), dtype=np.int64)] * with_inv
+    rows = search._least_forms(tables, search._middle_perms(n))
+    assert rows.dtype == np.uint8 and rows.shape == (0, n * n + n * with_inv)
+    p, q = next(search._middle_perms(n))
+    assert search._least_forms([np.empty((0, n), dtype=np.int64)], [(p, q)]).shape == (0, n)
+
+
+@pytest.mark.parametrize("n, names", [(5, "involutive"), (5, "involutive-integral"),
+                                      (4, "idempotent-add")])
+def test_a_search_scans_each_sum_table_once(monkeypatch, n, names):
+    scans, scan = Counter(), search._least_relabelling
+
+    def counted(add):
+        scans[add.tobytes()] += 1
+        return scan(add)
+
+    monkeypatch.setattr(search, "_least_relabelling", counted)
+    assert len(nsr.enumerate_models(n, names).models)
+    assert scans and set(scans.values()) == {1}
+    if names != "idempotent-add":
+        scans.clear()
+        assert nsr.find_model(n, names, "lukasiewicz").models
+        assert scans and set(scans.values()) == {1}
+
+
 def test_canonical_form_at_size_ten_ignores_the_labelling():
     """n = 10: the relabellings stream as 8 stacks of 7! rows."""
     rng = np.random.default_rng(10)
@@ -631,7 +659,7 @@ def test_no_models_is_an_empty_sequence():
 def test_stacked_keys_are_uint8_rows_of_the_slice_tuples():
     constraint = nsr.parse_constraint("involutive-integral")
     roots = search._canonical_add_tables(5, constraint)
-    shared = next(search._verified_stacks(5, constraint, roots[-1:], search._Counter()))
+    shared, _ = next(search._verified_stacks(5, constraint, roots[-1:], search._Counter()))
     models = list(nsr.enumerate_models(4, constraint).models)[:3]
     mixed = nsr.TableStack.of(models)
     for stack in (shared, mixed):          # one shared sum table, and one per slice

@@ -262,7 +262,7 @@ def test_canonical_form_of_an_empty_stack_is_an_empty_block_of_rows(with_inv):
 def test_search_stacks_and_canonical_algebras_keep_int64_tables():
     constraint = nsr.parse_constraint("involutive-integral")
     roots = search._canonical_add_tables(4, constraint)
-    leaves = next(search._verified_stacks(4, constraint, roots, search._Counter()))
+    leaves, _ = next(search._verified_stacks(4, constraint, roots, search._Counter()))
     models = nsr.enumerate_models(4, constraint).models
     witness = nsr.find_model(4, "involutive-integral", "lukasiewicz").models
     canonical = nsr.canonicalize(nsr.fixtures.fixture("MV3xBOOL2"))
