@@ -112,6 +112,8 @@ def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
     takes of the tables on open grids; the n⁴ ones a chunk of first
     arguments at a time, stopping at the first chunk that fails.
     """
+    _needs_inv(algebra)
+    _in_universe(algebra, e)
     n, zero, one = algebra.n, algebra.zero, algebra.one
     small = np.min_scalar_type(n - 1)
     add, mul, inv = (t.astype(small) for t in (algebra.add, algebra.mul, algebra.inv))
@@ -120,16 +122,16 @@ def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
         return False
     # q(e, q(e, a, b), c) = q(e, a, c) = q(e, a, q(e, b, c)), on the grid (a, b, c)
     ac = qe[:, None, :]
-    if not ((qe[qe] == ac).all() and (qe[:, qe] == ac).all()):
+    if not ((qe[qe] == ac).all() and (np.take(qe, qe, axis=1) == ac).all()):
         return False
     if qe[zero, zero] != zero or qe[one, one] != one:
         return False
     if not np.array_equal(qe[inv][:, inv], inv[qe]):
         return False
     # q(e, a∘c, b∘d) = q(e, a, b)∘q(e, c, d) for ∘ = +, ·: the left side is read on the
-    # grid (a, c, b, d) and transposed
-    # qe[:, t][r, b, d] = q(e, r, b∘d) and t[:, qe][r, c, d] = r∘q(e, c, d)
-    reads = [(t, qe[:, t], t[:, qe]) for t in (add, mul)]
+    # grid (a, c, b, d) and transposed.  left[r, b, d] = q(e, r, b∘d) and right[r, c, d] =
+    # r∘q(e, c, d) are taken along axis 1, as C-order blocks whose row takes copy whole rows
+    reads = [(t, np.take(qe, t, axis=1), np.take(t, qe, axis=1)) for t in (add, mul)]
     step = max(1, _FULL_CELLS // n ** 3)
     for lo in range(0, n, step):
         for t, left, right in reads:

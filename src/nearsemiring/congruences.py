@@ -416,6 +416,9 @@ def congruence_lattice_properties(algebra: FiniteNearSemiring, lattice=None) -> 
     """
     cons = all_congruences(algebra) if lattice is None else lattice
     l = len(cons)
+    if not l:
+        raise AlgebraError(f"an empty congruence lattice of {algebra.name}: "
+                           "every algebra has its identity congruence")
     bad = _first_non_permuting(cons)
     if bad is None:
         permute = ClauseResult("congruences-permute", True, detail=f"{l} congruences")

@@ -43,6 +43,22 @@ def test_church_q_checks_its_arguments():
     assert nsr.church_q(mv3, np.int64(1), np.uint8(2), 0) == nsr.church_q(mv3, 1, 2, 0)
 
 
+def test_the_three_centrality_routes_check_e_alike():
+    mv3 = fixtures.mv3()
+    routes = [center._METHOD_FNS[m] for m in center.CENTRALITY_METHODS]
+    for bad in (-1, mv3.n, 1.0, True):
+        messages = set()
+        for route in routes:
+            with pytest.raises(nsr.AlgebraError) as caught:
+                route(mv3, bad)
+            assert type(caught.value) is nsr.AlgebraError
+            messages.add(str(caught.value))
+        assert len(messages) == 1, (bad, messages)
+    for route in (center.is_central_equational, center.is_central_full_conditions):
+        with pytest.raises(PreconditionError, match="EX24 has no involution table"):
+            route(fixtures.ex24(), 0)
+
+
 def test_check_church_requires_integral():
     with pytest.raises(PreconditionError):
         nsr.check_church(fixtures.ex28())

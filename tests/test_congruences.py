@@ -268,6 +268,8 @@ def test_lattice_properties_reject_a_lattice_missing_a_join():
     cons = nsr.all_congruences(algebra)
     with pytest.raises(nsr.AlgebraError, match="not in the lattice"):
         nsr.congruence_lattice_properties(algebra, cons[1:])
+    with pytest.raises(nsr.AlgebraError, match=r"^an empty congruence lattice of BOOL4: "):
+        nsr.congruence_lattice_properties(algebra, [])
 
 
 def test_regularity_terms_check_their_arguments():
