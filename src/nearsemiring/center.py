@@ -143,6 +143,8 @@ def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
 
 def is_central_congruence(algebra: FiniteNearSemiring, e: int) -> bool:
     """Factor-congruence test: (θ(e,0), θ(e,1)) must be a factor pair."""
+    _needs_inv(algebra)
+    _in_universe(algebra, e)
     theta = principal_congruence(algebra, e, algebra.zero)
     phi = principal_congruence(algebra, e, algebra.one)
     return is_factor_pair(algebra, theta, phi)

@@ -12,8 +12,9 @@ refused before any table is grown.
 
 The search grows stacks of partial tables, padded with the sentinel n
 (unfilled), breadth first; each step is one stacked mask-only engine call
-that keeps the survivors.  Sum tables (commutative monoids, optionally
-semilattices) grow one cell at a time.  Product columns x -> x.z, the
+that keeps the survivors.  Sum tables (commutative monoids) grow one cell at
+a time; idempotent ones are lattice joins, grown instead from the lattices one
+size smaller, one new atom at a time.  Product columns x -> x.z, the
 endomorphisms of (A, +) fixing 0 and sending 1 to z (right-distributivity),
 grow one value at a time.  For each involution, product tables grow one
 column at a time, pruned by the required identities and the product clauses
@@ -343,8 +344,9 @@ def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
 # sum-table generation
 
 
-def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
-    """Commutative-monoid tables (zero=0 neutral, optional extras), as a (k, n, n) stack.
+def _generic_add_tables(n: int, integral: bool) -> np.ndarray:
+    """Commutative-monoid tables (zero=0 neutral, optionally one=1 absorbing), as a (k, n, n)
+    stack.
 
     Breadth first over partial tables padded with the sentinel n (unfilled): each free
     cell takes every value in every partial table, and a stacked add-associativity call
@@ -352,8 +354,6 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
     """
     add = np.full((1, n + 1, n + 1), n, dtype=np.uint8)
     add[0, 0, :n] = add[0, :n, 0] = np.arange(n)
-    if idempotent:
-        add[0, range(n), range(n)] = range(n)
     if integral and n >= 2:
         add[0, :n, 1] = add[0, 1, :n] = 1
     assoc = _clause_subset((_AXIOMS["add-associativity"],))
@@ -368,11 +368,50 @@ def _generic_add_tables(n: int, idempotent: bool, integral: bool) -> np.ndarray:
     return add[:, :n, :n]
 
 
+def _lattices(n: int) -> np.ndarray:
+    """Lattices of size n as sum tables, 0 at the bottom and the top at 1, one per orbit of
+    middle-permutations, each the least relabelling of its orbit: an ascending (k, n, n) stack.
+
+    Each lattice of size m > 2 is one of size m - 1, K, plus an atom a = m - 1 (J. Heitzig
+    and J. Reinhold, Algebra Universalis 48, 2002).  a lies under a nonempty up-set T of K
+    minus 0 whose intersection with the up-set of each x != 0 has a least element, a + x.
+    A lattice is kept only as grown by one of its atoms with the largest up-set, and the
+    rest are deduplicated by least relabelling (B. McKay, J. Algorithms 26, 1998).
+    """
+    lattices = np.uint8([[[0, 1], [1, 1]]])[:, :n, :n]
+    for m in range(3, n + 1):
+        k = m - 1
+        sets = np.arange(1 << k)[::2, None] >> np.arange(k) & 1 == 1    # subsets of K minus 0
+        up = lattices[:, None] == np.arange(k, dtype=np.uint8)           # x <= y: x + y = y
+        closed = ~(up & sets[:, :, None] & ~sets[:, None, :]).any((2, 3))
+        above = up & sets[:, None, :]                  # above[K, T, x, y]: x <= y and y in T
+        least = above & (up.sum(3)[:, :, None] == above.sum(3)[..., None])
+        which, up_set = np.nonzero(closed & least[:, :, 1:].any(3).all(2))
+        grown = np.full((len(which), m, m), k, dtype=np.uint8)
+        grown[:, :k, :k] = lattices[which]
+        grown[:, k, 1:k] = grown[:, 1:k, k] = least[which, up_set, 1:].argmax(2)
+        leq = grown == np.arange(m, dtype=np.uint8)
+        atoms = np.where(leq.sum(1) == 2, leq.sum(2), 0)         # the atoms' up-set sizes
+        grown = grown[atoms[:, k] == atoms.max(1)]
+        lattices = _unique_rows(_least_forms([grown], _middle_perms(m))).reshape(-1, m, m)
+    return lattices
+
+
 def _canonical_add_tables(n: int, constraint: SearchConstraint) -> list:
     """Sum tables for the constraint, one per orbit of middle-permutations, each the least
-    relabelling of its orbit, in ascending order."""
+    relabelling of its orbit, in ascending order.
+
+    An idempotent sum table is a lattice's join; without integrality its 1 is any nonzero
+    element of the lattice."""
     perms = _middle_perms(n)            # refuses a size too large before any table is grown
-    raw = _generic_add_tables(n, constraint.idempotent_add, constraint.integral)
+    if not constraint.idempotent_add:
+        raw = _generic_add_tables(n, constraint.integral)
+    elif constraint.integral or n < 3:
+        return list(_lattices(n).astype(int))
+    else:
+        swaps = np.tile(np.arange(n, dtype=np.uint8), (n - 1, 1))    # 1 and e swapped, e > 0
+        swaps[range(n - 1), 1], swaps[range(n - 1), range(1, n)] = range(1, n), 1
+        raw = relabel_table(_lattices(n), swaps, swaps, 2).reshape(-1, n, n)
     forms = _unique_rows(_least_forms([raw], perms))
     return list(forms.reshape(-1, n, n).astype(int))
 

@@ -54,7 +54,7 @@ def test_the_three_centrality_routes_check_e_alike():
             assert type(caught.value) is nsr.AlgebraError
             messages.add(str(caught.value))
         assert len(messages) == 1, (bad, messages)
-    for route in (center.is_central_equational, center.is_central_full_conditions):
+    for route in routes:
         with pytest.raises(PreconditionError, match="EX24 has no involution table"):
             route(fixtures.ex24(), 0)
 

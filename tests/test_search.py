@@ -385,8 +385,8 @@ def test_enumeration_in_blocks_matches(monkeypatch):
     want = nsr.enumerate_models(5, constraint).models
     streamed, perms = [], search._middle_perms
     monkeypatch.setattr(search, "_BLOCK", 2)
-    monkeypatch.setattr(search, "_middle_perms", lambda n: (
-        streamed.append(len(p)) or (p, q) for p, q in perms(n)))
+    monkeypatch.setattr(search, "_middle_perms", lambda n: (    # the lattices stream n < 5 too
+        (n == 5 and streamed.append(len(p))) or (p, q) for p, q in perms(n)))
     got = nsr.enumerate_models(5, constraint).models
     assert len(streamed) > 1 and set(streamed) == {2} and len(got) == len(want) == 980
     assert all(np.array_equal(getattr(got, t), getattr(want, t)) for t in ("add", "mul", "inv"))
@@ -581,7 +581,8 @@ def test_model_counts_match_the_representation_theorems(names, counts):
 
 
 # ---------------------------------------------------------------------------
-# sum tables: the breadth-first stacked generator against the depth-first oracle
+# sum tables: the lattice growth and the breadth-first stacked generator against the
+# depth-first oracle
 
 
 def _least_sum_tables(raw, n):
@@ -602,11 +603,40 @@ def test_stacked_sum_tables_equal_the_depth_first_oracle(monkeypatch, idempotent
         # the default chunks, then chunks small enough to split every stack
         for cells in (search._STACK_CELLS, 1 << 12):
             monkeypatch.setattr(search, "_STACK_CELLS", cells)
-            got = search._generic_add_tables(n, idempotent, integral)
-            assert got.shape == (len(raw), n, n), (n, cells)
-            assert [t.tolist() for t in got] == [t.tolist() for t in raw], (n, cells)
+            if not idempotent:          # idempotent sum tables are grown as lattices
+                got = search._generic_add_tables(n, integral)
+                assert got.shape == (len(raw), n, n), (n, cells)
+                assert [t.tolist() for t in got] == [t.tolist() for t in raw], (n, cells)
             assert [t.ravel().tolist() for t in search._canonical_add_tables(n, constraint)] \
                 == roots, (n, cells)
+
+
+@pytest.mark.parametrize("n, integral, count", [
+    (7, True, 53), (7, False, 262), (8, True, 222), (8, False, 1315)])
+def test_lattice_sum_tables_reach_their_counts(n, integral, count):
+    # 1, 1, 1, 2, 5, 15, 53, 222 lattices (OEIS A006966); without integrality, one root per
+    # lattice and orbit of its nonzero elements under the automorphisms
+    constraint = SearchConstraint(("idempotent-add",) + ("integral",) * integral)
+    roots = search._canonical_add_tables(n, constraint)
+    assert len(roots) == count
+    keys = [r.tobytes() for r in roots]
+    assert keys == sorted(set(keys))
+    for add in roots:       # joins: 0 neutral, commutative, idempotent, associative
+        assert (add[0] == range(n)).all() and (add == add.T).all()
+        assert (add.diagonal() == range(n)).all() and (add[add] == add[:, add]).all()
+        assert (add[1] == 1).all() or not integral
+
+
+@pytest.mark.parametrize("n, names", [
+    (6, "involutive-integral,lukasiewicz"), (5, "involutive,lukasiewicz")])
+def test_one_enumeration_takes_its_sum_tables_once(monkeypatch, n, names):
+    # the growth of the smaller lattices stays inside one call, and one span per size
+    calls, real = [], search._canonical_add_tables
+    monkeypatch.setattr(search, "_canonical_add_tables",
+                        lambda size, constraint: calls.append(size) or real(size, constraint))
+    grown = _record_sum_tables(monkeypatch, n)
+    assert len(nsr.enumerate_models(n, names).models) > 0
+    assert calls == grown == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +788,18 @@ def test_prune_counts_in_the_stats_equal_the_oracles():
 
 
 def _record_sum_tables(monkeypatch, limit):
-    """The sizes whose sum tables are grown, in order; growing one past limit fails."""
-    grown, real = [], search._generic_add_tables
+    """The sizes whose sum tables are grown, as lattices or breadth first, in order; growing
+    one past limit fails."""
+    grown = []
 
-    def generate(n, *flags):
-        grown.append(n)
-        assert n <= limit, f"sum tables grown at size {n}"
-        return real(n, *flags)
-    monkeypatch.setattr(search, "_generic_add_tables", generate)
+    def recorded(real):
+        def generate(n, *flags):
+            grown.append(n)
+            assert n <= limit, f"sum tables grown at size {n}"
+            return real(n, *flags)
+        return generate
+    for name in ("_lattices", "_generic_add_tables"):
+        monkeypatch.setattr(search, name, recorded(getattr(search, name)))
     return grown
 
 
@@ -773,6 +807,8 @@ def test_a_size_past_ten_factorial_relabellings_is_refused_up_front(monkeypatch,
     grown = _record_sum_tables(monkeypatch, 12)
     with pytest.raises(nsr.AlgebraError, match="relabellings"):
         nsr.enumerate_models(13, allow_large=True)
+    with pytest.raises(nsr.AlgebraError, match="relabellings"):
+        nsr.enumerate_models(13, "involutive-integral", allow_large=True)
     assert grown == []
     assert main(["enumerate", "--size", "13", "--allow-large"]) == 2
     assert "relabellings" in capsys.readouterr().err and grown == []
