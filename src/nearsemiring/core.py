@@ -309,13 +309,20 @@ class _Structure(_Declared):
 
     @classmethod
     def from_document(cls, doc: dict):
-        """The structure a document holds, whose declared size must match its tables."""
+        """The structure a document holds, whose declared size must match its tables.
+
+        Besides the kind's fields, a document may hold only a name, a size, labels and a
+        comment (as `nsr fixtures emit` writes); any other key is refused.
+        """
         kind = cls._kind
         if not isinstance(doc, dict):
             raise DocumentError(f"{kind.document} document must be a JSON object")
         for key in ("name", "size") + kind.fields:
             if key not in doc and key not in kind.optional:
                 raise DocumentError(f"{kind.document} document lacks required field {key!r}")
+        for key in doc:
+            if key not in ("name", "size", "labels", "comment") + kind.fields:
+                raise DocumentError(f"{kind.document} document has unknown field {key!r}")
         if not isinstance(doc["name"], str):
             raise DocumentError(f"name must be a string, got {doc['name']!r}")
         n = doc["size"]
@@ -894,9 +901,8 @@ class ClauseSet:
 
 
 def _narrow(table: np.ndarray) -> np.ndarray:
-    """The table in the smallest unsigned dtype that holds its entries, sentinel included."""
-    if table.min() < 0:
-        return table
+    """The table, whose entries are not negative, in the smallest unsigned dtype that holds
+    them, sentinel included."""
     return table.astype(np.min_scalar_type(int(table.max())), copy=False)
 
 

@@ -22,11 +22,12 @@ of the profiles.  Involutions are period-two permutations, one per orbit of
 the sum table's automorphisms, antitone when an involutive profile asks for
 it.  Nothing is trusted at the leaves: every leaf is re-checked through the
 ordinary checkers, and one that fails is counted as rejected; with no
-forbidden identities, that is a table the search should have pruned.  A
-TableStack's canonical forms are uint8 rows, deduplicated and sorted as
-bytes.  The leaves and the models are TableStacks built on the search's own
-rows, widened once to int64 and taken as given; the models' stack builds an
-algebra only for an item that is read.
+forbidden identities, that is a table the search should have pruned.  The
+leaves come one TableStack per chunk of one (sum table, involution) pair,
+sharing both tables.  A TableStack's canonical forms are uint8 rows,
+deduplicated and sorted as bytes.  The leaves and the models are TableStacks
+built on the search's own rows, widened once to int64 and taken as given; the
+models' stack builds an algebra only for an item that is read.
 """
 from __future__ import annotations
 
@@ -499,7 +500,6 @@ class SearchResult:
     models: TableStack            # or () for none
     exhaustive: bool
     nodes: int
-    elapsed: float
     sizes: tuple = ()
     violations: tuple = ()        # for find: ((identity, witness-dict), ...)
     stats: dict = field(default_factory=dict)      # _Counter.stats()
@@ -551,36 +551,36 @@ def _prunes(constraint: SearchConstraint) -> list:
         _AXIOMS[c] for c in _PRUNED_AXIOMS if c in wanted]
 
 
-def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, invs: list,
-                 columns: dict, counter: _Counter):
-    """One sum table's completed (inv, mul) tables, unverified, in DFS order.
+def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, inv, columns: dict,
+                 counter: _Counter):
+    """One (sum table, involution) pair's completed product tables, unverified, in DFS order.
 
-    invs are the involution candidates ([None] without one), columns the
-    product column candidates.  For each involution, partial product tables
-    padded with the absorbing sentinel n grow in _column_order: each takes
-    every candidate of the column, and the prunes, one stacked mask-only call
-    each, narrow the survivors; a chunk of survivors is grown to its leaves
-    before the next.  The leaves come as TableStacks sharing the sum table,
-    each of about _STACK_CELLS product cells or a few more.
+    inv is an involution candidate (None without one), columns the product
+    column candidates.  Partial product tables padded with the absorbing
+    sentinel n grow in _column_order: each takes every candidate of the
+    column, and the prunes, one stacked mask-only call each, narrow the
+    survivors; a chunk of survivors is grown to its leaves before the next.
+    Each chunk's leaves, about _STACK_CELLS product cells, come as one
+    TableStack sharing the sum table and the involution.
     """
     prunes = _prunes(constraint)
-    counter.pruned.update(dict.fromkeys((c.name for c in prunes), 0))
     padded_add = np.pad(add, (0, 1), constant_values=n)
+    padded_inv = None if inv is None else np.append(inv, n)
     root = np.full((1, n + 1, n + 1), n, dtype=np.uint8)
     root[0, :n, 0] = root[0, 0, :n] = 0
     if n >= 2:
         root[0, :n, 1] = root[0, 1, :n] = range(n)
 
-    def kept(tables, inv):
+    def kept(tables):
         # the prunes cannot reject what a completed table would accept:
         # instances that read an unfilled cell are skipped
         for c in prunes:
-            bad = identity_first_violation(c, padded_add, tables, inv, n, mask=True)
+            bad = identity_first_violation(c, padded_add, tables, padded_inv, n, mask=True)
             counter.pruned[c.name] += int(np.count_nonzero(bad))
             tables = tables[~bad]
         return tables
 
-    def grown(tables, order, inv):
+    def grown(tables, order):
         if not order:
             yield tables
             return
@@ -591,28 +591,16 @@ def _leaf_stacks(n: int, constraint: SearchConstraint, add: np.ndarray, invs: li
             rows = np.repeat(parents, len(cols), axis=0)
             rows[:, :n, order[0]] = np.tile(cols, (len(parents), 1))
             counter.nodes += len(rows)
-            yield from grown(kept(rows, inv), order[1:], inv)
+            yield from grown(kept(rows), order[1:])
 
-    def stack():
-        muls, which = map(np.concatenate, zip(*pending))
-        inv = None if invs[0] is None else np.array(invs, dtype=np.int64)[which]
-        return TableStack._built(dict(add=add, mul=muls.astype(np.int64), inv=inv, zero=0,
-                                      one=min(n - 1, 1)), "candidate", None)
-
-    pending, count = [], 0                  # leaves not stacked yet, with their involutions
-    for j, inv in enumerate(invs):
-        counter.nodes += 1
-        order = _column_order(n, inv)
-        padded_inv = None if inv is None else np.append(inv, n)
-        # with no column to fill (n <= 2) the product table is complete already
-        for leaves in grown(root if order else kept(root, padded_inv), order, padded_inv):
-            pending.append((leaves[:, :n, :n], np.full(len(leaves), j)))
-            count += len(leaves) * n * n
-            if count >= _STACK_CELLS:
-                yield stack()
-                pending, count = [], 0
-    if count:
-        yield stack()
+    counter.nodes += 1
+    order = _column_order(n, inv)
+    inv = None if inv is None else np.asarray(inv, dtype=np.int64)
+    # with no column to fill (n <= 2) the product table is complete already
+    for leaves in grown(root if order else kept(root), order):
+        if len(leaves):
+            yield TableStack._built(dict(add=add, mul=leaves[:, :n, :n].astype(np.int64), inv=inv,
+                                         zero=0, one=min(n - 1, 1)), "candidate", None)
 
 
 def _effective_profiles(constraint: SearchConstraint) -> tuple:
@@ -639,19 +627,23 @@ def _verify(stack: TableStack, constraint: SearchConstraint) -> np.ndarray:
 
 
 def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Counter):
-    """The leaves of each sum table that pass _verify, as TableStacks in generation order.
+    """The leaves of each sum table that pass _verify, as TableStacks in generation order:
+    one per chunk of one (sum table, involution) pair, as _leaf_stacks gives them.
 
     Each comes with a call giving its sum table's _least_relabelling, which scans the
     relabellings once per sum table, when first called.
     """
+    prunes = dict.fromkeys((c.name for c in _prunes(constraint)), 0)
     for add in roots:
+        counter.pruned.update(prunes)           # a key per prune, with leaves or without
         relabelling = functools.cache(functools.partial(_least_relabelling, add))
         with counter.timed("involutions"):
             invs = _involution_candidates(add, constraint, relabelling) \
                 if constraint.needs_inv else [None]
         with counter.timed("column_candidates"):
             columns = _column_candidates(add)
-        leaves = _leaf_stacks(n, constraint, add, invs, columns, counter)
+        leaves = (stack for inv in invs
+                  for stack in _leaf_stacks(n, constraint, add, inv, columns, counter))
         while True:
             with counter.timed("dfs"):
                 stack = next(leaves, None)
@@ -711,7 +703,6 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
         constraint = parse_constraint(constraint)
     if workers is not None:
         workers = _count(workers, "the number of workers")
-    start = time.perf_counter()
     counter = _Counter()
     with counter.timed("sum_tables"):
         roots = _canonical_add_tables(n, constraint)
@@ -735,8 +726,7 @@ def enumerate_models(n: int, constraint: SearchConstraint = SearchConstraint(),
     counter.counts["models"] = len(models)
     counter.counts["duplicate_keys"] = counter.counts["leaves"] - counter.counts["rejected"] \
         - len(models)
-    return SearchResult(models, True, counter.nodes, time.perf_counter() - start, sizes=(n,),
-                        stats=counter.stats())
+    return SearchResult(models, True, counter.nodes, sizes=(n,), stats=counter.stats())
 
 
 def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> SearchResult:
@@ -753,7 +743,6 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
     else:
         constraint = parse_constraint(satisfy, violate)
     n_max = _size(n_max, "the largest size", allow_large)
-    start = time.perf_counter()
     counter = _Counter()
     searched = []
     for n in range(1, n_max + 1):
@@ -772,9 +761,7 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
                         IDENTITIES[name], model.add, model.mul, model.inv, model.n)
                     witnesses.append((name, tuple(zip(IDENTITIES[name].variables, w))))
             counter.counts["models"] = 1
-            return SearchResult(models, False, counter.nodes, time.perf_counter() - start,
-                                sizes=tuple(searched), violations=tuple(witnesses),
-                                stats=counter.stats())
+            return SearchResult(models, False, counter.nodes, sizes=tuple(searched),
+                                violations=tuple(witnesses), stats=counter.stats())
         searched.append(n)
-    return SearchResult((), True, counter.nodes, time.perf_counter() - start,
-                        sizes=tuple(searched), stats=counter.stats())
+    return SearchResult((), True, counter.nodes, sizes=tuple(searched), stats=counter.stats())

@@ -129,6 +129,16 @@ def test_quotient_rejects_non_congruence():
         nsr.quotient_algebra(fixtures.mv3(), Congruence((0, 0, 1)))
 
 
+def test_quotient_rejects_a_congruence_merging_the_constants_but_not_everything():
+    t = [[0, 0, 2], [0, 0, 2], [2, 2, 2]]
+    algebra = nsr.FiniteNearSemiring(t, t, 0, 1)
+    theta = Congruence((0, 0, 1))
+    assert nsr.is_congruence(algebra, theta)
+    with pytest.raises(nsr.AlgebraError,
+                       match="^congruence merges the constants but not everything$"):
+        nsr.quotient_algebra(algebra, theta)
+
+
 def test_block_ids_out_of_first_occurrence_order_are_refused():
     # the same partition with its ids reversed would give a different, wrong quotient
     for name in ("MV3xBOOL2", "MO2xBOOL2"):

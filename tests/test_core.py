@@ -167,6 +167,16 @@ def test_dual_ex28():
     assert nsr.check_axioms(dual, "involutive").passed
 
 
+def test_dual_refuses_an_involution_that_is_not_antitone():
+    bool4 = fixtures.bool4()
+    identity = nsr.FiniteNearSemiring(bool4.add, bool4.mul, bool4.zero, bool4.one, inv=range(4),
+                                      name="BOOL4id")
+    with pytest.raises(PreconditionError) as refused:
+        nsr.dual_algebra(identity)
+    assert str(refused.value) == ("BOOL4id has no valid involution: "
+                                  "involution-antitone: 0≤1 but α(1)≰α(0)")
+
+
 def test_dual_bool2_swaps_operations():
     b = fixtures.bool2()
     dual = nsr.dual_algebra(b)

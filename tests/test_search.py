@@ -174,6 +174,17 @@ def test_are_isomorphic_bool4_vs_product():
     assert witness is not None
 
 
+def test_are_isomorphic_refuses_a_different_involution_before_relabelling(monkeypatch):
+    bool4 = fixtures.bool4()
+    identity = nsr.FiniteNearSemiring(bool4.add, bool4.mul, bool4.zero, bool4.one, inv=range(4))
+    compared = []
+    same_tables = nsr.FiniteNearSemiring.same_tables
+    monkeypatch.setattr(nsr.FiniteNearSemiring, "same_tables",
+                        lambda a, b: compared.append(b.name) or same_tables(a, b))
+    assert nsr.are_isomorphic(bool4, identity) is None and compared == []
+    assert nsr.are_isomorphic(bool4, bool4) is not None and compared == ["BOOL4"]
+
+
 def test_are_isomorphic_size_mismatch_is_none():
     assert nsr.are_isomorphic(fixtures.mv3(), fixtures.bool2()) is None
 
@@ -216,6 +227,15 @@ def test_identity_first_violation_is_lexicographic():
     ident = nsr.IDENTITIES["central-1"]
     w = nsr.identity_first_violation(ident, mv3.add, mv3.mul, mv3.inv, mv3.n)
     assert w == (1, 0, 0)       # e=h, x=0, y=0
+
+
+def test_identity_first_violation_of_stacked_tables_gives_one_witness_per_slice():
+    mv3 = fixtures.mv3()
+    stack = nsr.TableStack.of([mv3, mv3])
+    ortho = nsr.IDENTITIES["orthomodular"]
+    got = nsr.identity_first_violation(ortho, stack.add, stack.mul, stack.inv, stack.n)
+    assert got == [(1, 0), (1, 0)]
+    assert got == [nsr.identity_first_violation(ortho, a.add, a.mul, a.inv, a.n) for a in stack]
 
 
 @pytest.mark.parametrize("mask", [False, True])
@@ -302,6 +322,17 @@ def test_find_model_with_a_forbidding_constraint_skips_models_that_satisfy_it():
     model, = result.models
     assert model.n == 3
     assert [name for name, _ in result.violations] == ["lukasiewicz"]
+
+
+def test_find_model_verifies_each_involutions_leaves_before_growing_the_next():
+    result = nsr.find_model(5, "semiring,commutative-mul", "central-1")
+    assert result.nodes == 23 and result.sizes == (1, 2)
+    model, = result.models
+    assert model.to_document() == {
+        "name": "witness-n3", "size": 3, "zero": 0, "one": 1,
+        "add": [[0, 1, 2], [1, 1, 1], [2, 1, 2]], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 0]],
+        "inv": [0, 2, 1]}
+    assert result.violations == (("central-1", (("e", 1), ("x", 0), ("y", 1))),)
 
 
 def test_enumerated_models_pass_independent_checkers():
@@ -491,6 +522,13 @@ def test_search_constraint_validation():
     assert c.profiles == ("involutive",)
     assert c.require == ("lukasiewicz",)
     assert c.forbid == ("central-2",)
+
+
+def test_unknown_identity_names_are_refused():
+    with pytest.raises(nsr.AlgebraError, match="^unknown identity 'x'$"):
+        SearchConstraint(require=("x",))
+    with pytest.raises(nsr.AlgebraError, match=r"^unknown identities in violate set: \['x'\]$"):
+        nsr.parse_constraint("involutive", "x")
 
 
 # per profile: idempotent_add, integral, antitone_inv, needs_inv
@@ -733,9 +771,10 @@ def _dfs_against_the_oracle(n, constraint, add, invs=None):
         invs = search._involution_candidates(add, constraint) if constraint.needs_inv else [None]
     columns = search._column_candidates(add)
     counter = search._Counter()
-    got = [(mul.tolist(), None if stack.inv is None else stack.inv[i].tolist())
-           for stack in search._leaf_stacks(n, constraint, add, invs, columns, counter)
-           for i, mul in enumerate(stack.mul)]
+    got = [(mul.tolist(), None if stack.inv is None else stack.inv.tolist())
+           for inv in invs
+           for stack in search._leaf_stacks(n, constraint, add, inv, columns, counter)
+           for mul in stack.mul]
     want, nodes, pruned = naive.dfs_product_tables(n, search._prunes(constraint), add, invs,
                                                    columns)
     assert got == want and counter.nodes == nodes and counter.pruned == pruned
@@ -760,6 +799,14 @@ def test_stacked_product_tables_equal_the_depth_first_oracle(monkeypatch, names,
     for n in sizes:
         for add in search._canonical_add_tables(n, constraint):
             _dfs_against_the_oracle(n, constraint, add)
+
+
+@pytest.mark.parametrize("names", ["involutive-integral", "involutive,lukasiewicz"])
+def test_each_leaf_stack_shares_one_involution(names):
+    constraint = nsr.parse_constraint(names)
+    stacks = [stack for stack, _ in search._verified_stacks(
+        4, constraint, search._canonical_add_tables(4, constraint), search._Counter())]
+    assert stacks and all(stack.inv.ndim == 1 for stack in stacks)
 
 
 def test_a_sum_table_without_an_antitone_involution_has_no_leaves():

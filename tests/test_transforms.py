@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import nearsemiring as nsr
-from nearsemiring import fixtures
+from nearsemiring import fixtures, transforms
 from nearsemiring.core import PreconditionError
 
 
@@ -93,6 +93,18 @@ def test_roundtrip_reports():
     assert nsr.roundtrip_check(fixtures.bool2(), "basic").pointwise_equal
     assert nsr.roundtrip_check(fixtures.mv3_basic(), "basic").pointwise_equal
     assert nsr.roundtrip_check(fixtures.mo2_ortholattice(), "oml").pointwise_equal
+
+
+def test_roundtrip_report_renders_each_mismatch():
+    report = transforms._compare("lns-via-basic", [("add", [[0, 1], [1, 1]], [[0, 1], [1, 0]]),
+                                                   ("zero", 0, 1)], verbose=True)
+    assert report.render() == ("roundtrip lns-via-basic: MISMATCH\n"
+                               "  first mismatch: add(1, 1) expected 1, got 0\n"
+                               "  also: zero() expected 0, got 1")
+    report = transforms._compare("lns-via-basic",
+                                 [("add", [[0, 1], [1, 1]], [[1, 1], [1, 0]])], False)
+    assert report.render() == ("roundtrip lns-via-basic: MISMATCH\n"
+                               "  first mismatch: add(0, 0) expected 0, got 1")
 
 
 def test_roundtrip_rejects_wrong_via():
