@@ -180,9 +180,7 @@ def relabel_table(table, p, q, arity=None) -> np.ndarray:
     inner = table[..., q] if arity == 1 else table[..., q[..., :, None], q[..., None, :]]
     if p.ndim == 1:
         return p[inner]
-    p = p.reshape((1,) * (inner.ndim - p.ndim - arity + 1) + p.shape)
-    flat = inner.reshape(*inner.shape[:inner.ndim - arity], -1)
-    return np.take_along_axis(p, flat, -1).reshape(inner.shape)
+    return p[np.arange(len(p)).reshape(-1, *(1,) * arity), inner]
 
 
 class _Kind(NamedTuple):

@@ -2,13 +2,11 @@
 
 Models have the constants at zero=0, one=1, and each is emitted once, as its
 canonical form: the least concatenation of the sum, product and involution
-tables over the carrier permutations fixing the constants.  Those stream in
-stacks of at most 7! rows, and one pass over them gives the least relabelling
-of the sum table with the permutations reaching it, the only ones then tried
-on the other tables; a root's are its automorphisms.  The search makes that
-pass once per root, when the root's involution candidates or its first
-leaves' canonical forms need it.  Past 10! permutations (n >= 13) a size is
-refused before any table is grown.
+tables over the carrier permutations fixing the constants.  A sum table's
+least relabelling comes from one scan of those, in stacks of at most 7! rows
+(refused past 10!, n >= 13, before any table is grown), and only the
+permutations reaching it are tried on the other tables: for a search root,
+its automorphisms, found by one depth-first isomorphism search.
 
 The search grows stacks of partial tables, padded with the sentinel n
 (unfilled), breadth first; each step is one stacked mask-only engine call
@@ -210,40 +208,78 @@ def _least_forms(tables, perms) -> np.ndarray:
     return least
 
 
-def _least_relabelling(add: np.ndarray) -> tuple:
-    """A sum table's least relabelling, n * n uint8 values, and the permutations reaching it
-    as one (p, q) stack: its automorphisms, if it is its own least relabelling.  One pass
-    over _middle_perms keeps each stack's least rows while they tie the least so far."""
-    least, kept = None, []
-    for p, q in _middle_perms(add.shape[0]):
-        rows = _void_rows(relabel_table(add, p.astype(np.uint8), q).reshape(len(p), -1))
-        row = np.sort(rows)[0]
-        if least is None or row.tobytes() < least:
-            least, kept = row.tobytes(), []
-        if row.tobytes() == least:
-            kept.append((p[rows == row], q[rows == row]))
-    return (np.frombuffer(least, np.uint8), *map(np.concatenate, zip(*kept)))
+def _isomorphisms(pairs, fixed: dict):
+    """Every permutation p, as a tuple, with relabel_table(s, p, q) == t for each (source s,
+    target t) pair of (n, n) or (n,) tables, q its inverse, and p[x] = y for each x: y of fixed.
+
+    Depth first, so in lexicographic order: each element in turn takes every free image in
+    ascending order, and a partial map is cut at the first instance (s + t = w, inv(s) = w)
+    all of whose elements it maps and that the target reads differently.  Each complete map
+    is re-checked with relabel_table.
+    """
+    n = len(pairs[0][0])
+    img, free = [fixed.get(x, -1) for x in range(n)], [y not in fixed.values() for y in range(n)]
+    # an instance is checked at the largest element it holds that is not fixed, else up front
+    last, checks = [-1 if x in fixed else x for x in range(n)], [[] for _ in range(n + 1)]
+    for a, b in pairs:          # inv(s) = w is read as s . s = w, in a target constant on rows
+        args = np.indices(a.shape) if a.ndim == 2 else [np.arange(n)] * 2
+        b = b.tolist() if b.ndim == 2 else [[v] * n for v in b.tolist()]
+        for s, t, w in zip(*(x.ravel().tolist() for x in (*args, a))):
+            checks[max(last[s], last[t], last[w]) + 1].append((b, s, t, w))
+
+    def mapped(x) -> bool:
+        return all(b[img[s]][img[t]] == img[w] for b, s, t, w in checks[x + 1])
+
+    def extend(x):
+        if x == n:
+            p, q = np.array(img), np.argsort(img)
+            if all(np.array_equal(relabel_table(a, p, q), b) for a, b in pairs):
+                yield tuple(img)
+        elif x in fixed:
+            yield from extend(x + 1)
+        else:
+            for y in range(n):
+                if free[y]:
+                    img[x], free[y] = y, False
+                    if mapped(x):
+                        yield from extend(x + 1)
+                    free[y] = True
+
+    if mapped(-1):
+        yield from extend(0)
 
 
-def _canonical_keys(add, mul, inv, relabelling) -> np.ndarray:
+def _relabellings(add: np.ndarray, least: np.ndarray) -> tuple:
+    """The permutations fixing 0 and 1 that relabel a sum table to least, as a (p, q) stack:
+    its automorphisms when least is the table itself."""
+    fixed = {x: x for x in range(min(len(add), 2))}
+    p = np.array(list(_isomorphisms([(add, least)], fixed))).reshape(-1, len(add))
+    return p, np.argsort(p, axis=1)
+
+
+def _canonical_keys(add, mul, inv, automorphisms) -> np.ndarray:
     """canonical_form of the algebras with one sum table, (k, n, n) products and (k, n) or no
     involutions, constants at 0 and 1, as (k, width) uint8 rows: the least concatenation
-    starts with the sum table's least relabelling: only the permutations reaching it count.
-    relabelling is _least_relabelling(add)."""
-    least, p, q = relabelling
-    rows = _least_forms([mul] if inv is None else [mul, inv], [(p, q)])
-    head = np.append(np.uint8([add.shape[0], inv is not None]), least)
+    starts with the sum table's least relabelling, and only the relabellings reaching it
+    count.  automorphisms, a (p, q) stack, are those of a sum table that is its own least
+    relabelling; without them, the least comes from one scan of _middle_perms."""
+    n, least, reaching = add.shape[0], add, automorphisms
+    if automorphisms is None:
+        least = _least_forms([add[None]], _middle_perms(n)).reshape(n, n)
+        reaching = _relabellings(add, least)
+    rows = _least_forms([mul] if inv is None else [mul, inv], [reaching])
+    head = np.append(np.uint8([n, inv is not None]), np.uint8(least).ravel())
     return np.hstack([np.broadcast_to(head, (len(rows), len(head))), rows])
 
 
-def canonical_form(algebra, relabelling=None):
+def canonical_form(algebra, automorphisms=None):
     """Minimal (add | mul | inv) concatenation over permutations sending zero to 0, one to 1.
 
     An algebra gets a tuple of ints, a TableStack its slices' forms as (k, width) uint8
     rows: every entry is below 256, so the byte order of two rows is the tuples' order.
     A stack with a sum table per slice is canonicalized one distinct sum table at a time.
-    relabelling is _least_relabelling of the one sum table of a stack whose constants are
-    at 0 and 1, when the caller has it already.
+    A stack on one search root (a sum table that is its own least relabelling), constants at
+    0 and 1, may come with the root's automorphisms, a (p, q) stack: then no scan is made.
     """
     stacked, n = isinstance(algebra, TableStack), algebra.n
     k = len(algebra) if stacked else 1
@@ -257,15 +293,14 @@ def canonical_form(algebra, relabelling=None):
     add, mul, inv = algebra.add, np.broadcast_to(algebra.mul, (k, n, n)), algebra.inv
     inv = None if inv is None else np.broadcast_to(inv, (k, n))
     if add.ndim == 2:
-        keys = _canonical_keys(add, mul, inv, relabelling or _least_relabelling(add))
+        keys = _canonical_keys(add, mul, inv, automorphisms)
         return keys if stacked else tuple(keys[0].tolist())
     # a sum table per slice: one shared-table call per distinct sum table, rows in slice order
     groups = {}
     for i, table in enumerate(add):
         groups.setdefault(table.tobytes(), []).append(i)
     keys = np.concatenate([_canonical_keys(add[s[0]], mul[s], None if inv is None else inv[s],
-                                           _least_relabelling(add[s[0]]))
-                           for s in groups.values()])
+                                           None) for s in groups.values()])
     return keys[np.argsort(np.concatenate(list(groups.values())))]
 
 
@@ -295,50 +330,17 @@ def canonicalize(algebra: FiniteNearSemiring, name=None) -> FiniteNearSemiring:
 def are_isomorphic(a: FiniteNearSemiring, b: FiniteNearSemiring):
     """A constant-preserving table isomorphism as a permutation, or None.
 
-    Deterministic: images are tried in ascending order element by element,
-    so the first witness found is the lexicographically least one.
+    Deterministic: the first map _isomorphisms gives, the lexicographically least one,
+    re-verified by relabelling.
     """
     if a.has_inv != b.has_inv:
         raise AlgebraError("cannot compare algebras with different signatures")
     if a.n != b.n:
         return None
-    n = a.n
     # equal sizes: zero and one differ in both algebras, or both are the one element
-    img = [-1] * n
-    img[a.zero], img[a.one] = b.zero, b.one
-    used = [y in (b.zero, b.one) for y in range(n)]
-
-    def consistent(x) -> bool:
-        # check every instance all of whose lookups are already mapped
-        for u in range(n):
-            if img[u] == -1:
-                continue
-            for (s, t) in ((x, u), (u, x)):
-                for tab_a, tab_b in ((a.add, b.add), (a.mul, b.mul)):
-                    w = int(tab_a[s, t])
-                    if img[w] != -1 and tab_b[img[s], img[t]] != img[w]:
-                        return False
-        if a.inv is not None:
-            w = int(a.inv[x])
-            if img[w] != -1 and b.inv[img[x]] != img[w]:
-                return False
-        return True
-
-    def dfs(x) -> bool:
-        if x == n:
-            return a.relabel(img).same_tables(b)
-        if img[x] != -1:
-            return consistent(x) and dfs(x + 1)
-        for y in range(n):
-            if used[y]:
-                continue
-            img[x], used[y] = y, True
-            if consistent(x) and dfs(x + 1):
-                return True
-            img[x], used[y] = -1, False
-        return False
-
-    return tuple(img) if dfs(0) else None
+    pairs = [(a.add, b.add), (a.mul, b.mul)] + [(a.inv, b.inv)] * a.has_inv
+    img = next(_isomorphisms(pairs, {a.zero: b.zero, a.one: b.one}), None)
+    return img if img is not None and a.relabel(img).same_tables(b) else None
 
 
 # ---------------------------------------------------------------------------
@@ -433,25 +435,19 @@ def _involutions(n: int) -> np.ndarray:
     return rows
 
 
-def _involution_candidates(add: np.ndarray, constraint: SearchConstraint, relabelling=None):
-    """Period-two permutations, antitone when an involutive profile demands it.
-
-    One per orbit of the sum table's automorphisms, each the least of its orbit, in
-    ascending order.  When there is a candidate, the sum table must be its own least
-    relabelling, as every root is, so that the permutations reaching it are its automorphisms.
-    relabelling, when given, is called for _least_relabelling(add) then, and only then.
-    """
+def _period_two(add: np.ndarray, constraint: SearchConstraint) -> np.ndarray:
+    """Period-two permutations as rows, antitone when an involutive profile demands it."""
     n = add.shape[0]
     invs = _involutions(n)
     if constraint.antitone_inv:
         invs = invs[~_clause_subset((_AXIOMS["involution-antitone"],)).violations(
             {"add": add, "inv": invs}, n, mask=True)]
-    if not len(invs):
-        return []
-    least, p, q = relabelling() if relabelling else _least_relabelling(add)
-    if not np.array_equal(least, add.ravel()):
-        raise AlgebraError("the sum table is not its own least relabelling")
-    return list(_unique_rows(_least_forms([invs], [(p, q)])))
+    return invs
+
+
+def _involution_candidates(invs: np.ndarray, automorphisms) -> list:
+    """The least row of invs in each orbit of automorphisms, a (p, q) stack, ascending."""
+    return list(_unique_rows(_least_forms([invs], [automorphisms])))
 
 
 # right-distributivity at a column c: x -> x.z, read as a unary table
@@ -630,16 +626,19 @@ def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Coun
     """The leaves of each sum table that pass _verify, as TableStacks in generation order:
     one per chunk of one (sum table, involution) pair, as _leaf_stacks gives them.
 
-    Each comes with a call giving its sum table's _least_relabelling, which scans the
-    relabellings once per sum table, when first called.
+    Each comes with its sum table's automorphisms, as a (p, q) stack.  A sum table with no
+    involution candidate is skipped before its automorphisms and its column candidates.
     """
     prunes = dict.fromkeys((c.name for c in _prunes(constraint)), 0)
     for add in roots:
         counter.pruned.update(prunes)           # a key per prune, with leaves or without
-        relabelling = functools.cache(functools.partial(_least_relabelling, add))
         with counter.timed("involutions"):
-            invs = _involution_candidates(add, constraint, relabelling) \
-                if constraint.needs_inv else [None]
+            invs = _period_two(add, constraint) if constraint.needs_inv else [None]
+            if not len(invs):
+                continue
+            automorphisms = _relabellings(add, add)
+            if constraint.needs_inv:
+                invs = _involution_candidates(invs, automorphisms)
         with counter.timed("column_candidates"):
             columns = _column_candidates(add)
         leaves = (stack for inv in invs
@@ -655,7 +654,7 @@ def _verified_stacks(n: int, constraint: SearchConstraint, roots, counter: _Coun
             counter.counts["leaves"] += len(stack)
             counter.counts["rejected"] += len(stack) - passed
             if passed:
-                yield (stack if passed == len(stack) else stack.take(ok)), relabelling
+                yield (stack if passed == len(stack) else stack.take(ok)), automorphisms
 
 
 def _root_keys(args):
@@ -663,9 +662,9 @@ def _root_keys(args):
     n, constraint, add = args
     counter = _Counter()
     keys = [np.empty((0, 2 + n * (2 * n + constraint.needs_inv)), dtype=np.uint8)]
-    for stack, relabelling in _verified_stacks(n, constraint, [add], counter):
+    for stack, automorphisms in _verified_stacks(n, constraint, [add], counter):
         with counter.timed("canonical_keys"):
-            keys.append(canonical_form(stack, relabelling()))
+            keys.append(canonical_form(stack, automorphisms))
     with counter.timed("canonical_keys"):
         return _unique_rows(np.concatenate(keys)), counter
 
@@ -749,9 +748,9 @@ def find_model(n_max: int, satisfy, violate, allow_large: bool = False) -> Searc
         with counter.timed("sum_tables"):
             roots = _canonical_add_tables(n, constraint)
         counter.counts["roots"] += len(roots)
-        for stack, relabelling in _verified_stacks(n, constraint, roots, counter):
+        for stack, automorphisms in _verified_stacks(n, constraint, roots, counter):
             with counter.timed("canonical_keys"):
-                keys = canonical_form(stack.take([0]), relabelling())
+                keys = canonical_form(stack.take([0]), automorphisms)
             with counter.timed("output"):
                 models = _model_stack(keys, n, constraint.needs_inv, f"witness-n{n}")
                 # witnesses are recomputed on the canonical labelling

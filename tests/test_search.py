@@ -209,6 +209,31 @@ def test_are_isomorphic_first_witness_is_lexicographic_least():
     assert nsr.are_isomorphic(b4, b4) == min(autos)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_are_isomorphic_gives_the_least_isomorphism(data):
+    a = data.draw(random_algebras(6))
+    b = a.relabel(data.draw(st.permutations(range(a.n))))
+    add, mul = a.add.tolist(), a.mul.tolist()
+    inv = None if a.inv is None else a.inv.tolist()
+    want = [p for p in permutations(range(a.n))
+            if (p[a.zero], p[a.one]) == (b.zero, b.one) and naive.relabel(add, mul, inv, p)
+            == (b.add.tolist(), b.mul.tolist(), None if b.inv is None else b.inv.tolist())]
+    assert nsr.are_isomorphic(a, b) == min(want)
+
+
+@pytest.mark.parametrize("name, seed", [("BOOL2xBOOL2xBOOL2xBOOL2xBOOL2", 5),
+                                        ("MO2xBOOL2xBOOL2", 24)])
+def test_are_isomorphic_at_large_sizes(name, seed):
+    # n = 32 and 24: the least witness, each way round, is at most the known relabelling
+    a = fixtures.fixture(name)
+    perm = tuple(np.random.default_rng(seed).permutation(a.n).tolist())
+    b = a.relabel(perm)
+    for source, target, known in ((a, b, perm), (b, a, tuple(np.argsort(perm).tolist()))):
+        witness = nsr.are_isomorphic(source, target)
+        assert source.relabel(witness).same_tables(target) and witness <= known
+
+
 def test_identity_catalog_evaluation():
     mv3 = fixtures.mv3()
     assert nsr.identity_holds(nsr.IDENTITIES["lukasiewicz"], mv3)
@@ -446,25 +471,43 @@ def test_least_relabelling_matches_a_plain_scan(add, block):
         q = [p.index(x) for x in range(n)]
         form = tuple(p[add[q[x], q[y]]] for x in range(n) for y in range(n))
         forms.setdefault(form, []).append(p)
+    algebra = nsr.FiniteNearSemiring(add, add, 0, min(n - 1, 1))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_BLOCK", block)
-        least, p, q = search._least_relabelling(add)
-    assert least.dtype == np.uint8 and tuple(least.tolist()) == min(forms)
-    assert sorted(map(tuple, p.tolist())) == sorted(forms[min(forms)])
+        key = canonical_form(algebra)
+        least = search._least_forms([add[None]], search._middle_perms(n))
+    assert least.dtype == np.uint8 and tuple(least[0].tolist()) == key[2:2 + n * n] == min(forms)
+    p, q = search._relabellings(add, least.reshape(n, n))
+    assert list(map(tuple, p.tolist())) == sorted(forms[min(forms)])
     assert (np.take_along_axis(p, q, 1) == np.arange(n)).all()
 
 
-def test_involution_candidates_refuse_a_sum_table_that_is_not_a_root():
-    constraint = nsr.parse_constraint("involutive-integral")
-    swap = np.array([0, 1, 3, 2])
-    roots = search._canonical_add_tables(4, constraint)
-    assert all(search._involution_candidates(root, constraint) for root in roots)
-    moved = [t for t in (core.relabel_table(r, swap, swap) for r in roots)
-             if not any(np.array_equal(t, r) for r in roots)]
+@settings(max_examples=120, deadline=None)
+@given(add=sum_tables())
+def test_isomorphisms_of_a_table_with_itself_are_its_automorphisms(add):
+    n = len(add)
+    fixed = list(range(min(n, 2)))
+    want = [p for p in permutations(range(n)) if list(p[:len(fixed)]) == fixed
+            and naive.relabel(add.tolist(), add.tolist(), None, p)[0] == add.tolist()]
+    assert list(search._isomorphisms([(add, add)], dict(zip(fixed, fixed)))) == want
+
+
+def _candidates(add, constraint):
+    """The involution candidates of a sum table, under its own automorphisms."""
+    return search._involution_candidates(search._period_two(add, constraint),
+                                         search._relabellings(add, add))
+
+
+@pytest.mark.parametrize("n, names", [(4, "involutive-integral"), (5, "involutive")])
+def test_a_relabelled_root_has_as_many_involution_candidates(n, names):
+    constraint = nsr.parse_constraint(names)
+    swap = np.array([0, 1, *range(n - 1, 1, -1)])
+    moved = 0
+    for root in search._canonical_add_tables(n, constraint):
+        table = core.relabel_table(root, swap, swap)
+        moved += not np.array_equal(table, root)
+        assert len(_candidates(table, constraint)) == len(_candidates(root, constraint))
     assert moved
-    for table in moved:
-        with pytest.raises(nsr.AlgebraError, match="not its own least relabelling"):
-            search._involution_candidates(table, constraint)
 
 
 @pytest.mark.parametrize("with_inv", [False, True])
@@ -478,21 +521,25 @@ def test_least_forms_of_no_slices_are_no_rows(with_inv):
 
 
 @pytest.mark.parametrize("n, names", [(5, "involutive"), (5, "involutive-integral"),
-                                      (4, "idempotent-add")])
-def test_a_search_scans_each_sum_table_once(monkeypatch, n, names):
-    scans, scan = Counter(), search._least_relabelling
+                                      (4, "idempotent-add"), (4, "semiring")])
+def test_a_search_scans_no_relabellings_after_its_roots(monkeypatch, n, names):
+    # every scan of the relabellings happens while the roots are taken
+    inside, scans, outside = [], [], []
+    roots, perms = search._canonical_add_tables, search._middle_perms
 
-    def counted(add):
-        scans[add.tobytes()] += 1
-        return scan(add)
+    def taken(size, constraint):
+        inside.append(size)
+        try:
+            return roots(size, constraint)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(search, "_least_relabelling", counted)
-    assert len(nsr.enumerate_models(n, names).models)
-    assert scans and set(scans.values()) == {1}
-    if names != "idempotent-add":
-        scans.clear()
-        assert nsr.find_model(n, names, "lukasiewicz").models
-        assert scans and set(scans.values()) == {1}
+    monkeypatch.setattr(search, "_canonical_add_tables", taken)
+    monkeypatch.setattr(search, "_middle_perms",
+                        lambda size: (scans if inside else outside).append(size) or perms(size))
+    violate = "lukasiewicz" if nsr.parse_constraint(names).needs_inv else "orthomodular"
+    assert len(nsr.enumerate_models(n, names).models) and nsr.find_model(n, names, violate).models
+    assert scans and outside == []
 
 
 def test_canonical_form_at_size_ten_ignores_the_labelling():
@@ -596,7 +643,7 @@ def test_involution_candidates_match_plain_lists(names, sizes):
     constraint = nsr.parse_constraint(names)
     for n in sizes:
         for add in search._canonical_add_tables(n, constraint):
-            got = search._involution_candidates(add, constraint)
+            got = _candidates(add, constraint)
             assert [inv.tolist() for inv in got] == \
                 _plain_involution_candidates(add.tolist(), constraint.antitone_inv)
 
@@ -768,7 +815,7 @@ def _dfs_against_the_oracle(n, constraint, add, invs=None):
     """The stacked DFS's leaves, nodes and prune counts on one sum table, asserted equal
     to the per-node oracle's; returns the oracle's prune counts."""
     if invs is None:
-        invs = search._involution_candidates(add, constraint) if constraint.needs_inv else [None]
+        invs = _candidates(add, constraint) if constraint.needs_inv else [None]
     columns = search._column_candidates(add)
     counter = search._Counter()
     got = [(mul.tolist(), None if stack.inv is None else stack.inv.tolist())
@@ -812,7 +859,7 @@ def test_each_leaf_stack_shares_one_involution(names):
 def test_a_sum_table_without_an_antitone_involution_has_no_leaves():
     constraint = nsr.parse_constraint("involutive,lukasiewicz")
     bare = [add for add in search._canonical_add_tables(5, constraint)
-            if search._involution_candidates(add, constraint) == []]
+            if _candidates(add, constraint) == []]
     assert bare
     for add in bare:
         assert _dfs_against_the_oracle(5, constraint, add, invs=[]) == {"lukasiewicz": 0}
