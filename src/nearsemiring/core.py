@@ -706,7 +706,8 @@ def _at(value, point):
     return value[tuple(p if s > 1 else 0 for p, s in zip(point[-len(shape):], shape))]
 
 
-# stacked algebras x grid cells of one chunk of a stacked ClauseSet.violations call
+# grid cells of one chunk of a ClauseSet.violations call: stacked algebras x grid cells, or
+# one slab of a single algebra's grid
 _STACK_CELLS = 1 << 18
 # grid cells from which a single-table read of two independent subterms is two block
 # takes on narrowed tables (_outer_read) rather than one broadcast gather
@@ -723,6 +724,10 @@ class ClauseSet:
     two block takes.  A stacked table is read with the stack index (slot 0 of
     a call's values) as its first index; only values that read one get a stack axis.
 
+    A call runs in chunks of at most _STACK_CELLS cells: slices of its stack,
+    or for one algebra slabs of its grid's leading variables, visited in C
+    order until every clause has its least witness.
+
     A call that reads a stacked table reads every table applied to subterms
     as one 1-D take on the table narrowed (_narrow) and raveled in C order,
     once per chunk, at Σ value·stride in np.intp, the strides being those of
@@ -735,7 +740,7 @@ class ClauseSet:
     def __init__(self, clauses):
         self.clauses = tuple(clauses)
         self._arity = k = max((len(c.variables) for c in self.clauses), default=0)
-        self._nodes, self._parts, slots = [], [], {}
+        self._nodes, slots = [], {}
         self._axes = [frozenset()]      # per slot, the grid axes of the variables it reads
 
         def slot(term):
@@ -751,10 +756,13 @@ class ClauseSet:
                 slots[term] = len(self._nodes)
             return slots[term]
 
-        for c in self.clauses:
-            self._parts.append(tuple(
-                (slot(lhs), slot(rhs), tuple((slot(a), slot(b)) for a, b in guards))
-                for lhs, rhs, guards in c.parts))
+        # (index, clause, parts) per clause, each part's sides and guards as slots
+        self._checks = tuple((i, c, tuple(
+            (slot(lhs), slot(rhs), tuple((slot(a), slot(b)) for a, b in guards))
+            for lhs, rhs, guards in c.parts)) for i, c in enumerate(self.clauses))
+        # per slot, the least grid axis it reads (k when none): a call on slabs that cut the
+        # first c axes evaluates a slot in every slab when that axis is below c
+        self._first = [min(axes, default=k) for axes in self._axes]
         self.needs_inv = any(head == "inv" for head, _args, _view in self._nodes)
         # each table read, with its arity: a table with one axis more is a stack
         self._tables = tuple({head: len(args) for head, args, _view in self._nodes
@@ -777,18 +785,26 @@ class ClauseSet:
         tables, one per algebra; a table without it is shared by all k.
         When the clauses read a stacked table, the call returns a list of k
         dicts, each equal to the dict the same call on that algebra's own
-        tables returns.  It is evaluated in chunks of at most about
-        _STACK_CELLS grid cells; a call without a stacked table is one chunk
-        of one algebra.  Its reads are flat takes (see ClauseSet), so every
+        tables returns.  Its reads are flat takes (see ClauseSet), so every
         entry must be below its table's side.
 
+        Either call is evaluated in chunks of at most about _STACK_CELLS
+        grid cells: a stacked call in slices of its stack, a call on one
+        algebra in slabs of its grid's leading variables (_slabs).  A
+        subterm that reads no cut variable is evaluated once per call.  The
+        slabs are visited in C order, so a clause's least witness lies in
+        the first slab it fails in, and the call stops once every clause
+        has one.
+
         With mask, the call returns only whether some clause fails: a bool,
-        or for stacked tables a (k,) bool array, and finds no witness.
+        or for stacked tables a (k,) bool array, and finds no witness.  On
+        one algebra it stops at the first failing slab.
         """
         k = self._arity
         grids = _open_grid(n, k)
         stacked = [head for head, arity in self._tables if ops[head].ndim > arity]
         sentinel = self._probe is not None and ops[self._probe].shape[-1] > n
+        unfilled = n if sentinel else None
         # views read the shared tables over the grid itself, without padding
         views = ops if not sentinel else {
             head: ops[head][:n, :n] for head in self._viewed if head not in stacked}
@@ -798,28 +814,20 @@ class ClauseSet:
             nodes = self._call_nodes(n, stacked)
         narrow = cells >= _OUTER_CELLS and {head: _narrow(ops[head]) for head, arity in self._tables
                                             if arity == 2 and head not in stacked}
-        chunks = ((ops, None),)         # (tables, stack index) per chunk of the stack
         strides = {}                    # C-order, of all axes but the last (1), per table read
-        if stacked:
-            length = len(ops[stacked[0]])
-            if any(len(ops[head]) != length for head in stacked):
-                raise AlgebraError("stacked tables of different lengths")
-            step = max(1, _STACK_CELLS // cells)
-            chunks = (({name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()},
-                       np.arange(min(step, length - lo)).reshape((-1,) + (1,) * k))
-                      for lo in range(0, length, step))
-            strides = {head: [math.prod(shape[d + 1:]) for d in range(len(shape) - 1)]
-                       for head, args, view in nodes if head != "var" and view is None
-                       and 1 <= len(args) <= 3 for shape in [ops[head].shape]}
-        found = []
-        for part, which in chunks:
-            vals = [which]
-            flat = {head: _narrow(part[head]).ravel() for head in strides}
-            for head, args, view in nodes:
+
+        def fill(vals, part, which, flat, cut=0):
+            """vals, which holds slot 0, with each node's value appended in slot order.  A
+            node that reads one of the first cut grid axes, other than a variable or a view,
+            is left None: a call on slabs reads it per slab."""
+            first = self._first
+            for slot, (head, args, view) in enumerate(nodes, 1):
                 if head == "var":
                     vals.append(grids[args])
                 elif view is not None:
                     vals.append(view(views[head], ops))
+                elif first[slot] < cut:
+                    vals.append(None)
                 elif not args:
                     vals.append(ops[head])
                 elif which is not None and len(args) <= 3:   # one take, at Σ value·stride
@@ -834,46 +842,92 @@ class ClauseSet:
                 else:
                     vals.append(_outer_read(narrow[head], vals[args[0]], vals[args[1]],
                                             *args[2:], k))
-            count = 1 if which is None else len(which)
-            out = np.zeros(count, dtype=bool) if mask else [{} for _ in range(count)]
-            for c, parts in zip(self.clauses, self._parts):
-                bad = None              # the mask of the clause's failing instances
-                for lhs, rhs, guards in parts:
-                    fails = vals[lhs] != vals[rhs]
-                    for a, b in guards:
-                        fails = fails & (vals[a] == vals[b])
-                    if sentinel:
-                        for side in (lhs, rhs) + sum(guards, ()):
-                            fails = fails & (vals[side] != n)
-                    bad = fails if bad is None else bad | fails
-                if not np.count_nonzero(bad):
-                    continue
-                bad = np.asarray(bad)   # a bool where every side is a constant
-                if which is not None:   # a mask without the stack axis holds in every algebra
-                    grid = bad.shape[bad.ndim - k:] if bad.ndim else (1,) * k
-                    rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
-                    hit = rows.any(axis=1)
+            return vals
+
+        if not stacked:
+            cut, slabs = _slabs(n, k) if cells > _STACK_CELLS else (0, ((None, (0,) * k),))
+            # read once per call: every value that reads no cut variable, and each variable's
+            # and view's over the whole grid
+            whole = fill([None], ops, None, None, cut)
+            slabbed = [(slot, node) for slot, node in enumerate(nodes, 1)
+                       if self._first[slot] < cut] if cut else ()
+            halves = {}                 # per outer read, the take of a side that no slab cuts
+            found, checks = {}, self._checks
+            for index, start in slabs:
+                vals = list(whole) if slabbed else whole
+                for slot, (head, args, view) in slabbed:
+                    if head == "var" or view is not None:   # sliced to the slab
+                        axes = self._axes[slot]
+                        vals[slot] = whole[slot][tuple(s if d in axes else slice(None)
+                                                       for d, s in enumerate(index))]
+                    elif len(args) == 4:
+                        a, b = args[:2]
+                        if slot not in halves:
+                            halves[slot] = {}
+                            if self._first[b] >= cut:
+                                halves[slot]["columns"] = np.take(narrow[head], np.ravel(vals[b]),
+                                                                  axis=1)
+                            elif self._first[a] >= cut:
+                                halves[slot]["rows"] = narrow[head][np.ravel(vals[a])]
+                        vals[slot] = _outer_read(narrow[head], vals[a], vals[b], *args[2:], k,
+                                                 **halves[slot])
+                    else:
+                        vals[slot] = ops[head][tuple(vals[a] for a in args)]
+                for i, c, parts, bad in _failures(checks, vals, unfilled):
+                    if mask:
+                        return True
+                    # the least failing point of the slab; unspanned axes at their least element
+                    point = (tuple(map(int, np.unravel_index(int(bad.argmax()), bad.shape)))
+                             if bad.ndim else (0,) * k)
+                    where = tuple(p + s for p, s in zip(point, start)) if cut else point
+                    witness = where[:len(c.variables)]
+                    text = None if labels is None else _render(
+                        c, parts, vals, point, witness, ops, labels, unfilled)
+                    found[i] = Violation(c.name, witness, text)
+                if cut and found:       # the clauses still without a witness
+                    checks = [check for check in checks if check[0] not in found]
+                    if not checks:
+                        break
+            if mask:
+                return False
+            # in clause order: a later clause may have failed in an earlier slab
+            return {v.clause: v for _i, v in sorted(found.items())} if found else {}
+
+        length = len(ops[stacked[0]])
+        if any(len(ops[head]) != length for head in stacked):
+            raise AlgebraError("stacked tables of different lengths")
+        step = max(1, _STACK_CELLS // cells)
+        strides.update({head: [math.prod(shape[d + 1:]) for d in range(len(shape) - 1)]
+                        for head, args, view in nodes if head != "var" and view is None
+                        and 1 <= len(args) <= 3 for shape in [ops[head].shape]})
+        found = []
+        for lo in range(0, length, step):
+            part = {name: t[lo:lo + step] if name in stacked else t for name, t in ops.items()}
+            which = np.arange(min(step, length - lo)).reshape((-1,) + (1,) * k)
+            flat = {head: _narrow(part[head]).ravel() for head in strides}
+            vals = fill([which], part, which, flat)
+            out = np.zeros(len(which), dtype=bool) if mask else [{} for _ in range(len(which))]
+            for _i, c, parts, bad in _failures(self._checks, vals, unfilled):
+                grid = bad.shape[bad.ndim - k:] if bad.ndim else (1,) * k
+                # a mask without the stack axis holds in every algebra
+                rows = np.broadcast_to(bad, (len(out),) + grid).reshape(len(out), -1)
+                hit = rows.any(axis=1)
                 if mask:
-                    out |= True if which is None else hit
+                    out |= hit
                     continue
                 # each failing algebra's least failing point; unspanned axes at their least element
-                if which is None:
-                    firsts = ((0, tuple(map(int, np.unravel_index(int(bad.argmax()), bad.shape)))
-                               if bad.ndim else (0,) * k),)
-                else:
-                    hits = np.flatnonzero(hit).tolist()
-                    firsts = zip(hits, zip(*(p.tolist() for p in np.unravel_index(
-                        rows[hits].argmax(axis=1), grid))) if k else itertools.repeat(()))
+                hits = np.flatnonzero(hit).tolist()
+                firsts = zip(hits, zip(*(p.tolist() for p in np.unravel_index(
+                    rows[hits].argmax(axis=1), grid))) if k else itertools.repeat(()))
                 for s, point in firsts:
                     witness = point[:len(c.variables)]
                     text = None if labels is None else _render(
-                        c, parts, vals, point if which is None else (s, *point), witness, part,
-                        labels, n if sentinel else None)
+                        c, parts, vals, (s, *point), witness, part, labels, unfilled)
                     out[s][c.name] = Violation(c.name, witness, text)
             found += [out] if mask else out
         if mask:                        # an empty stack has no chunk
-            return np.concatenate(found or [np.zeros(0, bool)]) if stacked else bool(found[0][0])
-        return found if stacked else found[0]
+            return np.concatenate(found or [np.zeros(0, bool)])
+        return found
 
     def _call_nodes(self, size: int, stacked) -> list:
         """The nodes as one call reads them, size being the elements per grid axis.
@@ -898,13 +952,54 @@ class ClauseSet:
         return nodes
 
 
+def _slabs(n: int, k: int) -> tuple:
+    """The grid range(n)**k, of more than _STACK_CELLS cells, as slabs of at most that many,
+    as (cut, slabs).
+
+    The slabs cut the first cut axes: each of those before the last at one
+    value, the last in runs of values, and the axes after it whole, so a
+    slab is a run of the grid in C order.  slabs yields them in C order,
+    each as (index, start): a basic index of k slices and the slab's least
+    point.
+    """
+    cut = 1
+    while cut < k and n ** (k - cut) > _STACK_CELLS:
+        cut += 1
+    step = max(1, _STACK_CELLS // n ** (k - cut))
+    rest = (slice(None),) * (k - cut)
+    return cut, ((tuple(slice(x, x + 1) for x in head) + (slice(lo, lo + step),) + rest,
+                  head + (lo,) + (0,) * (k - cut))
+                 for head in itertools.product(range(n), repeat=cut - 1)
+                 for lo in range(0, n, step))
+
+
+def _failures(checks, vals, unfilled):
+    """(index, clause, parts, mask) for each of the checks, (index, clause, parts) triples,
+    whose clause fails somewhere in vals.  The mask holds where a part's sides differ and
+    its guards hold, and no side reads the sentinel unfilled (None when the tables have none);
+    it is a bool where every side is a constant."""
+    for i, c, parts in checks:
+        bad = None
+        for lhs, rhs, guards in parts:
+            fails = vals[lhs] != vals[rhs]
+            for a, b in guards:
+                fails = fails & (vals[a] == vals[b])
+            if unfilled is not None:
+                for side in (lhs, rhs) + sum(guards, ()):
+                    fails = fails & (vals[side] != unfilled)
+            bad = fails if bad is None else bad | fails
+        if np.count_nonzero(bad):
+            yield i, c, parts, np.asarray(bad)
+
+
 def _narrow(table: np.ndarray) -> np.ndarray:
     """The table, whose entries are not negative, in the smallest unsigned dtype that holds
     them, sentinel included."""
     return table.astype(np.min_scalar_type(int(table.max())), copy=False)
 
 
-def _outer_read(table, a, b, axes_a: tuple, axes_b: tuple, k: int) -> np.ndarray:
+def _outer_read(table, a, b, axes_a: tuple, axes_b: tuple, k: int,
+                rows=None, columns=None) -> np.ndarray:
     """table[a, b] for subterm values on disjoint grid axes, as two block takes.
 
     The columns b are taken first and then the rows a, giving a's axes then
@@ -912,8 +1007,17 @@ def _outer_read(table, a, b, axes_a: tuple, axes_b: tuple, k: int) -> np.ndarray
     axis 1, which returns a C-order block: table[:, idx] returns an F-order
     one, whose row take then copies an element at a time, several times
     slower on a million-cell read.
+
+    A call on slabs takes a side that reads no cut variable once: given the
+    rows table[np.ravel(a)], the columns b are taken from them; given the
+    columns, only the rows a are taken.
     """
-    block = np.take(table, np.ravel(b), axis=1)[np.ravel(a)]
+    if rows is not None:
+        block = np.take(rows, np.ravel(b), axis=1)
+    else:
+        if columns is None:
+            columns = np.take(table, np.ravel(b), axis=1)
+        block = columns[np.ravel(a)]
     shape = [np.shape(a)[d] for d in axes_a] + [np.shape(b)[d] for d in axes_b]
     axes = axes_a + axes_b
     return block.reshape(shape).transpose(np.argsort(axes))[_spread(k, *axes)]

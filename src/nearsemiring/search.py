@@ -405,16 +405,26 @@ def _canonical_add_tables(n: int, constraint: SearchConstraint) -> list:
     relabelling of its orbit, in ascending order.
 
     An idempotent sum table is a lattice's join; without integrality its 1 is any nonzero
-    element of the lattice."""
+    element e of the lattice.  One e per orbit of the lattice's automorphisms serves: an
+    automorphism sending e to e' relabels the table with 1 and e swapped into the one with
+    1 and e' swapped by a permutation fixing 0 and 1."""
     perms = _middle_perms(n)            # refuses a size too large before any table is grown
     if not constraint.idempotent_add:
         raw = _generic_add_tables(n, constraint.integral)
     elif constraint.integral or n < 3:
         return list(_lattices(n).astype(int))
     else:
-        swaps = np.tile(np.arange(n, dtype=np.uint8), (n - 1, 1))    # 1 and e swapped, e > 0
-        swaps[range(n - 1), 1], swaps[range(n - 1), range(1, n)] = range(1, n), 1
-        raw = relabel_table(_lattices(n), swaps, swaps, 2).reshape(-1, n, n)
+        lattices, raw = _lattices(n), []
+        for lattice in lattices:
+            p, _q = _relabellings(lattice, lattice)
+            least = np.flatnonzero(p.min(0) == np.arange(n))[2:]    # of each orbit but 0's, 1's
+            swaps = np.tile(np.arange(n, dtype=np.uint8), (len(least), 1))   # 1 and e swapped
+            swaps[:, 1], swaps[range(len(least)), least] = least, 1
+            raw.append(relabel_table(lattice, swaps, swaps, 2))
+        # e = 1 swaps nothing: each lattice is its own least relabelling already
+        forms = _unique_rows(np.concatenate(
+            [lattices.reshape(-1, n * n), _least_forms([np.concatenate(raw)], perms)]))
+        return list(forms.reshape(-1, n, n).astype(int))
     forms = _unique_rows(_least_forms([raw], perms))
     return list(forms.reshape(-1, n, n).astype(int))
 

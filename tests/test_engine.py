@@ -1,9 +1,11 @@
 """The clause evaluator against plain loops, on complete and partially filled tables."""
+import tracemalloc
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import nearsemiring as nsr
-from nearsemiring import core, fixtures
+from nearsemiring import center, congruences, core, fixtures, search, varieties
 from nearsemiring.core import (
     IDENTITIES, ONE, PROFILES, ZERO, ClauseSet, Violation, X, Y, _add, _mul, clause,
 )
@@ -145,3 +147,123 @@ def test_a_mask_call_on_an_empty_stack_is_an_empty_mask():
             assert clauses.violations(ops, 3) == [], name
             empty = clauses.violations(ops, 3, mask=True)
             assert empty.dtype == bool and empty.shape == (0,), name
+
+
+def _declared_sets():
+    """Every ClauseSet the package declares, by name, and each identity as a set of its own."""
+    seen = set()                # an imported set counts once
+    for module in (core, center, congruences, varieties, search):
+        for name, value in sorted(vars(module).items()):
+            for key, clauses in (value.items() if isinstance(value, dict) else [("", value)]):
+                if isinstance(clauses, ClauseSet) and id(clauses) not in seen:
+                    seen.add(id(clauses))
+                    yield f"{module.__name__}.{name}{key and f'[{key}]'}", clauses
+    for name, c in sorted(IDENTITIES.items()):
+        yield name, ClauseSet([c])
+
+
+DECLARED_SETS = list(_declared_sets())
+
+
+def _set_ops(clauses, n, data, chain):
+    """Tables and constants for every name the clauses read, entries in range(n): a chain's
+    joins, meets and order reversal (or identity) with a few cells changed, or random."""
+    ops = {}
+    for head, arity in clauses._tables:
+        if chain:
+            x = np.arange(n)
+            joins = ("add", "join", "oplus", "target_add")
+            table = (np.maximum.outer(x, x) if head in joins else np.minimum.outer(x, x)) \
+                if arity == 2 else (n - 1 - x if head in ("inv", "neg", "ortho") else x)
+            for _ in range(data.draw(st.integers(0, 2))):
+                cell = tuple(data.draw(st.integers(0, n - 1)) for _ in range(arity))
+                table[cell] = data.draw(st.integers(0, n - 1))
+        else:
+            cells = st.lists(st.integers(0, n - 1), min_size=n ** arity, max_size=n ** arity)
+            table = np.array(data.draw(cells)).reshape((n,) * arity)
+        ops[head] = table
+    for head, args, _view in clauses._nodes:
+        if head != "var" and not args:
+            ops[head] = data.draw(st.integers(0, n - 1))
+    return ops
+
+
+def _padded_ops(ops, n, data):
+    """The tables padded with the sentinel n, as the search's are, some binary cells unfilled."""
+    padded = {}
+    for head, value in ops.items():
+        if isinstance(value, np.ndarray):
+            value = np.pad(value, (0, 1), constant_values=n)
+            if value.ndim == 2:
+                unfilled = np.array(data.draw(st.lists(
+                    st.booleans(), min_size=value.size, max_size=value.size))).reshape(value.shape)
+                value = np.where(unfilled & data.draw(st.booleans()), n, value)
+        padded[head] = value
+    return padded
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.booleans(), st.booleans(), st.sampled_from([64, 7]),
+       st.sampled_from([core._OUTER_CELLS, 16]), st.data())
+def test_slabbed_calls_equal_whole_grid_calls(n, chain, padded, cells, outer, data):
+    """With the bound patched small, a call on one algebra runs in slabs of its grid's
+    leading variables; it returns what the call in one piece returns.  With the outer-read
+    bound patched small too, the slabs read independent subterms as block takes."""
+    labels = tuple(f"<{x}>" for x in range(n))
+    cases = []
+    for name, clauses in DECLARED_SETS:
+        ops = _set_ops(clauses, n, data, chain)
+        if padded and clauses._probe is not None:
+            ops = _padded_ops(ops, n, data)
+        cases.append((name, clauses, ops, clauses.violations(ops, n, labels),
+                      clauses.violations(ops, n, mask=True)))
+    slabs, real = [], core._slabs
+
+    def spy(n, k):              # records each call's slabs
+        cut, each = real(n, k)
+        slabs.append(list(each))
+        return cut, slabs[-1]
+
+    saved = core._STACK_CELLS, core._OUTER_CELLS, core._slabs
+    core._STACK_CELLS, core._OUTER_CELLS, core._slabs = cells, outer, spy
+    try:
+        for name, clauses, ops, whole, failing in cases:
+            got = clauses.violations(ops, n, labels)
+            assert list(got.items()) == list(whole.items()), name
+            assert clauses.violations(ops, n, mask=True) is failing is bool(whole), name
+    finally:
+        core._STACK_CELLS, core._OUTER_CELLS, core._slabs = saved
+    if n >= 3:                  # a five-variable identity spans 243 cells or more
+        assert max(map(len, slabs)) > 1
+
+
+def test_slabbed_witnesses_past_the_first_slab(monkeypatch):
+    """Witnesses whose leading variables are not 0, and a set whose clauses fail in
+    different slabs, found with slabs of one value of e, x and z."""
+    mv6 = fixtures.fixture("MV3xBOOL2")
+    central_2 = IDENTITIES["central-2"]
+    first = nsr.identity_first_violation(central_2, mv6.add, mv6.mul, mv6.inv, mv6.n)
+    bad = mv6.mul.copy()
+    bad[4, 5] = bad[5, 4] = 3
+    ops, labels = dict(mv6.ops(), mul=bad), mv6.labels
+    clauses = ClauseSet(core._PROFILE_CLAUSES["semiring"].clauses + (central_2,))
+    whole = clauses.violations(ops, mv6.n, labels)
+    monkeypatch.setattr(core, "_STACK_CELLS", 64)
+    assert first is not None and first[0] > 0
+    assert nsr.identity_first_violation(central_2, mv6.add, mv6.mul, mv6.inv, mv6.n) == first
+    assert len({v.witness[0] for v in whole.values()}) > 1
+    assert list(clauses.violations(ops, mv6.n, labels).items()) == list(whole.items())
+    assert clauses.violations(ops, mv6.n, mask=True) is True
+
+
+def test_a_five_variable_identity_at_n_32_stays_within_32_mb():
+    bool32 = fixtures.fixture("BOOL2xBOOL2xBOOL2xBOOL2xBOOL2")
+    tracemalloc.start()
+    try:
+        found = nsr.identity_first_violation(
+            IDENTITIES["central-2"], bool32.add, bool32.mul, bool32.inv, bool32.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found is None
+    assert peak <= 32 << 20

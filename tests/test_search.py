@@ -712,6 +712,19 @@ def test_lattice_sum_tables_reach_their_counts(n, integral, count):
         assert (add[1] == 1).all() or not integral
 
 
+@pytest.mark.parametrize("names", ["involutive", "idempotent-add"])
+def test_non_integral_lattice_roots_equal_those_of_every_swap(names):
+    # the roots of one swap per automorphism orbit are those of 1 swapped with every
+    # nonzero element of every lattice
+    for n in range(3, 8):
+        swaps = np.tile(np.arange(n, dtype=np.uint8), (n - 1, 1))
+        swaps[range(n - 1), 1], swaps[range(n - 1), range(1, n)] = range(1, n), 1
+        raw = core.relabel_table(search._lattices(n), swaps, swaps, 2).reshape(-1, n, n)
+        every = search._unique_rows(search._least_forms([raw], search._middle_perms(n)))
+        roots = search._canonical_add_tables(n, nsr.parse_constraint(names))
+        assert np.array_equal(np.reshape(roots, (len(roots), n * n)), every), n
+
+
 @pytest.mark.parametrize("n, names", [
     (6, "involutive-integral,lukasiewicz"), (5, "involutive,lukasiewicz")])
 def test_one_enumeration_takes_its_sum_tables_once(monkeypatch, n, names):
