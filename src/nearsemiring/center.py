@@ -142,7 +142,12 @@ def is_central_full_conditions(algebra: FiniteNearSemiring, e: int) -> bool:
 
 
 def is_central_congruence(algebra: FiniteNearSemiring, e: int) -> bool:
-    """Factor-congruence test: (θ(e,0), θ(e,1)) must be a factor pair."""
+    """Factor-congruence test: (θ(e,0), θ(e,1)) must be a factor pair.
+
+    Across the elements e, principal_congruence closes each constant's
+    θ(x, c) in one kept run (a few when n is large), and is_factor_pair reads
+    the verdicts that is_congruence kept for them.
+    """
     _needs_inv(algebra)
     _in_universe(algebra, e)
     theta = principal_congruence(algebra, e, algebra.zero)

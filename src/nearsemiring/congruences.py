@@ -17,7 +17,11 @@ efficiently", Algebra Universalis 59, 2008), and a join is one coarsening.
 Many closures run as one on disjoint copies of the algebra, element i·n + x
 standing for x in copy i: ``all_congruences`` closes its n(n-1)/2 principal
 congruences so, in chunks of at most _CLOSURE_CELLS table cells, and joins
-batches of pairs so.  One copy's table is the algebra's own.
+batches of pairs so.  One copy's table is the algebra's own.  A single
+``principal_congruence(a, b)`` closes θ(x, b) for a run of x holding a, every x
+when n copies fit one chunk, and keeps the run on the structure, so the
+centrality route's θ(e, 0) and θ(e, 1) for every e take a closure or a few per
+constant.  ``is_congruence`` keeps its verdict per structure and partition.
 
 The lattice properties treat the congruence lattice as a finite lattice:
 the join and meet of each pair of members, k(k+1)/2 of each, are found once
@@ -199,8 +203,25 @@ def _join_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _require_partitions(*parts) -> None:
+    for part in parts:
+        if not isinstance(part, Congruence):
+            raise AlgebraError(f"a partition must be a Congruence, not {type(part).__name__}")
+
+
 def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
-    """Compatibility of a partition with +, · (both sides) and α."""
+    """Compatibility of a partition with +, · (both sides) and α.
+
+    The verdict is kept per structure and partition, so a partition that
+    principal_congruence has checked is not checked again by is_factor_pair;
+    part must be a Congruence, which is checked before the kept lookup.
+    """
+    _require_partitions(part)
+    return _compatible(algebra, part)
+
+
+@kept
+def _compatible(algebra: FiniteNearSemiring, part: Congruence) -> bool:
     if part.n != algebra.n:
         return False
     b, least = np.asarray(part.blocks), _least_members(part)
@@ -209,19 +230,33 @@ def is_congruence(algebra: FiniteNearSemiring, part: Congruence) -> bool:
     return np.array_equal(b[u], b[v])
 
 
+@kept
+def _principal_run(algebra: FiniteNearSemiring, b: int, lo: int, hi: int) -> tuple:
+    """θ(x, b) for lo <= x < hi, closed by one _principal_rows call on hi - lo copies."""
+    x = np.arange(lo, hi)
+    return tuple(_congruences(_principal_rows(algebra, x, np.full_like(x, b))))
+
+
 def principal_congruence(algebra: FiniteNearSemiring, a: int, b: int) -> Congruence:
     """Smallest congruence identifying a and b.
 
-    _principal_rows on one copy.  The result is re-validated independently.
+    Row a of θ(x, b) for a run of x closed at once on disjoint copies and kept
+    on the structure: every x when n copies fit one _CLOSURE_CELLS chunk, and
+    otherwise the chunk-sized block of x holding a, so a lone call closes at
+    most one chunk.  The result is re-validated independently.
     """
     _in_universe(algebra, a, b)
-    out, = _congruences(_principal_rows(algebra, np.array([a]), np.array([b])))
+    a, b = int(a), int(b)
+    run = max(1, _CLOSURE_CELLS // _translations(algebra, 1).size)
+    lo = a - a % run
+    out = _principal_run(algebra, b, lo, min(lo + run, algebra.n))[a - lo]
     if not is_congruence(algebra, out):
         raise AlgebraError(f"closure produced an incompatible partition on {algebra.name}")
     return out
 
 
 def _same_size(p: Congruence, q: Congruence) -> None:
+    _require_partitions(p, q)
     if p.n != q.n:
         raise AlgebraError(f"partitions of {p.n} and {q.n} elements cannot be combined")
 

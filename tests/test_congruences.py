@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import naive
 import nearsemiring as nsr
-from nearsemiring import congruences, fixtures
+from nearsemiring import center, congruences, core, fixtures
 from nearsemiring.congruences import Congruence, compose_relations, regularity_terms
 from nearsemiring.core import PreconditionError
 
@@ -182,8 +182,8 @@ def test_principal_congruences_are_smallest():
 
 
 @st.composite
-def small_tables(draw):
-    """Tables of size n <= 5, with or without α, that need not be near semirings.
+def small_tables(draw, max_n=5):
+    """Tables of size n <= max_n, with or without α, that need not be near semirings.
 
     Half of them respect a drawn partition (the block of x+y and of x·y
     depends only on the blocks of x and y, and α permutes each block), and
@@ -191,7 +191,7 @@ def small_tables(draw):
     congruences other than the identity and the full one turn up, and
     lattices with members that are not principal.
     """
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     element = st.integers(0, n - 1)
     plant = draw(st.lists(element, min_size=n, max_size=n)) if draw(st.booleans()) \
         else list(range(n))
@@ -399,3 +399,170 @@ def test_a_lattice_missing_members_is_refused_at_the_first_pair():
                 with pytest.raises(nsr.AlgebraError) as caught:
                     congruences._lattice_tables(kept)
                 assert str(caught.value) == want
+
+
+# ---------------------------------------------------------------------------
+# principal congruences closed in kept runs of copies, and kept verdicts
+
+_RUN_FIXTURES = ("MO2xBOOL2", "MO2xMV3", "BOOL2xBOOL2xBOOL2xBOOL2xBOOL2", "MO2xMO2")
+
+
+def _lone_closures(algebra):
+    """θ(a, b) for every ordered pair, each closed on a copy of its own."""
+    pairs = list(product(range(algebra.n), repeat=2))
+    return {(a, b): congruences._congruences(
+        congruences._principal_rows(algebra, np.array([a]), np.array([b])))[0]
+        for a, b in pairs}
+
+
+def _run_length(algebra):
+    return max(1, congruences._CLOSURE_CELLS // congruences._translations(algebra, 1).size)
+
+
+def _assert_runs_equal_lone_closures(algebra, lone):
+    for (a, b), theta in lone.items():
+        assert nsr.principal_congruence(algebra, a, b) == theta, (algebra.name, a, b)
+        assert nsr.principal_congruence(algebra, np.int64(a), np.int32(b)) == theta
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 6, None])   # runs of one copy, of a few, of all
+@settings(max_examples=60, deadline=None)
+@given(tables=small_tables(6))
+def test_principal_congruences_in_runs_equal_lone_closures(cells, tables):
+    add, mul, inv, _p, _q = tables
+    n = len(add)
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n > 1 else 0, inv=inv)
+    with pytest.MonkeyPatch.context() as patch:
+        if cells:
+            patch.setattr(congruences, "_CLOSURE_CELLS", cells)
+        _assert_runs_equal_lone_closures(algebra, _lone_closures(algebra))
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 11, 1 << 13])   # as shipped, and split runs
+def test_principal_congruences_of_products_in_runs_equal_lone_closures(monkeypatch, cells):
+    if cells:
+        monkeypatch.setattr(congruences, "_CLOSURE_CELLS", cells)
+    split = 0
+    for name in _RUN_FIXTURES:
+        algebra = fixtures.fixture(name)
+        split += _run_length(algebra) < algebra.n
+        _assert_runs_equal_lone_closures(algebra, _lone_closures(algebra))
+    assert split >= 2                       # BOOL2^5 and MO2xMO2 split even as shipped
+
+
+def _spy_closures(monkeypatch):
+    calls = []
+    original = congruences._principal_rows
+
+    def spy(algebra, a, b):
+        calls.append((len(a), set(np.asarray(b).tolist())))
+        return original(algebra, a, b)
+    monkeypatch.setattr(congruences, "_principal_rows", spy)
+    return calls
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 13])
+def test_congruence_centrality_closes_one_closure_per_run_and_constant(monkeypatch, cells):
+    if cells:
+        monkeypatch.setattr(congruences, "_CLOSURE_CELLS", cells)
+    calls = _spy_closures(monkeypatch)
+    for name in _RUN_FIXTURES:
+        algebra = fixtures.fixture(name)
+        run = _run_length(algebra)
+        calls.clear()
+        nsr.central_elements(algebra, "congruence")
+        for constant in (algebra.zero, algebra.one):
+            closures = [size for size, b in calls if b == {constant}]
+            assert len(closures) <= -(-algebra.n // run), name
+            assert sum(closures) == algebra.n and max(closures) <= run
+        assert len(calls) == 2 * -(-algebra.n // run)
+
+
+def test_a_lone_principal_congruence_closes_at_most_one_chunk(monkeypatch):
+    calls = _spy_closures(monkeypatch)
+    for name in _RUN_FIXTURES + ("MV3xBOOL2xBOOL2xBOOL2xBOOL2",):
+        n, run = fixtures.fixture(name).n, _run_length(fixtures.fixture(name))
+        # the first run, and the last, which is shorter when run does not divide n
+        for a, run_size in ((0, min(n, run)), (n - 1, n - (n - 1) // run * run)):
+            algebra = fixtures.fixture(name)
+            calls.clear()
+            nsr.principal_congruence(algebra, a, 0)
+            (copies, b), = calls
+            assert b == {0} and copies == run_size
+            assert copies * congruences._translations(algebra, 1).size <= congruences._CLOSURE_CELLS
+
+
+def test_congruence_centrality_calls_each_traced_step_per_element(monkeypatch):
+    # the benchmark's spans wrap these two bindings of the center module
+    calls = []
+    for name in ("principal_congruence", "is_factor_pair"):
+        original = getattr(center, name)
+
+        def spy(algebra, *args, name=name, original=original):
+            calls.append((name, *(a if type(a) is int else None for a in args)))
+            return original(algebra, *args)
+        monkeypatch.setattr(center, name, spy)
+    for fixture in ("MO2xBOOL2", "MV3xMV3xBOOL2"):
+        algebra = fixtures.fixture(fixture)
+        calls.clear()
+        nsr.central_elements(algebra, "all")
+        assert calls == [call for e in range(algebra.n) for call in (
+            ("principal_congruence", e, algebra.zero), ("principal_congruence", e, algebra.one),
+            ("is_factor_pair", None, None))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(tables=small_tables(6), data=st.data())
+def test_kept_congruence_verdicts_equal_the_unkept_check(tables, data):
+    add, mul, inv, p, q = tables
+    n = len(add)
+    algebra = nsr.FiniteNearSemiring(add, mul, 0, 1 if n > 1 else 0, inv=inv)
+    sizes = st.integers(1, n + 1)
+    drawn = [data.draw(st.lists(st.integers(0, n), min_size=k, max_size=k))
+             for k in data.draw(st.lists(sizes, max_size=4))]
+    parts = [Congruence.from_blocks(blocks) for blocks in (p, q, *drawn)]
+    parts += [nsr.principal_congruence(algebra, a, b) for a, b in product(range(n), repeat=2)]
+    check = congruences._compatible.__wrapped__
+    for part in data.draw(st.permutations(parts)) + parts:
+        unkept = check(algebra, part)
+        assert unkept == (part.n == n and naive.is_congruence(add, mul, inv, part.blocks))
+        assert nsr.is_congruence(algebra, part) == unkept
+    kept = {key[1] for key in algebra._kept if isinstance(key, tuple) and key[0] is check}
+    assert kept == {(part,) for part in parts}
+
+
+def test_each_partition_is_checked_once_per_structure(monkeypatch):
+    checked, asked = [], []
+    compatible, is_congruence = congruences._compatible.__wrapped__, congruences.is_congruence
+    monkeypatch.setattr(congruences, "_compatible", core.kept(
+        lambda algebra, part: checked.append(part) or compatible(algebra, part)))
+    monkeypatch.setattr(congruences, "is_congruence",
+                        lambda algebra, part: asked.append(part) or is_congruence(algebra, part))
+    for name in ("MO2xBOOL2", "BOOL4xBOOL4", "MV3xMV3xBOOL2", "MO2xMV3"):
+        checked.clear(), asked.clear()
+        nsr.center_algebra(fixtures.fixture(name), "all")
+        assert len(asked) > len(set(asked))   # is_factor_pair asks again about each θ
+        assert sorted(checked) == sorted(set(asked)), name
+
+
+_PARTITION_TAKERS = {
+    "is_congruence": lambda algebra, p, q: nsr.is_congruence(algebra, p),
+    "is_factor_pair": nsr.is_factor_pair,
+    "join_partitions": lambda algebra, p, q: nsr.join_partitions(p, q),
+    "meet_partitions": lambda algebra, p, q: nsr.meet_partitions(p, q),
+    "compose_relations": lambda algebra, p, q: compose_relations(p, q),
+    "quotient_algebra": lambda algebra, p, q: nsr.quotient_algebra(algebra, p),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTITION_TAKERS))
+def test_a_partition_that_is_not_a_congruence_is_refused(name):
+    take, mv3 = _PARTITION_TAKERS[name], fixtures.mv3()
+    full = Congruence.full(3)
+    for bad in ((0, 0, 0), [0, 0, 0], np.zeros(3, dtype=int), full.blocks[:2]):
+        for args in ((bad, full), (full, bad)):
+            if args[0] is full and name in ("is_congruence", "quotient_algebra"):
+                continue
+            with pytest.raises(nsr.AlgebraError,
+                               match=rf"^a partition must be a Congruence, not {type(bad).__name__}$"):
+                take(mv3, *args)
